@@ -7,13 +7,13 @@ ignored.  Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 
 from .events import LayerId
-from .llm import DEFAULT_LLM_THRESHOLDS, FusionConfig, LlmThresholds
-from .memory import EmbeddingConfig, MatchConfig
 from .pipeline import Mode, PipelineConfig
-from .qcal import ActionSet, CalibConfig, RewardConfig
+from .qcal import ActionSet
 
 
 class ConfigError(ValueError):
@@ -63,211 +63,133 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _as_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {value!r}")
+def _typed(convert: Callable[[str], object], error: str, value: str) -> object:
+    try:
+        return convert(value)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{error}: {value!r}") from None
 
 
-_LAYER_KEYS = {
-    "network": LayerId.NETWORK,
-    "host": LayerId.HOST,
-    "hypervisor": LayerId.HYPERVISOR,
+_BOOLS = {
+    **dict.fromkeys(("true", "1", "yes", "on"), True),
+    **dict.fromkeys(("false", "0", "no", "off"), False),
 }
+_num = partial(_typed, float, "not a number")
+_int = partial(_typed, int, "not an integer")
+_bool = partial(_typed, lambda v: _BOOLS[v.lower()], "not a boolean")
+_layer = partial(_typed, lambda name: LayerId(name.lower()), "unknown layer")
+
+# key -> (dotted field path under ExperimentConfig, parser)
+_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "mode": ("pipeline.mode", lambda v: Mode(v.lower())),
+    "static_threshold": ("pipeline.static_threshold", _num),
+    "eval_count": ("pipeline.eval_count", _int),
+    "train_ratio": ("pipeline.train_ratio", _num),
+    "seed": ("pipeline.seed", _int),
+    "c_event": ("pipeline.c_event", _num),
+    "llm_parallelism": ("pipeline.llm_parallelism", _int),
+    "wall_clock": ("pipeline.wall_clock", _bool),
+    "episodes": ("pipeline.calib.episodes", _int),
+    "window": ("pipeline.calib.window", _int),
+    "epsilon_start": ("pipeline.calib.epsilon_start", _num),
+    "epsilon_decay": ("pipeline.calib.epsilon_decay", _num),
+    "epsilon_floor": ("pipeline.calib.epsilon_floor", _num),
+    "alpha": ("pipeline.calib.alpha", _num),
+    "gamma": ("pipeline.calib.gamma", _num),
+    "r_correct_known": ("pipeline.calib.rewards.r_correct_known", _num),
+    "r_wrong_known_benign": ("pipeline.calib.rewards.r_wrong_known_benign", _num),
+    "r_wrong_known_attack": ("pipeline.calib.rewards.r_wrong_known_attack", _num),
+    "r_escalate": ("pipeline.calib.rewards.r_escalate", _num),
+    "r_band_penalty": ("pipeline.calib.rewards.r_band_penalty", _num),
+    "band_max": ("pipeline.calib.rewards.band_max", _num),
+    "embed_dims": ("pipeline.embedding.dims", _int),
+    "match_k": ("pipeline.match.k", _int),
+    "exact_radius": ("pipeline.match.exact_radius", _num),
+    "near_radius": ("pipeline.match.near_radius", _num),
+    "support_radius": ("pipeline.match.support_radius", _num),
+    "min_support": ("pipeline.match.min_support", _int),
+    "min_meta": ("pipeline.match.min_meta", _num),
+    "p_min": ("pipeline.llm_thresholds.p_min", _num),
+    "w_model": ("pipeline.fusion.w_model", _num),
+    "w_llm": ("pipeline.fusion.w_llm", _num),
+    "llm": ("llm_spec", str),
+    "llm_url": ("llm_url", str),
+    "llm_model": ("llm_model", str),
+    "llm_timeout": ("llm_timeout", _num),
+    "llm_retries": ("llm_retries", _int),
+    "out_dir": ("out_dir", str),
+    "data_dir": ("data_dir", str),
+    "memory_dir": ("memory_dir", str),
+    "layers": ("layers", lambda v: tuple(_layer(p.strip()) for p in v.split(",") if p.strip())),
+    "net_count": ("net_count", _int),
+    "net_attack_fraction": ("net_attack_fraction", _num),
+    "net_separation": ("net_separation", _num),
+    "host_count": ("host_count", _int),
+    "host_attack_fraction": ("host_attack_fraction", _num),
+    "host_ambiguity": ("host_ambiguity", _num),
+}
+
+# <prefix><layer> sets that layer's entry of a per-layer dict
+_LAYER_PREFIXES = {
+    "llm_tau_": ("pipeline.llm_thresholds.tau", _num),
+    "fusion_tau_": ("pipeline.fusion.fusion_tau", _num),
+    "scorer_": ("scorers", str),
+}
+
+
+def _set(obj, path: str, value: object):
+    """Copy of ``obj`` with the dotted field ``path`` set, via ``replace``."""
+    head, _, rest = path.partition(".")
+    return replace(obj, **{head: _set(getattr(obj, head), rest, value) if rest else value})
 
 
 def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     """Turn a flat key/value mapping into typed configuration.
 
     Raises:
-        ConfigError: unknown key or unparseable value.
+        ConfigError: unknown key, unparseable value, or a value out of
+            range (``bad value for <key>``).
     """
     xcfg = ExperimentConfig()
-    pipe = xcfg.pipeline
-    calib = pipe.calib
-    rewards = calib.rewards
-    match = pipe.match
-    llm_tau = dict(pipe.llm_thresholds.tau)
-    fusion_tau: dict[LayerId, float] = dict(pipe.fusion.fusion_tau)
-    fusion_tau_set: set[LayerId] = set()
-    action_min, action_max, action_step = 0.50, 0.95, 0.01
-    embed_dims = pipe.embedding.dims
-    scalar: dict[str, object] = {}
-
-    def fnum(v: str) -> float:
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ConfigError(f"not a number: {v!r}") from exc
-
-    def inum(v: str) -> int:
-        try:
-            return int(v)
-        except ValueError as exc:
-            raise ConfigError(f"not an integer: {v!r}") from exc
-
+    # the Gate-1 action grid is derived from these once every key is read
+    grid = {"action_min": 0.50, "action_max": 0.95, "action_step": 0.01}
     for key, value in kv.items():
         try:
-            if key == "mode":
-                scalar["mode"] = Mode(value.lower())
-            elif key == "static_threshold":
-                scalar["static_threshold"] = fnum(value)
-            elif key == "eval_count":
-                scalar["eval_count"] = inum(value)
-            elif key == "train_ratio":
-                scalar["train_ratio"] = fnum(value)
-            elif key == "seed":
-                scalar["seed"] = inum(value)
-            elif key == "c_event":
-                scalar["c_event"] = fnum(value)
-            elif key == "llm_parallelism":
-                scalar["llm_parallelism"] = inum(value)
-            elif key == "wall_clock":
-                scalar["wall_clock"] = _as_bool(value)
-            elif key == "episodes":
-                calib = replace(calib, episodes=inum(value))
-            elif key == "window":
-                calib = replace(calib, window=inum(value))
-            elif key == "epsilon_start":
-                calib = replace(calib, epsilon_start=fnum(value))
-            elif key == "epsilon_decay":
-                calib = replace(calib, epsilon_decay=fnum(value))
-            elif key == "epsilon_floor":
-                calib = replace(calib, epsilon_floor=fnum(value))
-            elif key == "alpha":
-                calib = replace(calib, alpha=fnum(value))
-            elif key == "gamma":
-                calib = replace(calib, gamma=fnum(value))
-            elif key == "r_correct_known":
-                rewards = replace(rewards, r_correct_known=fnum(value))
-            elif key == "r_wrong_known_benign":
-                rewards = replace(rewards, r_wrong_known_benign=fnum(value))
-            elif key == "r_wrong_known_attack":
-                rewards = replace(rewards, r_wrong_known_attack=fnum(value))
-            elif key == "r_escalate":
-                rewards = replace(rewards, r_escalate=fnum(value))
-            elif key == "r_band_penalty":
-                rewards = replace(rewards, r_band_penalty=fnum(value))
-            elif key == "band_max":
-                rewards = replace(rewards, band_max=fnum(value))
-            elif key == "action_min":
-                action_min = fnum(value)
-            elif key == "action_max":
-                action_max = fnum(value)
-            elif key == "action_step":
-                action_step = fnum(value)
-            elif key == "embed_dims":
-                embed_dims = inum(value)
-            elif key == "match_k":
-                match = replace(match, k=inum(value))
-            elif key == "exact_radius":
-                match = replace(match, exact_radius=fnum(value))
-            elif key == "near_radius":
-                match = replace(match, near_radius=fnum(value))
-            elif key == "support_radius":
-                match = replace(match, support_radius=fnum(value))
-            elif key == "min_support":
-                match = replace(match, min_support=inum(value))
-            elif key == "min_meta":
-                match = replace(match, min_meta=fnum(value))
-            elif key.startswith("llm_tau_"):
-                layer = _layer_key(key.removeprefix("llm_tau_"))
-                llm_tau[layer] = fnum(value)
-            elif key == "p_min":
-                scalar["p_min"] = fnum(value)
-            elif key == "w_model":
-                scalar["w_model"] = fnum(value)
-            elif key == "w_llm":
-                scalar["w_llm"] = fnum(value)
-            elif key.startswith("fusion_tau_"):
-                layer = _layer_key(key.removeprefix("fusion_tau_"))
-                fusion_tau[layer] = fnum(value)
-                fusion_tau_set.add(layer)
-            elif key.startswith("scorer_"):
-                layer = _layer_key(key.removeprefix("scorer_"))
-                xcfg.scorers[layer] = value
-            elif key == "llm":
-                xcfg.llm_spec = value
-            elif key == "llm_url":
-                xcfg.llm_url = value
-            elif key == "llm_model":
-                xcfg.llm_model = value
-            elif key == "llm_timeout":
-                xcfg.llm_timeout = fnum(value)
-            elif key == "llm_retries":
-                xcfg.llm_retries = inum(value)
-            elif key == "out_dir":
-                xcfg.out_dir = value
-            elif key == "data_dir":
-                xcfg.data_dir = value
-            elif key == "memory_dir":
-                xcfg.memory_dir = value
-            elif key == "layers":
-                xcfg.layers = tuple(
-                    _layer_key(part.strip()) for part in value.split(",") if part.strip()
-                )
-            elif key == "net_count":
-                xcfg.net_count = inum(value)
-            elif key == "net_attack_fraction":
-                xcfg.net_attack_fraction = fnum(value)
-            elif key == "net_separation":
-                xcfg.net_separation = fnum(value)
-            elif key == "host_count":
-                xcfg.host_count = inum(value)
-            elif key == "host_attack_fraction":
-                xcfg.host_attack_fraction = fnum(value)
-            elif key == "host_ambiguity":
-                xcfg.host_ambiguity = fnum(value)
+            if key in grid:
+                grid[key] = _num(value)
+            elif key in _KEYS:
+                path, parse = _KEYS[key]
+                xcfg = _set(xcfg, path, parse(value))
+            elif prefix := next((p for p in _LAYER_PREFIXES if key.startswith(p)), None):
+                path, parse = _LAYER_PREFIXES[prefix]
+                per_layer = reduce(getattr, path.split("."), xcfg)
+                layer = _layer(key.removeprefix(prefix))
+                xcfg = _set(xcfg, path, {**per_layer, layer: parse(value)})
             else:
                 raise ConfigError(f"unknown config key: {key!r}")
+        except ConfigError:
+            raise
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
 
-    n_actions = int(round((action_max - action_min) / action_step)) + 1
-    actions = ActionSet(
-        thresholds=tuple(round(action_min + i * action_step, 6) for i in range(n_actions))
-    )
-    calib = replace(calib, rewards=rewards, actions=actions)
-    thresholds = LlmThresholds(
-        tau=llm_tau, p_min=float(scalar.get("p_min", pipe.llm_thresholds.p_min))
-    )
-    # fusion thresholds follow the LLM thresholds unless set explicitly
-    for layer in LayerId:
-        if layer not in fusion_tau_set:
-            fusion_tau[layer] = llm_tau[layer]
-    fusion = FusionConfig(
-        w_model=float(scalar.get("w_model", pipe.fusion.w_model)),
-        w_llm=float(scalar.get("w_llm", pipe.fusion.w_llm)),
-        fusion_tau=fusion_tau,
-    )
-    xcfg.pipeline = PipelineConfig(
-        mode=scalar.get("mode", pipe.mode),
-        static_threshold=scalar.get("static_threshold", pipe.static_threshold),
-        eval_count=scalar.get("eval_count", pipe.eval_count),
-        train_ratio=scalar.get("train_ratio", pipe.train_ratio),
-        seed=scalar.get("seed", pipe.seed),
-        c_event=scalar.get("c_event", pipe.c_event),
-        llm_parallelism=scalar.get("llm_parallelism", pipe.llm_parallelism),
-        wall_clock=scalar.get("wall_clock", pipe.wall_clock),
-        calib=calib,
-        match=match,
-        embedding=EmbeddingConfig(dims=embed_dims),
-        llm_thresholds=thresholds,
-        fusion=fusion,
-    )
-    return xcfg
-
-
-def _layer_key(name: str) -> LayerId:
+    lo, hi, step = grid.values()
     try:
-        return _LAYER_KEYS[name.lower()]
-    except KeyError:
-        raise ConfigError(f"unknown layer: {name!r}") from None
+        n_actions = int(round((hi - lo) / step)) + 1
+        if n_actions > 500_000:  # more than the 6-decimal values in [0.5, 1.0)
+            raise ValueError(f"{n_actions} thresholds repeat at 6 decimals")
+        thresholds = tuple(round(lo + i * step, 6) for i in range(n_actions))
+        xcfg = _set(xcfg, "pipeline.calib.actions", ActionSet(thresholds=thresholds))
+    except (ValueError, ArithmeticError) as exc:
+        # blame the first grid key out of range (or a step too fine), else the last one given
+        ok = {"action_min": 0.5 <= lo < 1.0, "action_max": 0.5 <= hi < 1.0}
+        ok["action_step"] = step > 0 and (hi - lo) / step < 500_000
+        key = next((k for k, fine in ok.items() if not fine), [k for k in kv if k in grid][-1])
+        raise ConfigError(f"bad value for {key}: {kv[key]!r} ({exc})") from exc
+    # fusion thresholds follow the LLM thresholds unless set explicitly
+    pipe = xcfg.pipeline
+    pinned = {_layer(k.removeprefix("fusion_tau_")) for k in kv if k.startswith("fusion_tau_")}
+    fusion_tau = {**pipe.llm_thresholds.tau, **{t: pipe.fusion.fusion_tau[t] for t in pinned}}
+    return _set(xcfg, "pipeline.fusion.fusion_tau", fusion_tau)
 
 
 def load_experiment_config(
@@ -275,6 +197,4 @@ def load_experiment_config(
 ) -> ExperimentConfig:
     """File config (if any) with override keys applied on top."""
     kv = read_config_file(path) if path else {}
-    if overrides:
-        kv.update(overrides)
-    return build_experiment_config(kv)
+    return build_experiment_config({**kv, **(overrides or {})})

@@ -319,14 +319,6 @@ def gen_network(cfg: NetGenConfig) -> list[Event]:
     return events
 
 
-def network_extractor(n_features: int = 40) -> FeatureExtractor:
-    return FeatureExtractor(
-        layer=LayerId.NETWORK,
-        mode=FeatureMode.NUMERIC_PASSTHROUGH,
-        columns=tuple(range(n_features)),
-    )
-
-
 def write_network_csv(events: list[Event], path: str) -> None:
     n = len(events[0].features) if events else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:

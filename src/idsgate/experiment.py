@@ -55,6 +55,7 @@ from .pipeline import (
 )
 from .qcal import CalibrationResult
 from .scoring import (
+    ReplayRow,
     Scorer,
     TrainConfig,
     events_from_replay,
@@ -118,23 +119,35 @@ def load_events(layer: LayerId, data_dir: str) -> list[Event]:
     return load_hypervisor_csv(os.path.join(data_dir, HYPERVISOR_FILE))
 
 
-def get_events(layer: LayerId, xcfg: ExperimentConfig) -> list[Event]:
+def layer_input(
+    layer: LayerId, xcfg: ExperimentConfig
+) -> tuple[list[Event], dict[str, ReplayRow] | None]:
+    """A layer's events, plus the replay table when its scorer replays one."""
     spec = xcfg.scorers[layer]
     if spec.startswith("replay:"):
         table = load_replay_csv(spec.removeprefix("replay:"))
-        return events_from_replay(table, layer)
+        return events_from_replay(table, layer), table
     if xcfg.data_dir:
-        return load_events(layer, xcfg.data_dir)
-    return generate_events(layer, xcfg)
+        return load_events(layer, xcfg.data_dir), None
+    return generate_events(layer, xcfg), None
+
+
+def get_events(layer: LayerId, xcfg: ExperimentConfig) -> list[Event]:
+    """A layer's events alone (``layer_input`` without the replay table)."""
+    return layer_input(layer, xcfg)[0]
 
 
 def prepare_layer(
-    layer: LayerId, events: list[Event], xcfg: ExperimentConfig
+    layer: LayerId,
+    events: list[Event],
+    xcfg: ExperimentConfig,
+    replay: dict[str, ReplayRow] | None = None,
 ) -> LayerBundle:
     """Split, fit the text extractor if needed, train/score the base model.
 
     tf-idf for the host layer is fitted on the training split only, then
     applied to every event, so evaluation text never leaks into the fit.
+    A replay scorer needs ``replay``, the table ``layer_input`` read.
     """
     cfg = xcfg.pipeline
     train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
@@ -146,7 +159,7 @@ def prepare_layer(
         test = [dataclasses.replace(e, features=extract_features(e, fx)) for e in test]
     spec = xcfg.scorers[layer]
     if spec.startswith("replay:"):
-        scorer = make_replay_scorer(load_replay_csv(spec.removeprefix("replay:")))
+        scorer = make_replay_scorer(replay)
     elif spec == "baseline":
         scorer = train_baseline(train, TrainConfig(seed=cfg.seed))
     else:
@@ -165,11 +178,12 @@ def prepare_layer(
 
 
 def prepare_bundles(xcfg: ExperimentConfig) -> dict[LayerId, LayerBundle]:
-    return {
-        layer: prepare_layer(layer, get_events(layer, xcfg), xcfg)
-        for layer in LAYER_ORDER
-        if layer in xcfg.layers
-    }
+    bundles: dict[LayerId, LayerBundle] = {}
+    for layer in LAYER_ORDER:
+        if layer in xcfg.layers:
+            events, replay = layer_input(layer, xcfg)
+            bundles[layer] = prepare_layer(layer, events, xcfg, replay)
+    return bundles
 
 
 def truth_maps(

@@ -270,12 +270,6 @@ class EchoLlmClient:
         )
 
 
-def call_llm(prompt: str, client) -> str:
-    """Send one prompt; propagates LlmTimeout / LlmHttpError from the
-    client so the caller can downgrade the event."""
-    return client.generate(prompt)
-
-
 def parse_verdict(text: str) -> LlmVerdict:
     """Parse a model reply into a verdict.  Total: never raises.
 

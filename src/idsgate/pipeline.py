@@ -41,7 +41,6 @@ from .llm import (
     LlmVerdict,
     build_prompt,
     calibrate_llm_threshold,
-    call_llm,
     gate3_decide,
     parse_verdict,
     prompt_sha256,
@@ -114,6 +113,7 @@ class LayerRun:
     audits: list[dict]
     reviews: list[ReviewRecord]
     llm_calls: int
+    metrics: Metrics | None  # None when no routed event carries truth
 
 
 @dataclass(frozen=True)
@@ -415,7 +415,7 @@ def route_stream(
     done: list[RoutedEvent] = routed  # type: ignore[assignment]
     metrics = None
     if any(r.se.event.truth is not None for r in done):
-        metrics = compute_metrics(done).to_dict()
+        metrics = compute_metrics(done)
     summary = LayerSummary(
         layer=layer.value,
         total=len(scored),
@@ -430,7 +430,7 @@ def route_stream(
         bucket=tallies["bucket"],
         learned_threshold=threshold,
         llm_threshold=llm_tau,
-        metrics=metrics,
+        metrics=metrics.to_dict() if metrics else None,
     ).validate()
     return LayerRun(
         layer=layer,
@@ -441,12 +441,13 @@ def route_stream(
         audits=audits,
         reviews=reviews,
         llm_calls=llm_calls,
+        metrics=metrics,
     )
 
 
 def _guarded_call(prompt: str, client) -> tuple[str | None, Exception | None]:
     try:
-        return call_llm(prompt, client), None
+        return client.generate(prompt), None
     except (LlmTimeout, LlmHttpError) as exc:
         return None, exc
 
@@ -492,20 +493,17 @@ def harvest_llm_samples(
 ) -> list[LlmSample]:
     """Run the labeled calibration split's escalations through the LLM.
 
-    Escalation is judged at the static default threshold against a
-    fresh, empty memory so the harvested sample only reflects the
+    Escalation is judged at the static default threshold, and prompts
+    carry no memory context, so the harvested sample only reflects the
     analyst model, not earlier promotions.
     """
-    store = MemoryStore(dims=cfg.embedding.dims)
     samples: list[LlmSample] = []
     for se in train_scored:
         if route_gate1(se, cfg.static_threshold) is Gate1Route.KNOWN:
             continue
         if se.event.truth is None:
             raise NoLabeledEvents(f"event {se.event.id} lacks truth")
-        match = match_decision(store, se.event.raw, cfg.match, cfg.embedding)
-        prompt = build_prompt(se, match)
-        raw, error = _guarded_call(prompt, client)
+        raw, error = _guarded_call(build_prompt(se), client)
         verdict = (
             parse_verdict(raw) if error is None else LlmVerdict(Verdict.UNSURE, 0.0)
         )
@@ -543,11 +541,7 @@ class ModeRun:
         return sum(lr.llm_calls for lr in self.layer_runs.values())
 
     def overall_metrics(self) -> Metrics | None:
-        parts = [
-            compute_metrics(lr.routed)
-            for lr in self.layer_runs.values()
-            if any(r.se.event.truth is not None for r in lr.routed)
-        ]
+        parts = [lr.metrics for lr in self.layer_runs.values() if lr.metrics is not None]
         return Metrics.merge(parts) if parts else None
 
 

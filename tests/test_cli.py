@@ -101,6 +101,13 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_out_of_range_value_is_usage_error(tmp_path, capsys):
+    out = os.path.join(tmp_path, "out")
+    assert main(["gen", "--out", out, "--c-event", "-1"]) == 2
+    assert "config error: bad value for c_event" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     missing = os.path.join(tmp_path, "nope.cfg")
     assert main(["gen", "--config", missing]) == 2

@@ -64,6 +64,23 @@ def test_build_rejects_bad_values():
         build_experiment_config({"wall_clock": "maybe"})
     with pytest.raises(ConfigError):
         build_experiment_config({"mode": "hybrid"})
+    # parseable but out of range: the error names the key at fault
+    for kv, key in [
+        ({"c_event": "-1"}, "c_event"),
+        ({"llm_parallelism": "0"}, "llm_parallelism"),
+        ({"embed_dims": "8"}, "embed_dims"),
+        ({"action_max": "1.2"}, "action_max"),
+        ({"action_step": "0"}, "action_step"),
+        ({"action_min": "0.4", "action_step": "0.05"}, "action_min"),
+        ({"action_step": "0.5"}, "action_step"),
+        ({"action_min": "0.97"}, "action_min"),
+        ({"action_min": "0.9", "action_max": "0.6"}, "action_max"),
+        # 4.5M steps: rejected before the grid is built
+        ({"action_step": "1e-7"}, "action_step"),
+        ({"action_step": "1e-7", "action_min": "0.6"}, "action_step"),
+    ]:
+        with pytest.raises(ConfigError, match=f"bad value for {key}:"):
+            build_experiment_config(kv)
 
 
 def test_scalar_keys_reach_the_pipeline():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from idsgate import experiment
 from idsgate.config import ConfigError, build_experiment_config
 from idsgate.events import LayerId
 from idsgate.experiment import (
@@ -102,6 +103,30 @@ def test_prepare_layer_rejects_unknown_scorer(tmp_path):
     xcfg.scorers[LayerId.NETWORK] = "oracle"
     with pytest.raises(ConfigError, match="unknown scorer"):
         prepare_layer(LayerId.NETWORK, get_events(LayerId.NETWORK, xcfg), xcfg)
+
+
+def test_prepare_bundles_reads_each_replay_csv_once(tmp_path, monkeypatch):
+    paths = {}
+    for layer in ("network", "host"):
+        paths[layer] = os.path.join(tmp_path, f"{layer}_scores.csv")
+        with open(paths[layer], "w") as fh:
+            fh.write("event_id,layer,pred_label,confidence,truth\n")
+            for i in range(60):
+                fh.write(f"{layer}-{i},{layer},{i % 2},0.{60 + i % 39},{i % 2}\n")
+    xcfg = small_cfg(
+        tmp_path,
+        layers="network,host",
+        scorer_network=f"replay:{paths['network']}",
+        scorer_host=f"replay:{paths['host']}",
+    )
+    calls = []
+    original = experiment.load_replay_csv
+    monkeypatch.setattr(
+        experiment, "load_replay_csv", lambda path: calls.append(path) or original(path)
+    )
+    bundles = prepare_bundles(xcfg)
+    assert sorted(calls) == sorted(paths.values())
+    assert len(bundles[LayerId.HOST].train_scored) == 48
 
 
 def test_truth_maps_cover_all_bundles(tmp_path):

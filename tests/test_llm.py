@@ -28,7 +28,6 @@ from idsgate.llm import (
     Provenance,
     build_prompt,
     calibrate_llm_threshold,
-    call_llm,
     default_threshold_grid,
     direct_decide,
     fallback_decide,
@@ -319,8 +318,8 @@ def test_gate3_decide_unsure_goes_to_review():
 def test_mock_client_answers_by_prompt_hash():
     prompt = build_prompt(make_scored(0.6, event_id="host-3"))
     client = MockLlmClient({prompt_sha256(prompt): '{"label": "ATTACK", "confidence": 0.9}'})
-    assert call_llm(prompt, client) == '{"label": "ATTACK", "confidence": 0.9}'
-    assert call_llm("something else", client) == DEFAULT_MOCK_RESPONSE
+    assert client.generate(prompt) == '{"label": "ATTACK", "confidence": 0.9}'
+    assert client.generate("something else") == DEFAULT_MOCK_RESPONSE
     assert client.calls == 2
 
 
