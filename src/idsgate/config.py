@@ -7,6 +7,7 @@ ignored.  Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
@@ -74,10 +75,24 @@ _BOOLS = {
     **dict.fromkeys(("true", "1", "yes", "on"), True),
     **dict.fromkeys(("false", "0", "no", "off"), False),
 }
-_num = partial(_typed, float, "not a number")
 _int = partial(_typed, int, "not an integer")
 _bool = partial(_typed, lambda v: _BOOLS[v.lower()], "not a boolean")
 _layer = partial(_typed, lambda name: LayerId(name.lower()), "unknown layer")
+
+
+def _num(value: str) -> float:
+    number = _typed(float, "not a number", value)
+    if not math.isfinite(number):
+        raise ValueError("not finite")
+    return number
+
+
+def _layers(value: str) -> tuple[LayerId, ...]:
+    layers = tuple(_layer(p.strip()) for p in value.split(",") if p.strip())
+    if not layers:
+        raise ValueError("no layer named")
+    return layers
+
 
 # key -> (dotted field path under ExperimentConfig, parser)
 _KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
@@ -120,7 +135,7 @@ _KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "out_dir": ("out_dir", str),
     "data_dir": ("data_dir", str),
     "memory_dir": ("memory_dir", str),
-    "layers": ("layers", lambda v: tuple(_layer(p.strip()) for p in v.split(",") if p.strip())),
+    "layers": ("layers", _layers),
     "net_count": ("net_count", _int),
     "net_attack_fraction": ("net_attack_fraction", _num),
     "net_separation": ("net_separation", _num),

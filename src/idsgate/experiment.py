@@ -30,7 +30,7 @@ from .corpus import (
     write_hypervisor_csv,
     write_network_csv,
 )
-from .events import Event, LayerId, ScoredEvent
+from .events import Event, LayerId, ScoredEvent, validate_event
 from .llm import EchoLlmClient, HttpLlmClient, MockLlmClient
 from .memory import MemoryStore, load_store
 from .outputs import (
@@ -122,14 +122,23 @@ def load_events(layer: LayerId, data_dir: str) -> list[Event]:
 def layer_input(
     layer: LayerId, xcfg: ExperimentConfig
 ) -> tuple[list[Event], dict[str, ReplayRow] | None]:
-    """A layer's events, plus the replay table when its scorer replays one."""
+    """A layer's events, plus the replay table when its scorer replays one.
+
+    Every event is checked against the stream contract (``validate_event``),
+    so a loaded corpus with a truth label outside {0, 1} fails here.
+    """
     spec = xcfg.scorers[layer]
+    table = None
     if spec.startswith("replay:"):
         table = load_replay_csv(spec.removeprefix("replay:"))
-        return events_from_replay(table, layer), table
-    if xcfg.data_dir:
-        return load_events(layer, xcfg.data_dir), None
-    return generate_events(layer, xcfg), None
+        events = events_from_replay(table, layer)
+    elif xcfg.data_dir:
+        events = load_events(layer, xcfg.data_dir)
+    else:
+        events = generate_events(layer, xcfg)
+    for event in events:
+        validate_event(event)
+    return events, table
 
 
 def get_events(layer: LayerId, xcfg: ExperimentConfig) -> list[Event]:

@@ -17,20 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
+
+import numpy as np
 
 from .events import ScoredEvent
 
 MEAN_BINS = 10
 VAR_BINS = 5
 UNC_BINS = 5
-
-
-class EmptyWindow(ValueError):
-    """Window statistics requested over zero events."""
-
-
-class MissingTruth(ValueError):
-    """Reward needs ground truth that the event does not carry."""
 
 
 class UnlabeledStream(ValueError):
@@ -130,27 +125,51 @@ class RewardConfig:
     band_max: float = 0.25
 
 
-def discretize(window: list[tuple[float, bool]]) -> QState:
-    """Bin a window of (confidence, routed_uncertain) pairs into a QState.
+def _bins(x: np.ndarray, scale: int, n_bins: int) -> np.ndarray:
+    return np.clip((x * scale).astype(np.int64), 0, n_bins - 1)
 
-    mean bin is floor(mean * 10) clamped to [0, 9]; variance bin is
-    floor(variance * 50) clamped to [0, 4] (population variance);
-    uncertain bin is floor(ratio * 5) clamped to [0, 4].
 
-    Raises:
-        EmptyWindow: the window holds no events.
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    # Left to right on every interpreter: np.sum adds pairwise, and the
+    # builtin sum() of floats is compensated from Python 3.12.
+    return np.cumsum(rows, axis=1)[:, -1]
+
+
+def outcome_table(
+    stream: list[ScoredEvent], window: int, thresholds: tuple[float, ...], rc: RewardConfig
+) -> tuple[np.ndarray, ...]:
+    """The outcome of each window-sized slice of a labeled stream, routed
+    at each threshold as ``route_gate1`` does.
+
+    Returns ``(mean_bin, var_bin, unc_bin, reward)``, the first two per
+    slice and the last two [slices x actions]: floor(mean * 10),
+    floor(population variance * 50) and floor(uncertain fraction * 5),
+    each clamped to its range, and the mean per-event reward.  A short
+    last slice is padded with zeros, which leave the sums unchanged.
     """
-    if not window:
-        raise EmptyWindow("cannot discretize an empty window")
-    n = len(window)
-    mean = sum(c for c, _ in window) / n
-    var = sum((c - mean) ** 2 for c, _ in window) / n
-    unc_ratio = sum(1 for _, u in window if u) / n
-    return QState(
-        mean_bin=min(MEAN_BINS - 1, max(0, int(mean * MEAN_BINS))),
-        var_bin=min(VAR_BINS - 1, max(0, int(var * 50))),
-        unc_bin=min(UNC_BINS - 1, max(0, int(unc_ratio * UNC_BINS))),
-    )
+    rows = -(-len(stream) // window)
+    valid = np.arange(rows * window).reshape(rows, window) < len(stream)
+    size = np.count_nonzero(valid, axis=1)
+    conf, known_r = np.zeros(valid.shape), np.zeros(valid.shape)
+    conf[valid] = [se.confidence for se in stream]
+    pred = np.array([se.pred_label for se in stream])
+    truth = np.array([se.event.truth for se in stream])
+    wrong_r = np.where(truth == 1, rc.r_wrong_known_attack, rc.r_wrong_known_benign)
+    known_r[valid] = np.where(pred == truth, rc.r_correct_known, wrong_r)
+    mean = _row_sums(conf) / size
+    dev = np.where(valid, conf - mean[:, None], 0.0)
+    var = _row_sums(dev * dev) / size  # correctly rounded squares, unlike libm pow()
+    unc_bin = np.empty((rows, len(thresholds)), dtype=np.int64)
+    reward = np.empty(unc_bin.shape)
+    # One action at a time keeps temporaries at [slices x window].
+    for a, t in enumerate(thresholds):
+        uncertain = valid & (conf < t)
+        ratio = np.count_nonzero(uncertain, axis=1) / size
+        r = np.where(uncertain, rc.r_escalate, known_r)
+        r[ratio > rc.band_max] += rc.r_band_penalty
+        unc_bin[:, a] = _bins(ratio, UNC_BINS, UNC_BINS)
+        reward[:, a] = _row_sums(np.where(valid, r, 0.0)) / size
+    return _bins(mean, MEAN_BINS, MEAN_BINS), _bins(var, 50, VAR_BINS), unc_bin, reward
 
 
 def select_action(
@@ -160,34 +179,6 @@ def select_action(
     if rng.random() < epsilon:
         return rng.randrange(qt.n_actions)
     return qt.best_action(state)
-
-
-def reward(
-    se: ScoredEvent,
-    routed_known: bool,
-    window_unc_ratio: float,
-    rc: RewardConfig,
-) -> float:
-    """Per-event reward for a routing decision made at some threshold.
-
-    Raises:
-        MissingTruth: the event has no ground-truth label.
-    """
-    truth = se.event.truth
-    if truth is None:
-        raise MissingTruth(f"event {se.event.id} has no truth label")
-    if routed_known:
-        if se.pred_label == truth:
-            r = rc.r_correct_known
-        elif truth == 1:
-            r = rc.r_wrong_known_attack
-        else:
-            r = rc.r_wrong_known_benign
-    else:
-        r = rc.r_escalate
-    if window_unc_ratio > rc.band_max:
-        r += rc.r_band_penalty
-    return r
 
 
 def bellman_update(
@@ -235,36 +226,17 @@ class CalibrationResult:
     qtable: QTable | None = None
 
 
-def _slice_step(
-    sl: list[ScoredEvent], threshold: float, rc: RewardConfig
-) -> tuple[list[tuple[float, bool]], float]:
-    """Route one window slice at a fixed threshold.
-
-    Returns the (confidence, uncertain) pairs observed and the mean
-    per-event reward; the mean keeps reward scale independent of a short
-    final slice.
-    """
-    flags = [route_gate1(se, threshold) is Gate1Route.UNCERTAIN for se in sl]
-    unc_ratio = sum(flags) / len(flags)
-    total = 0.0
-    for se, unc in zip(sl, flags):
-        total += reward(se, not unc, unc_ratio, rc)
-    pairs = [(se.confidence, unc) for se, unc in zip(sl, flags)]
-    return pairs, total / len(sl)
-
-
 def calibrate(
     stream: list[ScoredEvent], cfg: CalibConfig, seed: int
 ) -> CalibrationResult:
     """Learn a per-layer Gate-1 threshold from a labeled scored stream.
 
-    Each episode walks the stream in window-sized slices, holding one
-    action fixed per slice: summarize the previous slice's outcomes into
-    a state, pick a threshold epsilon-greedily, route the slice, score
-    it, and apply the value update with the routed slice as the next
-    state.  Exploration decays per episode down to a floor.  A final
-    greedy rollout re-walks the stream; the modal action becomes the
-    learned threshold, ties resolving to the lower threshold.
+    Each episode walks the stream's window-sized slices with one action
+    per slice, picked epsilon-greedily from the state the previous slice
+    left, and applies the value update with the slice's reward and next
+    state from ``outcome_table``.  Exploration decays per episode down to
+    a floor.  A final greedy rollout re-walks the stream; the modal action
+    becomes the learned threshold, ties resolving to the lower threshold.
 
     Raises:
         UnlabeledStream: any event lacks a truth label.
@@ -279,36 +251,34 @@ def calibrate(
     rng = random.Random(seed)
     qt = QTable(n_actions=len(cfg.actions), alpha=cfg.alpha, gamma=cfg.gamma)
     thresholds = cfg.actions.thresholds
-    slices = [stream[i : i + cfg.window] for i in range(0, len(stream), cfg.window)]
-
-    def bootstrap() -> list[tuple[float, bool]]:
-        # Before anything is routed the first window carries no
-        # escalations; only its confidences inform the starting state.
-        return [(se.confidence, False) for se in slices[0]]
+    mean_bin, var_bin, unc_bin, reward = (
+        a.tolist() for a in outcome_table(stream, cfg.window, thresholds, cfg.rewards)
+    )
+    # One object per state, so Q-table lookups mostly hit on identity.
+    state_of = cache(QState)
+    # Before anything is routed the first slice carries no escalations;
+    # only its confidences inform the starting state.
+    start = state_of(mean_bin[0], var_bin[0], 0)
 
     for episode in range(cfg.episodes):
         epsilon = max(cfg.epsilon_floor, cfg.epsilon_start * cfg.epsilon_decay**episode)
-        prev = bootstrap()
-        for sl in slices:
-            state = discretize(prev)
+        state = start
+        for i, slice_reward in enumerate(reward):
             action = select_action(qt, state, epsilon, rng)
-            pairs, r = _slice_step(sl, thresholds[action], cfg.rewards)
-            bellman_update(qt, state, action, r, discretize(pairs))
-            prev = pairs
+            next_state = state_of(mean_bin[i], var_bin[i], unc_bin[i][action])
+            bellman_update(qt, state, action, slice_reward[action], next_state)
+            state = next_state
 
     histogram: dict[float, int] = {}
-    prev = bootstrap()
-    for sl in slices:
-        state = discretize(prev)
+    state = start
+    for i, unc_row in enumerate(unc_bin):
         action = qt.best_action(state)
         tau = thresholds[action]
         histogram[tau] = histogram.get(tau, 0) + 1
-        prev, _ = _slice_step(sl, tau, cfg.rewards)
+        state = state_of(mean_bin[i], var_bin[i], unc_row[action])
 
     # Modal action wins; ties resolve to the lower threshold.
-    learned = min(
-        histogram, key=lambda t: (-histogram[t], t)
-    )
+    learned = min(histogram, key=lambda t: (-histogram[t], t))
     return CalibrationResult(
         learned_threshold=learned,
         action_histogram=histogram,

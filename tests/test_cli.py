@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -182,6 +183,23 @@ def test_compare_prints_reduction_and_writes_files(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "compare_table_run0.csv"))
     assert os.path.exists(os.path.join(out, "summary_static_run0.json"))
     assert os.path.exists(os.path.join(out, "summary_adaptive_run0.json"))
+
+
+def test_loaded_corpus_with_bad_truth_label_fails(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL)
+    out = os.path.join(tmp_path, "out")
+    assert main(["gen", "--config", cfg, *base_args(tmp_path)]) == 0
+    path = os.path.join(out, "network.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][1] == "truth"
+    rows[1][1], rows[2][1] = "2", "7"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    code = main(["compare", "--config", cfg, *base_args(tmp_path), "--data", out])
+    assert code == 1
+    assert "truth must be 0 or 1" in capsys.readouterr().err
 
 
 def test_report_without_runs_fails(tmp_path, capsys):

@@ -78,6 +78,17 @@ def test_build_rejects_bad_values():
         # 4.5M steps: rejected before the grid is built
         ({"action_step": "1e-7"}, "action_step"),
         ({"action_step": "1e-7", "action_min": "0.6"}, "action_step"),
+        # parseable but not finite, or no layer at all
+        ({"c_event": "nan"}, "c_event"),
+        ({"static_threshold": "inf"}, "static_threshold"),
+        ({"train_ratio": "nan"}, "train_ratio"),
+        ({"near_radius": "nan"}, "near_radius"),
+        ({"p_min": "nan"}, "p_min"),
+        ({"w_model": "nan"}, "w_model"),
+        ({"llm_tau_host": "nan"}, "llm_tau_host"),
+        ({"band_max": "inf"}, "band_max"),
+        ({"action_min": "-inf"}, "action_min"),
+        ({"layers": ","}, "layers"),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}:"):
             build_experiment_config(kv)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,9 +7,7 @@ from conftest import hidslike_stream, make_scored
 from idsgate.qcal import (
     ActionSet,
     CalibConfig,
-    EmptyWindow,
     Gate1Route,
-    MissingTruth,
     QState,
     QTable,
     RewardConfig,
@@ -17,11 +16,44 @@ from idsgate.qcal import (
     bellman_update,
     calibrate,
     default_action_set,
-    discretize,
-    reward,
+    outcome_table,
     route_gate1,
     select_action,
 )
+
+
+def event_reward(se, routed_known, window_unc_ratio, rc):
+    """Oracle: one event's reward for a routing decision, by the rule
+    ``RewardConfig`` documents."""
+    if routed_known:
+        if se.pred_label == se.event.truth:
+            r = rc.r_correct_known
+        elif se.event.truth == 1:
+            r = rc.r_wrong_known_attack
+        else:
+            r = rc.r_wrong_known_benign
+    else:
+        r = rc.r_escalate
+    if window_unc_ratio > rc.band_max:
+        r += rc.r_band_penalty
+    return r
+
+
+def one_slice(events, threshold, rc=RewardConfig()):
+    """The whole list as one slice at one threshold: (mean bin, variance
+    bin, uncertain bin, mean reward)."""
+    mean_bin, var_bin, unc_bin, reward = outcome_table(
+        events, len(events), (threshold,), rc
+    )
+    return int(mean_bin[0]), int(var_bin[0]), int(unc_bin[0, 0]), float(reward[0, 0])
+
+
+def confidences(*runs):
+    """Labeled events from (count, confidence) runs, predictions correct."""
+    return [
+        make_scored(c, pred_label=0, truth=0, event_id=f"network-{i}")
+        for i, c in enumerate(c for count, c in runs for _ in range(count))
+    ]
 
 
 def test_default_action_set_has_46_thresholds():
@@ -55,34 +87,37 @@ def test_qstate_bounds():
 
 
 def test_discretize_confident_quiet_window():
-    window = [(0.97, False)] * 100
-    state = discretize(window)
-    assert (state.mean_bin, state.var_bin, state.unc_bin) == (9, 0, 0)
+    state = one_slice(confidences((100, 0.97)), 0.5)[:3]
+    assert state == (9, 0, 0)
 
 
 def test_discretize_spread_window_hits_variance_cap():
-    window = [(0.1, False)] * 50 + [(0.99, False)] * 50
-    state = discretize(window)
+    mean_bin, var_bin, unc_bin, _ = one_slice(confidences((50, 0.1), (50, 0.99)), 0.05)
     # Population variance about 0.198 saturates the top variance bin.
-    assert state.mean_bin == 5
-    assert state.var_bin == 4
+    assert mean_bin == 5
+    assert var_bin == 4
+    assert unc_bin == 0
 
 
 def test_discretize_uncertain_ratio_binning():
-    window = [(0.9, i < 47) for i in range(100)]
-    assert discretize(window).unc_bin == 2
-
-
-def test_discretize_empty_window_raises():
-    with pytest.raises(EmptyWindow):
-        discretize([])
+    # 47 of 100 events fall below the threshold.
+    assert one_slice(confidences((47, 0.6), (53, 0.9)), 0.75)[2] == 2
 
 
 def test_discretize_uses_population_variance():
-    window = [(0.5, False), (0.7, False)]
     # Population variance of {0.5, 0.7} is 0.01; the sample variance 0.02
     # would land one bin higher at the x50 scale boundary.
-    assert discretize(window).var_bin == 0
+    assert one_slice(confidences((1, 0.5), (1, 0.7)), 0.5)[1] == 0
+
+
+def test_window_sums_run_left_to_right():
+    # Ten 0.1s summed in order give 0.9999999999999999, so the mean sits
+    # just under 0.1 and lands in bin 0 on every interpreter; an exact
+    # (or compensated, as sum() is from Python 3.12) sum would give bin 1.
+    events = confidences((10, 0.1))
+    assert int(math.fsum(se.confidence for se in events) / 10 * 10) == 1
+    mean_bin, _, _, _ = outcome_table(events, 10, (0.05,), RewardConfig())
+    assert mean_bin.tolist() == [0]
 
 
 def test_route_gate1_boundary_is_inclusive():
@@ -91,41 +126,92 @@ def test_route_gate1_boundary_is_inclusive():
 
 
 def test_reward_correct_known():
-    rc = RewardConfig()
     se = make_scored(0.9, pred_label=1, truth=1)
-    assert reward(se, True, 0.0, rc) == 1.0
+    assert one_slice([se], 0.5)[3] == 1.0
 
 
 def test_reward_missed_attack_costs_most():
-    rc = RewardConfig()
     se = make_scored(0.9, pred_label=0, truth=1)
-    assert reward(se, True, 0.0, rc) == -3.0
+    assert one_slice([se], 0.5)[3] == -3.0
 
 
 def test_reward_false_alarm():
-    rc = RewardConfig()
     se = make_scored(0.9, pred_label=1, truth=0)
-    assert reward(se, True, 0.0, rc) == -2.0
+    assert one_slice([se], 0.5)[3] == -2.0
 
 
 def test_reward_escalation_fee():
-    rc = RewardConfig()
     se = make_scored(0.6, pred_label=0, truth=0)
-    assert reward(se, False, 0.0, rc) == pytest.approx(-0.2)
+    # A lone escalated event makes its slice 100% uncertain; a budget of
+    # 1.0 keeps the band penalty off.
+    assert one_slice([se], 0.85, RewardConfig(band_max=1.0))[3] == pytest.approx(-0.2)
 
 
 def test_reward_band_penalty_applies_above_budget():
-    rc = RewardConfig()
-    se = make_scored(0.6, pred_label=0, truth=0)
-    assert reward(se, False, 0.26, rc) == pytest.approx(-1.2)
+    # 26 of 100 escalated: every event pays the penalty, so the slice
+    # averages (26 * (-0.2 - 1.0) + 74 * (1.0 - 1.0)) / 100.
+    above = one_slice(confidences((26, 0.6), (74, 0.9)), 0.85)
+    assert above[3] == pytest.approx(-0.312)
     # At exactly the budget the penalty stays off.
-    assert reward(se, False, 0.25, rc) == pytest.approx(-0.2)
+    at = one_slice(confidences((25, 0.6), (75, 0.9)), 0.85)
+    assert at[3] == pytest.approx((25 * -0.2 + 75 * 1.0) / 100)
 
 
-def test_reward_requires_truth():
-    rc = RewardConfig()
-    with pytest.raises(MissingTruth):
-        reward(make_scored(0.9, pred_label=1), True, 0.0, rc)
+def oracle_table(stream, window, thresholds, rc):
+    """Per-event oracle of ``outcome_table``: walk each slice in order,
+    adding floats one at a time."""
+    rows = []
+    for i in range(0, len(stream), window):
+        sl = stream[i : i + window]
+        total = 0.0
+        for se in sl:
+            total += se.confidence
+        mean = total / len(sl)
+        total = 0.0
+        for se in sl:
+            total += (se.confidence - mean) * (se.confidence - mean)
+        var = total / len(sl)
+        cells = []
+        for t in thresholds:
+            flags = [route_gate1(se, t) is Gate1Route.UNCERTAIN for se in sl]
+            ratio = sum(flags) / len(sl)
+            total = 0.0
+            for se, unc in zip(sl, flags):
+                total += event_reward(se, not unc, ratio, rc)
+            cells.append((min(4, int(ratio * 5)), total / len(sl), ratio))
+        rows.append((min(9, int(mean * 10)), min(4, int(var * 50)), cells))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_outcome_table_matches_per_event_oracle(seed):
+    rng = random.Random(seed)
+    window = rng.choice([8, 20, 36])
+    thresholds = default_action_set()
+    rc = RewardConfig(r_escalate=-0.3, r_band_penalty=-0.7)
+    # First slice: exactly a quarter of it below 0.7, so its uncertain
+    # ratio at that threshold equals band_max.
+    planted = [0.6] * (window // 4) + [0.9] * (window - window // 4)
+    rng.shuffle(planted)
+    # Then whole slices and a short final one; a third of the confidences
+    # sit exactly on a threshold.
+    n = window * rng.randrange(3, 12) + rng.randrange(1, window)
+    confs = planted + [
+        rng.choice(thresholds) if rng.random() < 0.3 else rng.random()
+        for _ in range(n - window)
+    ]
+    stream = [
+        make_scored(c, pred_label=rng.randrange(2), truth=rng.randrange(2),
+                    event_id=f"network-{i}")
+        for i, c in enumerate(confs)
+    ]
+    mean_bin, var_bin, unc_bin, reward = outcome_table(stream, window, thresholds, rc)
+    expected = oracle_table(stream, window, thresholds, rc)
+    assert mean_bin.tolist() == [row[0] for row in expected]
+    assert var_bin.tolist() == [row[1] for row in expected]
+    assert unc_bin.tolist() == [[c[0] for c in row[2]] for row in expected]
+    assert reward.tolist() == [[c[1] for c in row[2]] for row in expected]
+    assert any(c[2] == rc.band_max for row in expected for c in row[2])
 
 
 def test_bellman_update_worked_example():
@@ -200,7 +286,7 @@ def sweep_mean_reward(stream, threshold, rc):
         flags = [se.confidence < threshold for se in sl]
         ratio = sum(flags) / len(flags)
         for se, unc in zip(sl, flags):
-            total += reward(se, not unc, ratio, rc)
+            total += event_reward(se, not unc, ratio, rc)
     return total / len(stream)
 
 
@@ -237,3 +323,7 @@ def test_calibrate_is_deterministic():
     b = calibrate(stream, CalibConfig(), 7)
     assert a.learned_threshold == b.learned_threshold
     assert a.action_histogram == b.action_histogram
+    # Golden values: any change to the learning rule or the sum order
+    # shows here, on every interpreter.
+    assert a.learned_threshold == 0.53
+    assert a.action_histogram == {0.52: 2, 0.53: 31, 0.59: 17}
