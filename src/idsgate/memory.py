@@ -3,13 +3,15 @@
 Stores unit-normalized token-hash embeddings of attack payloads and
 answers "have we seen something close to this before" with a linear
 cosine scan.  Only attacks are stored; a strong match short-circuits the
-LLM stage.  The store is small by design (promotions trickle in one at a
-time), so exact scan beats any index and keeps results deterministic.
+LLM stage.  The vectors live in one float64 row block that inserts write
+in place, so a query is one matvec plus an O(n) selection of the k
+nearest: exact, deterministic, and with no index to keep in step.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
 import math
@@ -61,6 +63,17 @@ class MatchConfig:
     support_radius: float = 0.30
     min_support: int = 3
     min_meta: float = 0.70
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        for name in ("exact_radius", "near_radius", "support_radius"):
+            if not 0.0 <= getattr(self, name) <= 2.0:
+                raise ValueError(f"{name} must be in [0, 2], got {getattr(self, name)}")
+        if self.min_support < 0:
+            raise ValueError(f"min_support must be >= 0, got {self.min_support}")
+        if not 0.0 <= self.min_meta <= 1.0:
+            raise ValueError(f"min_meta must be in [0, 1], got {self.min_meta}")
 
 
 def _bucket(token: str, dims: int) -> int:
@@ -121,9 +134,10 @@ class MemoryStore:
         self.path = path
         self._records: list[MemoryRecord] = []
         self._index: dict[str, int] = {}
-        # Stacked-vector cache so queries scan in one matvec.
-        self._matrix: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
+        # Row i of the block (and of the norms) is _records[i]'s vector;
+        # rows past len(self) are spare capacity.
+        self._rows = np.zeros((16, dims), dtype=np.float64)
+        self._norms = np.zeros(16, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -142,18 +156,21 @@ class MemoryStore:
             logger.warning("memory record %s overwritten", record.id)
             self._records[pos] = record
         else:
-            self._index[record.id] = len(self._records)
+            pos = len(self._records)
+            if pos == len(self._rows):  # full: double the capacity
+                rows, norms = np.zeros((2 * pos, self.dims)), np.zeros(2 * pos)
+                rows[:pos], norms[:pos] = self._rows, self._norms
+                self._rows, self._norms = rows, norms
+            self._index[record.id] = pos
             self._records.append(record)
-        self._matrix = None
+        self._rows[pos] = record.vector
+        # The 2-D row-wise norm, as a whole-block norm would compute it;
+        # a 1-D norm takes another summation path and can differ in the
+        # last bit.
+        self._norms[pos] = np.linalg.norm(self._rows[pos : pos + 1], axis=1)[0]
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(_record_to_dict(record)) + "\n")
-
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._matrix is None:
-            self._matrix = np.vstack([rec.vector for rec in self._records])
-            self._norms = np.linalg.norm(self._matrix, axis=1)
-        return self._matrix, self._norms
 
     def query(self, vector: np.ndarray, k: int) -> list[tuple[MemoryRecord, float]]:
         """k nearest records by cosine distance, distance then id order."""
@@ -161,20 +178,27 @@ class MemoryStore:
             raise DimMismatch(
                 f"query vector has {len(vector)} dims, store expects {self.dims}"
             )
-        if not self._records:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        n = len(self._records)
+        if n == 0:
             return []
         vnorm = float(np.linalg.norm(vector))
         if vnorm == 0.0:
-            dists = np.ones(len(self._records))
+            dists = np.ones(n)
         else:
-            matrix, norms = self._stacked()
-            sims = np.zeros(len(self._records))
-            nonzero = norms > 0.0
-            sims[nonzero] = (matrix[nonzero] @ vector) / (norms[nonzero] * vnorm)
+            norms = self._norms[:n]
+            sims = np.divide(
+                self._rows[:n] @ vector, norms * vnorm, out=np.zeros(n), where=norms > 0.0
+            )
             dists = np.clip(1.0 - sims, 0.0, 2.0)
-        scored = [(rec, float(d)) for rec, d in zip(self._records, dists)]
-        scored.sort(key=lambda pair: (pair[1], pair[0].id))
-        return scored[:k]
+        # Every row at or below the k-th smallest distance, so ties at the
+        # boundary reach the (distance, id) ordering.
+        kth = min(k, n) - 1
+        near = np.flatnonzero(dists <= np.partition(dists, kth)[kth])
+        recs = self._records
+        scored = ((d, recs[i].id, i) for d, i in zip(dists[near].tolist(), near.tolist()))
+        return [(recs[i], d) for d, _, i in heapq.nsmallest(k, scored)]
 
 
 def match_decision(

@@ -217,6 +217,15 @@ class CalibConfig:
     rewards: RewardConfig = field(default_factory=RewardConfig)
     actions: ActionSet = field(default_factory=ActionSet)
 
+    def __post_init__(self) -> None:
+        if self.episodes < 0:
+            raise ValueError(f"episodes must be >= 0, got {self.episodes}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        for name in ("epsilon_start", "epsilon_decay", "epsilon_floor", "alpha", "gamma"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+
 
 @dataclass
 class CalibrationResult:

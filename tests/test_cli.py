@@ -109,6 +109,26 @@ def test_out_of_range_value_is_usage_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command, line, key",
+    [
+        ("calibrate", "window = 0", "window"),
+        ("calibrate", "window = -5", "window"),
+        ("calibrate", "episodes = -1", "episodes"),
+        ("calibrate", "alpha = 5", "alpha"),
+        ("calibrate", "epsilon_decay = 2", "epsilon_decay"),
+        ("run", "match_k = -1", "match_k"),
+        ("run", "min_meta = 1.5", "min_meta"),
+    ],
+)
+def test_out_of_range_calibration_or_match_key_is_usage_error(tmp_path, capsys, command, line, key):
+    # rejected while the config is built, before any corpus is generated
+    cfg = write_cfg(tmp_path, SMALL + line + "\n")
+    assert main([command, "--config", cfg, *base_args(tmp_path)]) == 2
+    assert f"config error: bad value for {key}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     missing = os.path.join(tmp_path, "nope.cfg")
     assert main(["gen", "--config", missing]) == 2

@@ -89,6 +89,24 @@ def test_build_rejects_bad_values():
         ({"band_max": "inf"}, "band_max"),
         ({"action_min": "-inf"}, "action_min"),
         ({"layers": ","}, "layers"),
+        # Gate-2 match keys
+        ({"match_k": "0"}, "match_k"),
+        ({"match_k": "-1"}, "match_k"),
+        ({"exact_radius": "-0.01"}, "exact_radius"),
+        ({"near_radius": "2.5"}, "near_radius"),
+        ({"support_radius": "3"}, "support_radius"),
+        ({"min_support": "-1"}, "min_support"),
+        ({"min_meta": "1.01"}, "min_meta"),
+        ({"min_meta": "-0.5"}, "min_meta"),
+        # Gate-1 calibration keys
+        ({"window": "0"}, "window"),
+        ({"window": "-5"}, "window"),
+        ({"episodes": "-1"}, "episodes"),
+        ({"alpha": "5"}, "alpha"),
+        ({"gamma": "-0.1"}, "gamma"),
+        ({"epsilon_start": "1.5"}, "epsilon_start"),
+        ({"epsilon_decay": "2"}, "epsilon_decay"),
+        ({"epsilon_floor": "-0.05"}, "epsilon_floor"),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}:"):
             build_experiment_config(kv)

@@ -150,6 +150,97 @@ def test_query_cache_invalidates_on_insert():
     assert {rec.id for rec, _ in hits} == {"a", "b"}
 
 
+def full_sort(vectors, q, k):
+    """Reference scan: every (distance, id) pair, fully sorted."""
+    return sorted((cosine_distance(q, v), rid) for rid, v in vectors.items())[:k]
+
+
+def scan(store, q, k):
+    return [(d, rec.id) for rec, d in store.query(q, k)]
+
+
+def int_vector(rng, dims):
+    # Small integer entries keep every dot product and squared norm exact,
+    # so the store and the reference agree to the last bit.
+    return np.array([float(rng.randint(-2, 2)) for _ in range(dims)])
+
+
+def test_query_keeps_every_tie_at_the_kth_distance():
+    rng = random.Random(11)
+    patterns = [int_vector(rng, 8) for _ in range(3)] + [np.zeros(8)]
+    ids = [f"dup-{i:02d}" for i in range(48)]
+    rng.shuffle(ids)  # duplicates arrive out of id order
+    store = MemoryStore(dims=8)
+    vectors = {}
+    for i, rid in enumerate(ids):
+        # a doubled duplicate sits at exactly the same distance
+        vectors[rid] = patterns[i % 4] * (1 + i % 2)
+        store.insert(make_record(rid, vectors[rid]))
+    for q in [*patterns, int_vector(rng, 8), int_vector(rng, 8)]:
+        for k in (1, 5, 12, 13, 30, 48, 60):
+            assert scan(store, q, k) == full_sort(vectors, q, k)
+
+
+def test_query_tracks_interleaved_inserts_across_growth():
+    rng = random.Random(12)
+    store = MemoryStore(dims=8)
+    vectors = {}
+    for i in range(300):  # past five doublings of the row block
+        rid = f"r{rng.randrange(10**6):06d}-{i}"
+        vectors[rid] = np.zeros(8) if i % 17 == 0 else int_vector(rng, 8)
+        store.insert(make_record(rid, vectors[rid]))
+        if i % 3 == 0:
+            q = int_vector(rng, 8)
+            assert scan(store, q, 5) == full_sort(vectors, q, 5)
+    assert len(store) == 300
+
+
+def test_query_sees_an_overwrite_at_once():
+    store = MemoryStore(dims=4)
+    vectors = {"a": np.array([1.0, 0, 0, 0]), "b": np.array([0, 1.0, 0, 0])}
+    for rid, v in vectors.items():
+        store.insert(make_record(rid, v))
+    q = np.array([1.0, 0, 0, 0])
+    assert scan(store, q, 1) == [(0.0, "a")]
+    for new in (np.array([-3.0, 4.0, 0, 0]), np.zeros(4)):  # new norm, then none
+        vectors["a"] = new
+        store.insert(make_record("a", new))
+        assert scan(store, q, 2) == full_sort(vectors, q, 2)
+    assert scan(store, q, 2) == [(1.0, "a"), (1.0, "b")]
+
+
+def test_zero_query_returns_smallest_ids_at_distance_one():
+    rng = random.Random(13)
+    ids = [f"z{i:02d}" for i in range(20)]
+    rng.shuffle(ids)
+    store = MemoryStore(dims=4)
+    for rid in ids:
+        store.insert(make_record(rid, int_vector(rng, 4)))
+    assert scan(store, np.zeros(4), 3) == [(1.0, "z00"), (1.0, "z01"), (1.0, "z02")]
+
+
+def test_query_rejects_k_below_one():
+    store = MemoryStore(dims=4)
+    store.insert(make_record("a", [1, 0, 0, 0]))
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            store.query(np.ones(4), k)
+
+
+def test_match_config_rejects_out_of_range_values():
+    for bad in (
+        {"k": 0},
+        {"exact_radius": -0.1},
+        {"near_radius": 2.1},
+        {"support_radius": 3.0},
+        {"min_support": -1},
+        {"min_meta": 1.5},
+    ):
+        with pytest.raises(ValueError):
+            MatchConfig(**bad)
+    MatchConfig(k=1, exact_radius=0.0, near_radius=2.0, min_support=0, min_meta=1.0)
+
+
 def test_match_decision_exact_duplicate():
     store = MemoryStore(dims=ECFG.dims)
     raw = "exec /bin/sh user=www-data path=/tmp/x"
