@@ -31,7 +31,14 @@ from .corpus import (
     write_network_csv,
 )
 from .events import Event, LayerId, ScoredEvent, validate_event
-from .llm import EchoLlmClient, HttpLlmClient, MockLlmClient
+from .llm import (
+    EchoLlmClient,
+    HttpLlmClient,
+    LlmCalibration,
+    MockLlmClient,
+    NoAttackSamples,
+    default_threshold_grid,
+)
 from .memory import MemoryStore, load_store
 from .outputs import (
     OutputPaths,
@@ -364,15 +371,20 @@ def do_calibrate_llm(xcfg: ExperimentConfig) -> str:
     os.makedirs(xcfg.out_dir, exist_ok=True)
     results = {}
     for layer, bundle in bundles.items():
-        cal = calibrate_llm_for_layer(
-            layer, bundle.train_scored, xcfg.pipeline, make_client(layer, Mode.ADAPTIVE)
-        )
-        results[layer.value] = {
-            "threshold": cal.threshold,
-            "feasible": cal.feasible,
-            "precision": cal.precision,
-            "recall": cal.recall,
-        }
+        try:
+            cal = calibrate_llm_for_layer(
+                layer, bundle.train_scored, xcfg.pipeline, make_client(layer, Mode.ADAPTIVE)
+            )
+        except NoAttackSamples as exc:
+            # Recorded like a layer where no threshold meets the floor.
+            logger.warning("layer %s: %s; calibration failed", layer.value, exc)
+            cal = LlmCalibration(
+                threshold=max(default_threshold_grid()),
+                feasible=False,
+                precision=0.0,
+                recall=0.0,
+            )
+        results[layer.value] = dataclasses.asdict(cal)
     path = os.path.join(xcfg.out_dir, f"llm_thresholds_{run_id_of(xcfg)}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(

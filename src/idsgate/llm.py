@@ -16,17 +16,18 @@ approximation.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import math
 import re
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from enum import Enum
-
-import requests
 
 from .events import LayerId, ScoredEvent, Sink, Verdict
 from .memory import MatchResult
@@ -156,8 +157,10 @@ class HttpLlmClient:
 
     POSTs ``{"model", "prompt", "stream": false}`` to
     ``<base_url>/api/generate`` and reads the ``response`` field of the
-    JSON body.  Timeouts and 5xx responses are retried with exponential
-    backoff before giving up.
+    JSON body.  Timeouts, connection failures and 5xx responses are
+    retried with exponential backoff before giving up; any other
+    non-200 status, or a body without a string ``response``, fails at
+    once with LlmHttpError.
     """
 
     def __init__(
@@ -176,30 +179,45 @@ class HttpLlmClient:
 
     def generate(self, prompt: str) -> str:
         url = f"{self.base_url}/api/generate"
-        body = {"model": self.model, "prompt": prompt, "stream": False}
+        payload = {"model": self.model, "prompt": prompt, "stream": False}
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                resp = requests.post(url, json=body, timeout=self.timeout)
-            except (requests.Timeout, requests.ConnectionError) as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code < 500:
+                    raise LlmHttpError(f"unexpected status {exc.code}") from None
+                last_error = LlmHttpError(f"server error {exc.code}")
+                logger.warning("llm server error %d (attempt %d)", exc.code, attempt + 1)
+                continue
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 logger.warning("llm request failed (attempt %d): %s", attempt + 1, exc)
                 continue
-            if resp.status_code >= 500:
-                last_error = LlmHttpError(f"server error {resp.status_code}")
-                logger.warning(
-                    "llm server error %d (attempt %d)", resp.status_code, attempt + 1
-                )
-                continue
-            if resp.status_code != 200:
-                raise LlmHttpError(f"unexpected status {resp.status_code}")
+            if status != 200:
+                raise LlmHttpError(f"unexpected status {status}")
             try:
-                return resp.json()["response"]
-            except (ValueError, KeyError) as exc:
+                obj = json.loads(body)
+            except ValueError as exc:
                 raise LlmHttpError(f"malformed response body: {exc}") from exc
-        if isinstance(last_error, requests.Timeout):
+            reply = obj.get("response") if isinstance(obj, dict) else None
+            if not isinstance(reply, str):
+                raise LlmHttpError("malformed response body: no string 'response'")
+            return reply
+        # A read timeout surfaces as TimeoutError, a connect timeout as a
+        # URLError whose reason is one.
+        if isinstance(last_error, TimeoutError) or isinstance(
+            getattr(last_error, "reason", None), TimeoutError
+        ):
             raise LlmTimeout(f"no answer from {url} after {self.retries + 1} attempts")
         raise LlmHttpError(str(last_error))
 

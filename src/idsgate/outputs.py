@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .events import GateRecord, RoutedEvent
 
@@ -68,22 +68,7 @@ class ReviewRecord:
     created_at: str
 
     def to_dict(self) -> dict:
-        return {
-            "event_id": self.event_id,
-            "layer": self.layer,
-            "model_label": self.model_label,
-            "model_confidence": self.model_confidence,
-            "llm_label": self.llm_label,
-            "llm_confidence": self.llm_confidence,
-            "attack_type": self.attack_type,
-            "explanation": self.explanation,
-            "fused_score": self.fused_score,
-            "gate_trace": [
-                {"gate": g.gate, "decision": g.decision, "score": g.score}
-                for g in self.gate_trace
-            ],
-            "created_at": self.created_at,
-        }
+        return asdict(self)
 
 
 class AccountingError(ValueError):
@@ -150,22 +135,7 @@ class LayerSummary:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "total": self.total,
-            "known": self.known,
-            "uncertain": self.uncertain,
-            "memory_matched": self.memory_matched,
-            "llm_attack": self.llm_attack,
-            "llm_benign": self.llm_benign,
-            "llm_unsure": self.llm_unsure,
-            "llm_promoted": self.llm_promoted,
-            "fusion_rejected": self.fusion_rejected,
-            "bucket": self.bucket,
-            "learned_threshold": self.learned_threshold,
-            "llm_threshold": self.llm_threshold,
-            "metrics": self.metrics,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LayerSummary":

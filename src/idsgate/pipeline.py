@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -48,7 +48,6 @@ from .llm import (
 from .memory import (
     EmbeddingConfig,
     MatchConfig,
-    MatchResult,
     MemoryRecord,
     MemorySource,
     MemoryStore,
@@ -112,8 +111,12 @@ class LayerRun:
     summary: LayerSummary
     audits: list[dict]
     reviews: list[ReviewRecord]
-    llm_calls: int
     metrics: Metrics | None  # None when no routed event carries truth
+
+    @property
+    def llm_calls(self) -> int:
+        s = self.summary
+        return s.llm_attack + s.llm_benign + s.llm_unsure
 
 
 @dataclass(frozen=True)
@@ -149,11 +152,7 @@ class Metrics:
 
     def to_dict(self) -> dict:
         return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "deferred": self.deferred,
+            **asdict(self),
             "accuracy": self.accuracy,
             "precision": self.precision,
             "recall": self.recall,
@@ -215,16 +214,7 @@ class CostReport:
     cost_saving: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_static": self.n_static,
-            "n_adaptive": self.n_adaptive,
-            "delta": self.delta,
-            "reduction_pct": round(self.reduction_pct, 2),
-            "c_event": self.c_event,
-            "cost_static": self.cost_static,
-            "cost_adaptive": self.cost_adaptive,
-            "cost_saving": self.cost_saving,
-        }
+        return {**asdict(self), "reduction_pct": round(self.reduction_pct, 2)}
 
 
 def cost_analysis(n_static: int, n_adaptive: int, c_event: float) -> CostReport:
@@ -284,26 +274,14 @@ def route_stream(
         "fusion_rejected": 0,
         "bucket": 0,
     }
-    llm_calls = 0
-    pending: list[tuple[int, ScoredEvent, MatchResult, GateRecord, GateRecord, str]] = []
+    pending: list[tuple[int, ScoredEvent, GateRecord, GateRecord, str]] = []
 
     def flush() -> None:
-        nonlocal llm_calls
         if not pending:
             return
-        llm_calls += len(pending)
-        prompts = [p[5] for p in pending]
-        if cfg.llm_parallelism > 1 and len(prompts) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.llm_parallelism) as pool:
-                raw_results = list(pool.map(lambda p: _guarded_call(p, client), prompts))
-        else:
-            raw_results = [_guarded_call(p, client) for p in prompts]
-        for (i, se, match, t1, t2, prompt), (raw, error) in zip(pending, raw_results):
-            if error is not None:
-                logger.warning("llm failure for %s: %s", se.event.id, error)
-                verdict = LlmVerdict(Verdict.UNSURE, 0.0, raw="")
-            else:
-                verdict = parse_verdict(raw)
+        with ThreadPoolExecutor(max_workers=cfg.llm_parallelism) as pool:
+            verdicts = list(pool.map(lambda p: ask_llm(client, p[1], p[4]), pending))
+        for (i, se, t1, t2, prompt), verdict in zip(pending, verdicts):
             decision = gate3_decide(se, verdict, layer, cfg.llm_thresholds, cfg.fusion)
             tallies[f"llm_{verdict.decision.value.lower()}"] += 1
             promoted = decision.sink is Sink.LLM_ATTACK
@@ -406,7 +384,7 @@ def route_stream(
                 se, RouteOutcome(sink=Sink.MEMORY_ATTACK, trace=(t1, t2))
             )
             continue
-        pending.append((i, se, match, t1, t2, build_prompt(se, match)))
+        pending.append((i, se, t1, t2, build_prompt(se, match)))
         if len(pending) >= cfg.llm_parallelism:
             flush()
     flush()
@@ -440,16 +418,22 @@ def route_stream(
         summary=summary,
         audits=audits,
         reviews=reviews,
-        llm_calls=llm_calls,
         metrics=metrics,
     )
 
 
-def _guarded_call(prompt: str, client) -> tuple[str | None, Exception | None]:
+def ask_llm(client, se: ScoredEvent, prompt: str) -> LlmVerdict:
+    """Ask the analyst about one escalated event.
+
+    A timeout or HTTP failure answers (UNSURE, 0.0), so it downgrades
+    only this event.
+    """
     try:
-        return client.generate(prompt), None
+        raw = client.generate(prompt)
     except (LlmTimeout, LlmHttpError) as exc:
-        return None, exc
+        logger.warning("llm failure for %s: %s", se.event.id, exc)
+        return LlmVerdict(Verdict.UNSURE, 0.0)
+    return parse_verdict(raw)
 
 
 def run_layer(
@@ -503,10 +487,7 @@ def harvest_llm_samples(
             continue
         if se.event.truth is None:
             raise NoLabeledEvents(f"event {se.event.id} lacks truth")
-        raw, error = _guarded_call(build_prompt(se), client)
-        verdict = (
-            parse_verdict(raw) if error is None else LlmVerdict(Verdict.UNSURE, 0.0)
-        )
+        verdict = ask_llm(client, se, build_prompt(se))
         samples.append(
             LlmSample(
                 confidence=verdict.confidence,

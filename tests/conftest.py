@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import socket
 
 import numpy as np
 
@@ -11,6 +12,14 @@ from idsgate.events import Event, LayerId, ScoredEvent
 # Populated by tests in test_acceptance.py; the partition check walks
 # every routed run registered here.
 ACCEPTANCE_RUNS: list[tuple[str, object]] = []
+
+
+def dead_endpoint_url() -> str:
+    """A loopback URL with no listener: connecting is refused at once."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 def make_event(

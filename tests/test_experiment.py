@@ -268,6 +268,37 @@ def test_do_calibrate_llm_writes_thresholds(tmp_path):
     assert entry["recall"] == 1.0
 
 
+def test_do_calibrate_llm_records_a_layer_without_attacks(tmp_path):
+    # Every escalated host event is benign, so the host sample has no
+    # true attack; the network layer still calibrates and both are written.
+    net_replay = os.path.join(tmp_path, "network_scores.csv")
+    host_replay = os.path.join(tmp_path, "host_scores.csv")
+    with open(net_replay, "w") as fh:
+        fh.write("event_id,layer,pred_label,confidence,truth\n")
+        for i in range(120):
+            conf, truth = [(0.6, 1), (0.7, 0), (0.9, i % 2)][i % 3]
+            fh.write(f"network-{i},network,{truth},{conf},{truth}\n")
+    with open(host_replay, "w") as fh:
+        fh.write("event_id,layer,pred_label,confidence,truth\n")
+        for i in range(120):
+            conf, truth = [(0.6, 0), (0.95, 1)][i % 2]
+            fh.write(f"host-{i},host,{truth},{conf},{truth}\n")
+    xcfg = small_cfg(
+        tmp_path,
+        layers="network,host",
+        scorer_network=f"replay:{net_replay}",
+        scorer_host=f"replay:{host_replay}",
+    )
+    with open(do_calibrate_llm(xcfg)) as fh:
+        layers = json.load(fh)["layers"]
+    assert layers["network"] == {
+        "threshold": 0.05, "feasible": True, "precision": 1.0, "recall": 1.0
+    }
+    assert layers["host"] == {
+        "threshold": 0.95, "feasible": False, "precision": 0.0, "recall": 0.0
+    }
+
+
 def test_do_run_static_writes_artifacts(tmp_path):
     xcfg = small_cfg(tmp_path, layers="network", mode="static")
     mode_run, summary, paths = do_run(xcfg)

@@ -4,12 +4,13 @@ import math
 import random
 import threading
 import time
+import urllib.error
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from conftest import make_scored
+from conftest import dead_endpoint_url, make_scored
 from idsgate.events import LayerId, Sink, Verdict
 from idsgate.llm import (
     DEFAULT_MOCK_RESPONSE,
@@ -363,11 +364,15 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     script = []
     seen = []
+    content_types = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         type(self).seen.append(json.loads(self.rfile.read(length)))
+        type(self).content_types.append(self.headers.get("Content-Type"))
         status, body = self.script.pop(0) if self.script else (200, "{}")
+        if status is None:
+            return  # close the connection without a reply
         if body is None:
             time.sleep(0.8)  # outlast the client's read timeout
             return
@@ -384,7 +389,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
 @contextmanager
 def scripted_server(script):
-    handler = type("Handler", (_ScriptedHandler,), {"script": list(script), "seen": []})
+    handler = type(
+        "Handler",
+        (_ScriptedHandler,),
+        {"script": list(script), "seen": [], "content_types": []},
+    )
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -392,6 +401,7 @@ def scripted_server(script):
         yield f"http://127.0.0.1:{server.server_address[1]}", handler
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=2)
 
 
@@ -402,6 +412,7 @@ def test_http_client_posts_generate_request():
         reply = client.generate("classify this")
         assert reply == '{"label": "BENIGN", "confidence": 0.8}'
         assert handler.seen == [{"model": "llama3", "prompt": "classify this", "stream": False}]
+        assert handler.content_types == ["application/json"]
 
 
 def test_http_client_retries_server_errors():
@@ -409,6 +420,31 @@ def test_http_client_retries_server_errors():
     with scripted_server([(503, "busy"), (200, body)]) as (url, _):
         client = HttpLlmClient(url, model="m", retries=2, backoff=0.01)
         assert client.generate("p") == "ok"
+
+
+def test_http_client_retries_dropped_connections():
+    body = json.dumps({"response": "ok"})
+    with scripted_server([(None, None), (200, body)]) as (url, handler):
+        client = HttpLlmClient(url, model="m", retries=2, backoff=0.01)
+        assert client.generate("p") == "ok"
+        assert len(handler.seen) == 2
+
+
+def test_http_client_dead_endpoint_is_http_error():
+    client = HttpLlmClient(dead_endpoint_url(), model="m", retries=1, backoff=0.01)
+    with pytest.raises(LlmHttpError):
+        client.generate("p")
+
+
+def test_http_client_connect_timeout_is_timeout(monkeypatch):
+    # urllib reports a connect timeout as a URLError wrapping TimeoutError.
+    def no_connect(request, timeout):
+        raise urllib.error.URLError(TimeoutError("timed out"))
+
+    monkeypatch.setattr("idsgate.llm.urllib.request.urlopen", no_connect)
+    client = HttpLlmClient("http://127.0.0.1:9", model="m", retries=1, backoff=0.01)
+    with pytest.raises(LlmTimeout):
+        client.generate("p")
 
 
 def test_http_client_gives_up_after_retries():
@@ -434,9 +470,16 @@ def test_http_client_unexpected_status_fails_fast():
 
 
 def test_http_client_rejects_malformed_body():
-    with scripted_server([(200, "not json")]) as (url, _):
-        with pytest.raises(LlmHttpError):
-            HttpLlmClient(url, model="m").generate("p")
-    with scripted_server([(200, '{"wrong_key": 1}')]) as (url, _):
-        with pytest.raises(LlmHttpError):
-            HttpLlmClient(url, model="m").generate("p")
+    bodies = [
+        "not json",
+        '{"wrong_key": 1}',
+        "[1, 2]",
+        '"str"',
+        '{"response": 5}',
+        '{"response": null}',
+    ]
+    for body in bodies:
+        with scripted_server([(200, body)]) as (url, handler):
+            with pytest.raises(LlmHttpError, match="malformed response body"):
+                HttpLlmClient(url, model="m").generate("p")
+            assert len(handler.seen) == 1  # no retry on a bad body

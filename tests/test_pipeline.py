@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conftest import make_scored
+from conftest import dead_endpoint_url, make_scored
 from idsgate.events import LayerId, Sink
-from idsgate.llm import EchoLlmClient, LlmTimeout, MockLlmClient
+from idsgate.llm import EchoLlmClient, HttpLlmClient, LlmTimeout, MockLlmClient
 from idsgate.memory import MemoryStore
 from idsgate.pipeline import (
     Comparison,
@@ -205,6 +205,20 @@ def test_llm_failure_downgrades_to_review():
     assert by_id["host-0"].outcome.sink is Sink.REVIEW_BUCKET
     assert run.reviews[0].llm_label == "UNSURE"
     assert run.reviews[0].llm_confidence == 0.0
+
+
+def test_dead_endpoint_sends_every_escalation_to_review():
+    cfg = PipelineConfig(llm_parallelism=2)
+    stream = host_stream([(0.60, 1, 1), (0.95, 0, 0), (0.70, 0, 0), (0.55, 1, 1), (0.65, 0, 1)])
+    client = HttpLlmClient(dead_endpoint_url(), model="m", retries=1, backoff=0.01)
+    run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), client)
+    s = run.summary.validate()
+    assert (s.known, s.uncertain, s.llm_unsure, s.bucket) == (1, 4, 4, 4)
+    assert run.llm_calls == 4
+    escalated = [r for r in run.routed if r.se.confidence < 0.85]
+    assert all(r.outcome.sink is Sink.REVIEW_BUCKET for r in escalated)
+    assert [r.llm_label for r in run.reviews] == ["UNSURE"] * 4
+    assert [a["llm_label"] for a in run.audits if a["gate"] == "gate3"] == ["UNSURE"] * 4
 
 
 def test_fusion_rejected_lands_in_bucket():
