@@ -50,7 +50,7 @@ from .pipeline import (
     run_mode,
 )
 from .qcal import CalibConfig, CalibrationResult, calibrate
-from .scoring import FeatureExtractor, Scorer, score, train_baseline
+from .scoring import FeatureExtractor, Scorer, score_stream, train_baseline
 
 __all__ = [
     "__version__",
@@ -88,6 +88,6 @@ __all__ = [
     "fuse",
     "FeatureExtractor",
     "Scorer",
-    "score",
+    "score_stream",
     "train_baseline",
 ]

@@ -1,5 +1,8 @@
 """Synthetic corpora for the three layers, plus loaders and the split.
 
+Network and hypervisor events get their feature vectors here, from the
+same cells as their raw records; host vectors are tf-idf, fitted later.
+
 The hypervisor generator is count-exact: the configured per-class totals
 are produced verbatim, then shuffled.  The network and host generators
 are shape-oriented: a separation knob controls how cleanly a base model
@@ -11,19 +14,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .events import Event, LayerId, make_event_id
-from .scoring import (
-    FeatureExtractor,
-    FeatureMode,
-    extract_features,
-    fit_categorical,
-    parse_kv_record,
-)
 
 HYP_TYPES = ("VMware ESXi", "KVM", "Xen", "Hyper-V")
 
@@ -148,6 +145,10 @@ class InvalidSplitRatio(ValueError):
     """Train fraction must lie strictly between 0 and 1."""
 
 
+class MalformedCorpus(ValueError):
+    """A loaded corpus file has a header or row its layer cannot read."""
+
+
 @dataclass(frozen=True)
 class HypGenConfig:
     total: int = 25000
@@ -187,13 +188,23 @@ def _kv_token(value: str) -> str:
     return value.replace(" ", "_")
 
 
-def hypervisor_extractor() -> FeatureExtractor:
-    """One-hot hypervisor type plus the 22 numeric behavior fields."""
-    return fit_categorical(
-        LayerId.HYPERVISOR,
-        HYP_NUMERIC_FIELDS,
-        {"hv": tuple(_kv_token(t) for t in HYP_TYPES)},
-    )
+def parse_kv_record(raw: str) -> dict[str, str]:
+    """Parse a ``key=value key=value`` record into a dict."""
+    out: dict[str, str] = {}
+    for tok in raw.split():
+        if "=" in tok:
+            key, _, value = tok.partition("=")
+            out[key] = value
+    return out
+
+
+def _safe_float(text: str) -> float:
+    # Non-finite and unparseable values become 0.0 by contract.
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        return 0.0
+    return value if math.isfinite(value) else 0.0
 
 
 def _hyp_row(rng: np.random.Generator, cls: str) -> dict[str, str]:
@@ -219,18 +230,18 @@ def _hyp_row(rng: np.random.Generator, cls: str) -> dict[str, str]:
     return row
 
 
-def _hyp_event(row: dict[str, str], ordinal: int, fx: FeatureExtractor) -> Event:
+def _hyp_event(row: dict[str, str], ordinal: int) -> Event:
+    """One hypervisor event from a row of cells: the one-hot of the type
+    (an unknown type is an all-zero block), then each numeric cell."""
     cls = row["event_class"]
-    raw = " ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:])
-    eid = make_event_id(LayerId.HYPERVISOR, ordinal)
-    features = extract_features(
-        Event(eid, LayerId.HYPERVISOR, raw, np.zeros(1)), fx
-    )
+    hv = _kv_token(row["hv"])
+    features = [1.0 if hv == _kv_token(t) else 0.0 for t in HYP_TYPES]
+    features += [_safe_float(row[name]) for name in HYP_NUMERIC_FIELDS]
     return Event(
-        id=eid,
+        id=make_event_id(LayerId.HYPERVISOR, ordinal),
         layer=LayerId.HYPERVISOR,
-        raw=raw,
-        features=features,
+        raw=" ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:]),
+        features=np.array(features),
         truth=0 if cls == HYP_NORMAL_CLASS else 1,
         truth_class=cls,
     )
@@ -248,8 +259,7 @@ def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
         for _ in range(cfg.class_counts[cls]):
             rows.append(_hyp_row(rng, cls))
     order = rng.permutation(len(rows))
-    fx = hypervisor_extractor()
-    return [_hyp_event(rows[i], ordinal, fx) for ordinal, i in enumerate(order)]
+    return [_hyp_event(rows[i], ordinal) for ordinal, i in enumerate(order)]
 
 
 def write_hypervisor_csv(events: list[Event], path: str) -> None:
@@ -267,15 +277,21 @@ def write_hypervisor_csv(events: list[Event], path: str) -> None:
 
 
 def load_hypervisor_csv(path: str) -> list[Event]:
-    """Rebuild events from a 24-column dataset file; ids are positional."""
-    fx = hypervisor_extractor()
+    """Rebuild events from a 24-column dataset file; ids are positional.
+
+    Raises:
+        MalformedCorpus: a column is missing or a row is ragged.
+    """
     events: list[Event] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        missing = set(HYP_COLUMNS) - set(reader.fieldnames or [])
+        if missing:
+            raise MalformedCorpus(f"{path}:1: missing columns: {sorted(missing)}")
         for ordinal, row in enumerate(reader):
-            row = dict(row)
-            row["hv"] = row.get("hv", "")
-            events.append(_hyp_event(row, ordinal, fx))
+            if None in row or None in row.values():
+                raise MalformedCorpus(f"{path}:{reader.line_num}: row length differs from header")
+            events.append(_hyp_event(row, ordinal))
     return events
 
 
@@ -303,13 +319,13 @@ def gen_network(cfg: NetGenConfig) -> list[Event]:
         x = rng.normal(size=cfg.n_features)
         if truth == 1:
             x = x + cfg.separation * direction
-        raw = ",".join(f"{v:.4f}" for v in x)
+        cells = [f"{v:.4f}" for v in x]
         events.append(
             Event(
                 id=make_event_id(LayerId.NETWORK, i),
                 layer=LayerId.NETWORK,
-                raw=raw,
-                features=np.array([float(f"{v:.4f}") for v in x]),
+                raw=",".join(cells),
+                features=np.array([float(c) for c in cells]),
                 truth=truth,
                 truth_class=NET_ATTACK_TYPES[int(rng.integers(len(NET_ATTACK_TYPES)))]
                 if truth == 1
@@ -334,21 +350,33 @@ def write_network_csv(events: list[Event], path: str) -> None:
 
 
 def load_network_csv(path: str) -> list[Event]:
+    """Rebuild events from a network CSV written by ``write_network_csv``.
+
+    Raises:
+        MalformedCorpus: a row is ragged or a cell is not a finite number.
+    """
     events: list[Event] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        n = len(header) - 3
         for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise MalformedCorpus(f"{where}: {len(row)} cells, header has {len(header)}")
             cells = row[3:]
-            raw = ",".join(cells)
-            truth = int(row[1]) if row[1] else None
+            try:
+                truth = int(row[1]) if row[1] else None
+                features = np.array([float(c) for c in cells])
+            except ValueError as exc:
+                raise MalformedCorpus(f"{where}: {exc}") from None
+            if not np.isfinite(features).all():
+                raise MalformedCorpus(f"{where}: feature cells must be finite numbers")
             events.append(
                 Event(
                     id=row[0],
                     layer=LayerId.NETWORK,
-                    raw=raw,
-                    features=np.array([float(c) for c in cells[:n]]),
+                    raw=",".join(cells),
+                    features=features,
                     truth=truth,
                     truth_class=row[2] or None,
                 )

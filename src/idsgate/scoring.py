@@ -1,27 +1,24 @@
 """Feature extraction and base-model scoring.
 
-Three extraction modes cover the three layers: numeric passthrough for
-flow records, hashed-free tf-idf for host log text, and one-hot plus
-numerics for hypervisor events.  Scoring is either a replay of stored
-(label, confidence) pairs or a small built-in logistic model trained on
-labeled events.  Confidence is always ``max(p, 1 - p)`` of the attack
-probability, so it lives in [0.5, 1.0] for a binary model.
+The host layer's log text becomes a tf-idf vector here; the network and
+hypervisor corpora build their own vectors as they are generated or
+loaded.  Scoring is either a replay of stored (label, confidence) pairs
+or a small built-in logistic model trained on labeled events.
+Confidence is always ``max(p, 1 - p)`` of the attack probability, so it
+lives in [0.5, 1.0] for a binary model.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .events import Event, LayerId, ScoredEvent
-
-logger = logging.getLogger(__name__)
 
 TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -33,14 +30,6 @@ REPLAY_CSV_HEADER = ["event_id", "layer", "pred_label", "confidence", "truth"]
 
 class EmptyCorpus(ValueError):
     """tf-idf fit was handed an empty corpus."""
-
-
-class DimensionMismatch(ValueError):
-    """Raw record does not provide the columns the extractor expects."""
-
-
-class UnfittedExtractor(RuntimeError):
-    """Text extractor used before fit."""
 
 
 class MissingReplayEntry(KeyError):
@@ -56,45 +45,18 @@ def tokenize(text: str) -> list[str]:
     return [t for t in TOKEN_SPLIT.split(text.lower()) if t]
 
 
-class FeatureMode(str, Enum):
-    NUMERIC_PASSTHROUGH = "numeric_passthrough"
-    TFIDF_TEXT = "tfidf_text"
-    CATEGORICAL_EVENT = "categorical_event"
-
-
 @dataclass
 class FeatureExtractor:
-    """Layer-specific raw-record-to-vector transform.
-
-    For NUMERIC_PASSTHROUGH, ``columns`` indexes the comma-separated raw
-    record.  For TFIDF_TEXT, ``vocab``/``doc_freq``/``idf`` come from
-    :func:`fit_tfidf` and dims equals the vocabulary size.  For
-    CATEGORICAL_EVENT, the vector is the one-hot blocks for each
-    categorical field (declared order) followed by the numeric fields.
-    """
+    """Fitted tf-idf transform: a term's column in ``vocab`` and its idf
+    weight in ``idf``.  :func:`fit_tfidf` builds it."""
 
     layer: LayerId
-    mode: FeatureMode
-    dims: int = 0
-    # numeric passthrough
-    columns: tuple[int, ...] = ()
-    # tf-idf text
-    vocab: dict[str, int] | None = None
-    doc_freq: dict[str, int] | None = None
-    idf: np.ndarray | None = None
-    # categorical events
-    numeric_fields: tuple[str, ...] = ()
-    categorical_fields: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    vocab: dict[str, int]
+    idf: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.mode is FeatureMode.NUMERIC_PASSTHROUGH:
-            self.dims = len(self.columns)
-        elif self.mode is FeatureMode.CATEGORICAL_EVENT:
-            self.dims = len(self.numeric_fields) + sum(
-                len(vals) for vals in self.categorical_fields.values()
-            )
-        elif self.vocab is not None:
-            self.dims = len(self.vocab)
+    @property
+    def dims(self) -> int:
+        return len(self.vocab)
 
 
 def fit_tfidf(
@@ -127,91 +89,24 @@ def fit_tfidf(
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in kept], dtype=np.float64
     )
-    return FeatureExtractor(
-        layer=layer,
-        mode=FeatureMode.TFIDF_TEXT,
-        dims=len(vocab),
-        vocab=vocab,
-        doc_freq={t: df[t] for t in kept},
-        idf=idf,
-    )
-
-
-def fit_categorical(
-    layer: LayerId,
-    numeric_fields: tuple[str, ...],
-    categorical_fields: dict[str, tuple[str, ...]],
-) -> FeatureExtractor:
-    """Build a categorical-event extractor from explicit field lists."""
-    return FeatureExtractor(
-        layer=layer,
-        mode=FeatureMode.CATEGORICAL_EVENT,
-        numeric_fields=tuple(numeric_fields),
-        categorical_fields={k: tuple(v) for k, v in categorical_fields.items()},
-    )
-
-
-def _safe_float(text: str) -> float:
-    # Non-finite and unparseable values become 0.0 by contract.
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        return 0.0
-    return value if math.isfinite(value) else 0.0
-
-
-def parse_kv_record(raw: str) -> dict[str, str]:
-    """Parse a ``key=value key=value`` record into a dict."""
-    out: dict[str, str] = {}
-    for tok in raw.split():
-        if "=" in tok:
-            key, _, value = tok.partition("=")
-            out[key] = value
-    return out
+    return FeatureExtractor(layer=layer, vocab=vocab, idf=idf)
 
 
 def extract_features(event: Event, extractor: FeatureExtractor) -> np.ndarray:
-    """Turn an event's raw record into the layer's feature vector.
+    """The unit-norm tf-idf vector of an event's raw text.
 
-    Non-finite inputs map to 0.0.  The result length always equals
-    ``extractor.dims``.
-
-    Raises:
-        UnfittedExtractor: TFIDF_TEXT extractor with no vocabulary.
-        DimensionMismatch: numeric record with too few columns.
+    Text without any vocabulary term gives the zero vector.  The result
+    length always equals ``extractor.dims``.
     """
-    if extractor.mode is FeatureMode.NUMERIC_PASSTHROUGH:
-        cells = event.raw.split(",")
-        if extractor.columns and max(extractor.columns) >= len(cells):
-            raise DimensionMismatch(
-                f"event {event.id}: record has {len(cells)} columns, "
-                f"extractor needs index {max(extractor.columns)}"
-            )
-        return np.array([_safe_float(cells[i]) for i in extractor.columns], dtype=np.float64)
-
-    if extractor.mode is FeatureMode.TFIDF_TEXT:
-        if extractor.vocab is None or extractor.idf is None:
-            raise UnfittedExtractor("tf-idf extractor used before fit")
-        vec = np.zeros(extractor.dims, dtype=np.float64)
-        for term in tokenize(event.raw):
-            idx = extractor.vocab.get(term)
-            if idx is not None:
-                vec[idx] += 1.0
-        if not vec.any():
-            # No vocabulary terms present: zero vector, normalization skipped.
-            return vec
-        vec *= extractor.idf
-        return vec / np.linalg.norm(vec)
-
-    fields = parse_kv_record(event.raw)
-    parts: list[float] = []
-    for name, values in extractor.categorical_fields.items():
-        seen = fields.get(name)
-        for v in values:
-            parts.append(1.0 if seen == v else 0.0)
-    for name in extractor.numeric_fields:
-        parts.append(_safe_float(fields.get(name, "")))
-    return np.array(parts, dtype=np.float64)
+    vec = np.zeros(extractor.dims, dtype=np.float64)
+    for term in tokenize(event.raw):
+        idx = extractor.vocab.get(term)
+        if idx is not None:
+            vec[idx] += 1.0
+    if not vec.any():
+        return vec
+    vec *= extractor.idf
+    return vec / np.linalg.norm(vec)
 
 
 class ScorerKind(str, Enum):
@@ -298,31 +193,37 @@ def make_replay_scorer(table: dict[str, ReplayRow]) -> Scorer:
     return Scorer(kind=ScorerKind.REPLAY, replay=table)
 
 
-def score(event: Event, scorer: Scorer) -> ScoredEvent:
-    """Score one event.
+def score_stream(events: list[Event], scorer: Scorer) -> list[ScoredEvent]:
+    """Score a stream of events.
 
     Logistic: p = sigmoid(w.x + b); pred_label is 1 when p > 0.5 (the
-    exact tie predicts benign) and confidence is max(p, 1 - p).  Replay
-    returns the stored pair verbatim.
+    exact tie predicts benign) and confidence is max(p, 1 - p).  w.x is
+    one dot product per event, because a matrix product over the stream
+    rounds differently in the last bit.  Replay returns the stored pairs
+    verbatim.
 
     Raises:
-        MissingReplayEntry: replay scorer has no row for the event id.
+        MissingReplayEntry: replay scorer has no row for an event id.
     """
     if scorer.kind is ScorerKind.REPLAY:
         assert scorer.replay is not None
-        row = scorer.replay.get(event.id)
-        if row is None:
-            raise MissingReplayEntry(event.id)
-        return ScoredEvent(event=event, pred_label=row.pred_label, confidence=row.confidence)
+        scored = []
+        for e in events:
+            row = scorer.replay.get(e.id)
+            if row is None:
+                raise MissingReplayEntry(e.id)
+            scored.append(ScoredEvent(e, row.pred_label, row.confidence))
+        return scored
 
     assert scorer.weights is not None
-    p = float(_sigmoid(float(np.dot(scorer.weights, event.features)) + scorer.bias))
-    pred = 1 if p > 0.5 else 0
-    return ScoredEvent(event=event, pred_label=pred, confidence=max(p, 1.0 - p))
-
-
-def score_stream(events: list[Event], scorer: Scorer) -> list[ScoredEvent]:
-    return [score(e, scorer) for e in events]
+    z = np.array([float(np.dot(scorer.weights, e.features)) for e in events]) + scorer.bias
+    p = _sigmoid(z)
+    pred = (p > 0.5).tolist()
+    conf = np.maximum(p, 1.0 - p).tolist()
+    return [
+        ScoredEvent(event=e, pred_label=int(y), confidence=c)
+        for e, y, c in zip(events, pred, conf)
+    ]
 
 
 def load_replay_csv(path: str) -> dict[str, ReplayRow]:

@@ -205,21 +205,53 @@ def test_compare_prints_reduction_and_writes_files(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "summary_adaptive_run0.json"))
 
 
-def test_loaded_corpus_with_bad_truth_label_fails(tmp_path, capsys):
+def _set_cells(row_index, **cells):
+    def edit(rows):
+        for column, value in cells.items():
+            rows[row_index][rows[0].index(column)] = value
+
+    return edit
+
+
+def _drop_column(name):
+    def edit(rows):
+        i = rows[0].index(name)
+        for row in rows:
+            del row[i]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "layer, edit, message",
+    [
+        ("network", _set_cells(1, truth="2"), "truth must be 0 or 1"),
+        ("network", _set_cells(2, truth="x"), "{path}:3: invalid literal for int() with base 10: 'x'"),
+        ("network", lambda rows: rows[2].pop(), "{path}:3: 42 cells, header has 43"),
+        ("network", lambda rows: rows[2].append("0.5"), "{path}:3: 44 cells, header has 43"),
+        ("network", _set_cells(2, f05="nan"), "{path}:3: feature cells must be finite numbers"),
+        ("network", _set_cells(2, f05="bogus"), "{path}:3: could not convert string to float: 'bogus'"),
+        ("hypervisor", _drop_column("uptime_hours"), "{path}:1: missing columns: ['uptime_hours']"),
+    ],
+    ids=["truth", "truth-not-int", "short-row", "long-row", "nan-cell", "bogus-cell", "missing-column"],
+)
+def test_loaded_corpus_with_bad_truth_label_fails(tmp_path, capsys, layer, edit, message):
+    # a malformed corpus file stops the run where it is loaded, naming the line
     cfg = write_cfg(tmp_path, SMALL)
     out = os.path.join(tmp_path, "out")
-    assert main(["gen", "--config", cfg, *base_args(tmp_path)]) == 0
-    path = os.path.join(out, "network.csv")
+    assert main(["gen", "--config", cfg, *base_args(tmp_path), "--layers", layer]) == 0
+    path = os.path.join(out, f"{layer}.csv")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][1] == "truth"
-    rows[1][1], rows[2][1] = "2", "7"
+    edit(rows)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     capsys.readouterr()
-    code = main(["compare", "--config", cfg, *base_args(tmp_path), "--data", out])
+    code = main(["compare", "--config", cfg, *base_args(tmp_path), "--layers", layer, "--data", out])
     assert code == 1
-    assert "truth must be 0 or 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message.format(path=path) in err
 
 
 def test_report_without_runs_fails(tmp_path, capsys):

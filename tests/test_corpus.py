@@ -1,16 +1,20 @@
 import collections
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
 
 from idsgate.corpus import (
     HYP_COLUMNS,
+    HYP_NUMERIC_FIELDS,
+    HYP_TYPES,
     CountSumMismatch,
     HostGenConfig,
     HypGenConfig,
     InvalidSplitRatio,
+    MalformedCorpus,
     NetGenConfig,
     gen_hostlogs,
     gen_hypervisor,
@@ -18,12 +22,18 @@ from idsgate.corpus import (
     load_host_jsonl,
     load_hypervisor_csv,
     load_network_csv,
+    parse_kv_record,
     split_train_test,
     write_host_jsonl,
     write_hypervisor_csv,
     write_network_csv,
 )
 from idsgate.events import LayerId, validate_event
+
+
+def test_parse_kv_record():
+    rec = parse_kv_record("sshd pid=1003 auth_fail user=root attempts=9")
+    assert rec == {"pid": "1003", "user": "root", "attempts": "9"}
 
 
 def test_hypervisor_default_class_counts():
@@ -101,6 +111,60 @@ def test_hypervisor_csv_roundtrip(tmp_path):
         assert np.array_equal(back.features, orig.features)
 
 
+def test_hypervisor_features_match_raw(tmp_path):
+    events = gen_hypervisor(
+        HypGenConfig(total=300, class_counts={"normal": 150, "vm_escape": 75, "hyper_jacking": 75}, seed=3)
+    )
+    path = os.path.join(tmp_path, "hyp.csv")
+    write_hypervisor_csv(events, path)
+    loaded = load_hypervisor_csv(path)
+    # Oracle: read the features back out of the key=value record, one-hot
+    # of hv over the types (spaces as underscores), then each numeric field.
+    for e in events + loaded:
+        fields = parse_kv_record(e.raw)
+        expected = [1.0 if fields["hv"] == t.replace(" ", "_") else 0.0 for t in HYP_TYPES]
+        expected += [float(fields[name]) for name in HYP_NUMERIC_FIELDS]
+        assert np.array_equal(e.features, np.array(expected))
+    assert {e.features[:4].argmax() for e in events} == {0, 1, 2, 3}
+
+
+def _write_hyp_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(HYP_COLUMNS)
+        writer.writerows(rows)
+
+
+def test_hypervisor_loader_cell_rules(tmp_path):
+    cells = ["2.5"] * len(HYP_NUMERIC_FIELDS)
+    cells[:6] = ["nan", "inf", "bogus", "", " 1.5", "-inf"]
+    path = os.path.join(tmp_path, "hyp.csv")
+    _write_hyp_rows(
+        path,
+        [
+            ["normal", "ESX"] + cells,
+            ["vm_escape", "VMware ESXi"] + cells,
+            ["vm_escape", "VMware_ESXi"] + cells,
+        ],
+    )
+    esx, spaced, joined = load_hypervisor_csv(path)
+    assert esx.features[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert spaced.features[:4].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert joined.raw == spaced.raw
+    numeric = [0.0, 0.0, 0.0, 0.0, 1.5, 0.0] + [2.5] * (len(HYP_NUMERIC_FIELDS) - 6)
+    for e in (esx, spaced, joined):
+        assert e.features[4:].tolist() == numeric
+
+
+@pytest.mark.parametrize("n_cells", [23, 25])
+def test_hypervisor_loader_rejects_ragged_rows(tmp_path, n_cells):
+    row = ["normal", "KVM"] + ["1"] * len(HYP_NUMERIC_FIELDS)
+    path = os.path.join(tmp_path, "hyp.csv")
+    _write_hyp_rows(path, [row, (row + ["1"])[:n_cells]])
+    with pytest.raises(MalformedCorpus, match=f"^{re.escape(path)}:3: "):
+        load_hypervisor_csv(path)
+
+
 def test_network_counts_and_labels():
     events = gen_network(NetGenConfig(count=400, attack_fraction=0.25, seed=1))
     assert len(events) == 400
@@ -143,7 +207,7 @@ def test_network_csv_roundtrip(tmp_path):
         assert back.raw == orig.raw
         assert back.truth == orig.truth
         assert back.truth_class == orig.truth_class
-        assert np.allclose(back.features, orig.features)
+        assert np.array_equal(back.features, orig.features)
 
 
 def test_host_counts_and_attack_types():

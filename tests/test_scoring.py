@@ -5,27 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import make_event
+from idsgate.corpus import HypGenConfig, NetGenConfig, gen_hypervisor, gen_network, split_train_test
 from idsgate.events import Event, LayerId
 from idsgate.scoring import (
-    DimensionMismatch,
     EmptyCorpus,
-    FeatureExtractor,
-    FeatureMode,
     MissingReplayEntry,
     ReplayRow,
     Scorer,
     ScorerKind,
     SingleClassData,
     TrainConfig,
-    UnfittedExtractor,
     events_from_replay,
     extract_features,
-    fit_categorical,
     fit_tfidf,
     load_replay_csv,
     make_replay_scorer,
-    parse_kv_record,
-    score,
     score_stream,
     tokenize,
     train_baseline,
@@ -35,11 +29,6 @@ from idsgate.scoring import (
 def test_tokenize_lowercases_and_splits():
     assert tokenize("Dst Port=21, Protocol=6") == ["dst", "port", "21", "protocol", "6"]
     assert tokenize("...") == []
-
-
-def test_parse_kv_record():
-    rec = parse_kv_record("sshd pid=1003 auth_fail user=root attempts=9")
-    assert rec == {"pid": "1003", "user": "root", "attempts": "9"}
 
 
 def test_tfidf_idf_matches_hand_formula():
@@ -90,58 +79,6 @@ def test_tfidf_cap_ties_break_on_term():
 def test_tfidf_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         fit_tfidf([])
-
-
-def test_unfitted_text_extractor_raises():
-    fx = FeatureExtractor(layer=LayerId.HOST, mode=FeatureMode.TFIDF_TEXT)
-    with pytest.raises(UnfittedExtractor):
-        extract_features(make_event(raw="alpha"), fx)
-
-
-def test_numeric_passthrough_selects_columns():
-    fx = FeatureExtractor(
-        layer=LayerId.NETWORK,
-        mode=FeatureMode.NUMERIC_PASSTHROUGH,
-        columns=(0, 2),
-    )
-    vec = extract_features(make_event(raw="1.5,9,-3.25"), fx)
-    assert vec.tolist() == [1.5, -3.25]
-    assert fx.dims == 2
-
-
-def test_numeric_passthrough_nonfinite_to_zero():
-    fx = FeatureExtractor(
-        layer=LayerId.NETWORK, mode=FeatureMode.NUMERIC_PASSTHROUGH, columns=(0, 1, 2)
-    )
-    vec = extract_features(make_event(raw="nan,inf,bogus"), fx)
-    assert vec.tolist() == [0.0, 0.0, 0.0]
-
-
-def test_numeric_passthrough_missing_column_raises():
-    fx = FeatureExtractor(
-        layer=LayerId.NETWORK, mode=FeatureMode.NUMERIC_PASSTHROUGH, columns=(0, 5)
-    )
-    with pytest.raises(DimensionMismatch):
-        extract_features(make_event(raw="1,2"), fx)
-
-
-def test_categorical_one_hot_then_numerics():
-    fx = fit_categorical(
-        LayerId.HYPERVISOR,
-        numeric_fields=("cpu", "mem"),
-        categorical_fields={"hv": ("KVM", "Xen")},
-    )
-    vec = extract_features(make_event(raw="hv=Xen cpu=0.5 mem=0.25"), fx)
-    assert vec.tolist() == [0.0, 1.0, 0.5, 0.25]
-    assert fx.dims == 4
-
-
-def test_categorical_unknown_value_is_all_zero_block():
-    fx = fit_categorical(
-        LayerId.HYPERVISOR, numeric_fields=(), categorical_fields={"hv": ("KVM", "Xen")}
-    )
-    vec = extract_features(make_event(raw="hv=ESX"), fx)
-    assert vec.tolist() == [0.0, 0.0]
 
 
 def _labeled_blob(seed: int, n: int, dims: int = 6) -> list[Event]:
@@ -216,7 +153,7 @@ def test_logistic_tie_predicts_benign():
     scorer = Scorer(
         kind=ScorerKind.BASELINE_LOGISTIC, weights=np.zeros(4), bias=0.0
     )
-    se = score(make_event(), scorer)
+    se = score_stream([make_event()], scorer)[0]
     # p is exactly 0.5: the tie stays benign at confidence 0.5.
     assert se.pred_label == 0
     assert se.confidence == 0.5
@@ -226,7 +163,7 @@ def test_replay_scorer_returns_stored_pair():
     scorer = make_replay_scorer(
         {"network-0": ReplayRow(pred_label=1, confidence=0.5807, truth=1)}
     )
-    se = score(make_event(event_id="network-0"), scorer)
+    se = score_stream([make_event(event_id="network-0")], scorer)[0]
     assert se.pred_label == 1
     assert se.confidence == 0.5807
 
@@ -234,7 +171,31 @@ def test_replay_scorer_returns_stored_pair():
 def test_replay_scorer_missing_id_raises():
     scorer = make_replay_scorer({})
     with pytest.raises(MissingReplayEntry):
-        score(make_event(event_id="network-404"), scorer)
+        score_stream([make_event(event_id="network-404")], scorer)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: gen_network(NetGenConfig(count=3000, seed=0)),
+        lambda: gen_hypervisor(
+            HypGenConfig(total=3000, class_counts={"normal": 1500, "vm_escape": 1500})
+        ),
+    ],
+    ids=["network", "hypervisor"],
+)
+def test_score_stream_matches_per_event_formula(generate):
+    train, _ = split_train_test(generate(), 0.8, seed=0)
+    scorer = train_baseline(train, TrainConfig())
+    scored = score_stream(train, scorer)
+    assert len(scored) == len(train)
+    # Oracle: the scalar formula, one event at a time.
+    for e, se in zip(train, scored):
+        z = float(np.dot(scorer.weights, e.features)) + scorer.bias
+        p = float(1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))))
+        assert se.event is e
+        assert se.pred_label == (1 if p > 0.5 else 0)
+        assert se.confidence == max(p, 1.0 - p)
 
 
 def test_replay_csv_round_trip(tmp_path):
