@@ -1,11 +1,23 @@
+import csv
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
 from conftest import make_event
-from idsgate.corpus import HypGenConfig, NetGenConfig, gen_hypervisor, gen_network, split_train_test
+from idsgate.corpus import (
+    HYP_COLUMNS,
+    HYP_NUMERIC_FIELDS,
+    HYP_TYPES,
+    HypGenConfig,
+    NetGenConfig,
+    gen_hypervisor,
+    gen_network,
+    load_hypervisor_csv,
+    split_train_test,
+)
 from idsgate.events import Event, LayerId
 from idsgate.scoring import (
     EmptyCorpus,
@@ -79,6 +91,32 @@ def test_tfidf_cap_ties_break_on_term():
 def test_tfidf_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         fit_tfidf([])
+
+
+def _load_one_hyp_row(tmp_path, hv: str, cells: list[str]) -> Event:
+    path = os.path.join(tmp_path, "hyp.csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(HYP_COLUMNS)
+        writer.writerow(["normal", hv] + cells)
+    (event,) = load_hypervisor_csv(path)
+    return event
+
+
+def test_numeric_passthrough_nonfinite_to_zero(tmp_path):
+    # Numeric cells pass through to the feature vector as floats; the
+    # non-finite and unparseable ones become 0.0.
+    cells = ["nan", "inf", "bogus"] + ["1.0"] * (len(HYP_NUMERIC_FIELDS) - 3)
+    event = _load_one_hyp_row(tmp_path, "KVM", cells)
+    assert event.features[len(HYP_TYPES) :].tolist() == [0.0, 0.0, 0.0] + [1.0] * (
+        len(HYP_NUMERIC_FIELDS) - 3
+    )
+
+
+def test_categorical_unknown_value_is_all_zero_block(tmp_path):
+    event = _load_one_hyp_row(tmp_path, "ESX", ["0.5"] * len(HYP_NUMERIC_FIELDS))
+    assert event.features[: len(HYP_TYPES)].tolist() == [0.0] * len(HYP_TYPES)
+    assert event.features.shape == (len(HYP_TYPES) + len(HYP_NUMERIC_FIELDS),)
 
 
 def _labeled_blob(seed: int, n: int, dims: int = 6) -> list[Event]:
