@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 
 from .events import LayerId
+from .llm import BadFusionWeights, fuse
 from .pipeline import Mode, PipelineConfig
 from .qcal import ActionSet
 
@@ -199,6 +200,11 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         ok = {"action_min": 0.5 <= lo < 1.0, "action_max": 0.5 <= hi < 1.0}
         ok["action_step"] = step > 0 and (hi - lo) / step < 500_000
         key = next((k for k, fine in ok.items() if not fine), [k for k in kv if k in grid][-1])
+        raise ConfigError(f"bad value for {key}: {kv[key]!r} ({exc})") from exc
+    try:  # fuse checks the exact decimal sum of the weights
+        fuse(0.0, 0.0, xcfg.pipeline.fusion)
+    except BadFusionWeights as exc:
+        key = [k for k in kv if k in ("w_model", "w_llm")][-1]
         raise ConfigError(f"bad value for {key}: {kv[key]!r} ({exc})") from exc
     # fusion thresholds follow the LLM thresholds unless set explicitly
     pipe = xcfg.pipeline

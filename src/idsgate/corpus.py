@@ -242,7 +242,7 @@ def _hyp_event(row: dict[str, str], ordinal: int) -> Event:
         layer=LayerId.HYPERVISOR,
         raw=" ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:]),
         features=np.array(features),
-        truth=0 if cls == HYP_NORMAL_CLASS else 1,
+        truth=0 if cls.strip().lower() == HYP_NORMAL_CLASS else 1,
         truth_class=cls,
     )
 
@@ -280,7 +280,8 @@ def load_hypervisor_csv(path: str) -> list[Event]:
     """Rebuild events from a 24-column dataset file; ids are positional.
 
     Raises:
-        MalformedCorpus: a column is missing or a row is ragged.
+        MalformedCorpus: a column is missing, a row is ragged or its
+            ``event_class`` is empty.
     """
     events: list[Event] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -291,6 +292,8 @@ def load_hypervisor_csv(path: str) -> list[Event]:
         for ordinal, row in enumerate(reader):
             if None in row or None in row.values():
                 raise MalformedCorpus(f"{path}:{reader.line_num}: row length differs from header")
+            if not row["event_class"].strip():
+                raise MalformedCorpus(f"{path}:{reader.line_num}: empty event_class")
             events.append(_hyp_event(row, ordinal))
     return events
 
@@ -488,13 +491,24 @@ def write_host_jsonl(events: list[Event], path: str) -> None:
 
 
 def load_host_jsonl(path: str) -> list[Event]:
+    """Rebuild events from a host JSONL file written by ``write_host_jsonl``.
+
+    Raises:
+        MalformedCorpus: a line is not a JSON object with ``event_id``,
+            ``raw`` and ``truth``.
+    """
     events: list[Event] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedCorpus(f"{path}:{lineno}: {exc.msg} (column {exc.colno})") from None
+            if not (isinstance(data, dict) and {"event_id", "raw", "truth"} <= data.keys()):
+                raise MalformedCorpus(f"{path}:{lineno}: not an object with event_id, raw, truth")
             events.append(
                 Event(
                     id=data["event_id"],

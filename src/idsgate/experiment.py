@@ -76,6 +76,11 @@ from .scoring import (
 
 logger = logging.getLogger(__name__)
 
+
+class MalformedCalibration(ValueError):
+    """A Gate-1 calibration file misses a routed layer or holds a bad threshold."""
+
+
 NETWORK_FILE = "network.csv"
 HOST_FILE = "host.jsonl"
 HYPERVISOR_FILE = "hypervisor.csv"
@@ -348,19 +353,40 @@ def do_calibrate(xcfg: ExperimentConfig) -> str:
     return path
 
 
-def load_calibration(path: str) -> dict[LayerId, CalibrationResult]:
+def load_calibration(path: str, layers: tuple[LayerId, ...]) -> dict[LayerId, CalibrationResult]:
+    """Gate-1 thresholds saved by ``do_calibrate``, checked for the routed ``layers``.
+
+    Raises:
+        MalformedCalibration: ``<path>: ...`` for a file without a
+            ``layers`` object, a layer of ``layers`` without a threshold,
+            a name that is not a layer, or a threshold that is not a
+            finite number in [0, 1].
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    entries = payload.get("layers") if isinstance(payload, dict) else None
+    if not isinstance(entries, dict):
+        raise MalformedCalibration(f"{path}: no 'layers' object")
     out: dict[LayerId, CalibrationResult] = {}
-    for name, entry in payload["layers"].items():
+    for name, entry in entries.items():
+        if name not in {layer.value for layer in LayerId}:
+            raise MalformedCalibration(f"{path}: unknown layer {name!r}")
+        tau = entry.get("learned_threshold") if isinstance(entry, dict) else None
+        # NaN fails the range test too
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 <= tau <= 1:
+            raise MalformedCalibration(
+                f"{path}: layer {name}: learned_threshold {tau!r} is not a number in [0, 1]"
+            )
         out[LayerId(name)] = CalibrationResult(
-            learned_threshold=entry["learned_threshold"],
+            learned_threshold=float(tau),
             action_histogram={
                 float(t): n for t, n in entry.get("action_histogram", {}).items()
             },
             episodes=payload.get("episodes", 0),
-            qtable=None,
         )
+    missing = [layer.value for layer in layers if layer not in out]
+    if missing:
+        raise MalformedCalibration(f"{path}: no threshold for layer {', '.join(missing)}")
     return out
 
 
@@ -404,7 +430,7 @@ def do_run(
     cfg = xcfg.pipeline
     if cfg.mode is Mode.ADAPTIVE:
         if calibration_path:
-            calibs = load_calibration(calibration_path)
+            calibs = load_calibration(calibration_path, xcfg.layers)
         else:
             calibs = gate1_calibrations(bundles, xcfg)
     else:
@@ -428,7 +454,7 @@ def do_compare(
     """Both modes on shared scores; writes artifacts plus the comparison."""
     bundles = prepare_bundles(xcfg)
     if calibration_path:
-        calibs = load_calibration(calibration_path)
+        calibs = load_calibration(calibration_path, xcfg.layers)
     else:
         calibs = gate1_calibrations(bundles, xcfg)
     scored = {layer: bundle.eval_scored for layer, bundle in bundles.items()}

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 
 import numpy as np
 
@@ -39,23 +38,6 @@ class StreamTooShort(ValueError):
 class Gate1Route(str, Enum):
     KNOWN = "known"
     UNCERTAIN = "uncertain"
-
-
-@dataclass(frozen=True)
-class QState:
-    """Discretized window summary: (mean bin, variance bin, uncertain bin)."""
-
-    mean_bin: int
-    var_bin: int
-    unc_bin: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.mean_bin < MEAN_BINS):
-            raise ValueError(f"mean_bin out of range: {self.mean_bin}")
-        if not (0 <= self.var_bin < VAR_BINS):
-            raise ValueError(f"var_bin out of range: {self.var_bin}")
-        if not (0 <= self.unc_bin < UNC_BINS):
-            raise ValueError(f"unc_bin out of range: {self.unc_bin}")
 
 
 def default_action_set() -> tuple[float, ...]:
@@ -80,31 +62,6 @@ class ActionSet:
 
     def __len__(self) -> int:
         return len(self.thresholds)
-
-
-@dataclass
-class QTable:
-    """Sparse tabular Q-function over (state, action index)."""
-
-    n_actions: int
-    alpha: float = 0.1
-    gamma: float = 0.9
-    table: dict[tuple[QState, int], float] = field(default_factory=dict)
-
-    def get(self, state: QState, action: int) -> float:
-        return self.table.get((state, action), 0.0)
-
-    def best_value(self, state: QState) -> float:
-        return max(self.get(state, a) for a in range(self.n_actions))
-
-    def best_action(self, state: QState) -> int:
-        # Ties resolve to the lowest action index.
-        best, best_q = 0, self.get(state, 0)
-        for a in range(1, self.n_actions):
-            q = self.get(state, a)
-            if q > best_q:
-                best, best_q = a, q
-        return best
 
 
 @dataclass(frozen=True)
@@ -172,27 +129,25 @@ def outcome_table(
     return _bins(mean, MEAN_BINS, MEAN_BINS), _bins(var, 50, VAR_BINS), unc_bin, reward
 
 
-def select_action(
-    qt: QTable, state: QState, epsilon: float, rng: random.Random
-) -> int:
-    """Epsilon-greedy action choice; greedy ties go to the lowest index."""
+def select_action(row: list[float], epsilon: float, rng: random.Random) -> int:
+    """Epsilon-greedy choice over one state's row of Q-values; greedy ties
+    go to the lowest index."""
     if rng.random() < epsilon:
-        return rng.randrange(qt.n_actions)
-    return qt.best_action(state)
+        return rng.randrange(len(row))
+    return row.index(max(row))
 
 
 def bellman_update(
-    qt: QTable, state: QState, action: int, r: float, next_state: QState
+    q: list[list[float]], s: int, a: int, r: float, s2: int, alpha: float, gamma: float
 ) -> float:
-    """One tabular value-iteration step.
+    """One tabular value-iteration step on the table ``q[state][action]``.
 
     Q(s,a) <- Q(s,a) + alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)),
     e.g. Q=0.5, alpha=0.1, r=1, gamma=0.9, max Q'=0.8 gives 0.622.
     Returns the updated value.
     """
-    q = qt.get(state, action)
-    updated = q + qt.alpha * (r + qt.gamma * qt.best_value(next_state) - q)
-    qt.table[(state, action)] = updated
+    old = q[s][a]
+    q[s][a] = updated = old + alpha * (r + gamma * max(q[s2]) - old)
     return updated
 
 
@@ -232,7 +187,6 @@ class CalibrationResult:
     learned_threshold: float
     action_histogram: dict[float, int]
     episodes: int
-    qtable: QTable | None = None
 
 
 def calibrate(
@@ -258,39 +212,39 @@ def calibrate(
             f"stream of {len(stream)} events is shorter than window {cfg.window}"
         )
     rng = random.Random(seed)
-    qt = QTable(n_actions=len(cfg.actions), alpha=cfg.alpha, gamma=cfg.gamma)
     thresholds = cfg.actions.thresholds
-    mean_bin, var_bin, unc_bin, reward = (
-        a.tolist() for a in outcome_table(stream, cfg.window, thresholds, cfg.rewards)
+    mean_bin, var_bin, unc_bin, reward = outcome_table(
+        stream, cfg.window, thresholds, cfg.rewards
     )
-    # One object per state, so Q-table lookups mostly hit on identity.
-    state_of = cache(QState)
+    # State index (mean_bin * VAR_BINS + var_bin) * UNC_BINS + unc_bin; the
+    # slice fixes all but the action's uncertain bin.
+    base = ((mean_bin * VAR_BINS + var_bin) * UNC_BINS).tolist()
+    unc_bin, reward = unc_bin.tolist(), reward.tolist()
+    q = [[0.0] * len(thresholds) for _ in range(MEAN_BINS * VAR_BINS * UNC_BINS)]
     # Before anything is routed the first slice carries no escalations;
     # only its confidences inform the starting state.
-    start = state_of(mean_bin[0], var_bin[0], 0)
+    start = base[0]
 
     for episode in range(cfg.episodes):
         epsilon = max(cfg.epsilon_floor, cfg.epsilon_start * cfg.epsilon_decay**episode)
         state = start
-        for i, slice_reward in enumerate(reward):
-            action = select_action(qt, state, epsilon, rng)
-            next_state = state_of(mean_bin[i], var_bin[i], unc_bin[i][action])
-            bellman_update(qt, state, action, slice_reward[action], next_state)
+        for b, unc_row, slice_reward in zip(base, unc_bin, reward):
+            action = select_action(q[state], epsilon, rng)
+            next_state = b + unc_row[action]
+            bellman_update(
+                q, state, action, slice_reward[action], next_state, cfg.alpha, cfg.gamma
+            )
             state = next_state
 
     histogram: dict[float, int] = {}
     state = start
-    for i, unc_row in enumerate(unc_bin):
-        action = qt.best_action(state)
+    for b, unc_row in zip(base, unc_bin):
+        row = q[state]
+        action = row.index(max(row))
         tau = thresholds[action]
         histogram[tau] = histogram.get(tau, 0) + 1
-        state = state_of(mean_bin[i], var_bin[i], unc_row[action])
+        state = b + unc_row[action]
 
     # Modal action wins; ties resolve to the lower threshold.
     learned = min(histogram, key=lambda t: (-histogram[t], t))
-    return CalibrationResult(
-        learned_threshold=learned,
-        action_histogram=histogram,
-        episodes=cfg.episodes,
-        qtable=qt,
-    )
+    return CalibrationResult(learned, histogram, cfg.episodes)

@@ -43,7 +43,7 @@ from idsgate.pipeline import (
     cost_analysis,
     run_layer,
 )
-from idsgate.qcal import QState, QTable, bellman_update, calibrate
+from idsgate.qcal import bellman_update, calibrate
 
 
 def test_cost_replay():
@@ -88,24 +88,22 @@ def test_value_update_oracle():
     rng = random.Random(20260819)
     for _ in range(10000):
         n_actions = rng.randint(1, 6)
-        qt = QTable(
-            n_actions=n_actions, alpha=rng.random(), gamma=rng.random()
-        )
-        state = QState(rng.randrange(10), rng.randrange(5), rng.randrange(5))
-        next_state = QState(rng.randrange(10), rng.randrange(5), rng.randrange(5))
+        alpha, gamma = rng.random(), rng.random()
+        q = [[0.0] * n_actions for _ in range(250)]
+        state, next_state = rng.randrange(250), rng.randrange(250)
         action = rng.randrange(n_actions)
         for a in range(n_actions):
-            qt.table[(next_state, a)] = rng.uniform(-5.0, 5.0)
+            q[next_state][a] = rng.uniform(-5.0, 5.0)
         if rng.random() < 0.5:
-            qt.table[(state, action)] = rng.uniform(-5.0, 5.0)
+            q[state][action] = rng.uniform(-5.0, 5.0)
         r = rng.uniform(-4.0, 2.0)
         # Read the same pre-update values the implementation reads.
-        q0 = qt.get(state, action)
-        next_best = max(qt.get(next_state, a) for a in range(n_actions))
-        expected = q0 + qt.alpha * (r + qt.gamma * next_best - q0)
-        got = bellman_update(qt, state, action, r, next_state)
+        q0 = q[state][action]
+        next_best = max(q[next_state][a] for a in range(n_actions))
+        expected = q0 + alpha * (r + gamma * next_best - q0)
+        got = bellman_update(q, state, action, r, next_state, alpha, gamma)
         assert abs(got - expected) <= 1e-12
-        assert qt.get(state, action) == got
+        assert q[state][action] == got
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -28,7 +28,7 @@ def write_cfg(tmp_path, text):
     return path
 
 
-SMALL = "net_count = 300\nepisodes = 2\n"
+SMALL = "net_count = 300\nhost_count = 300\nepisodes = 2\n"
 
 
 def test_parser_requires_subcommand():
@@ -222,6 +222,13 @@ def _drop_column(name):
     return edit
 
 
+def _set_line(index, text):
+    def edit(lines):
+        lines[index] = text
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "layer, edit, message",
     [
@@ -232,26 +239,80 @@ def _drop_column(name):
         ("network", _set_cells(2, f05="nan"), "{path}:3: feature cells must be finite numbers"),
         ("network", _set_cells(2, f05="bogus"), "{path}:3: could not convert string to float: 'bogus'"),
         ("hypervisor", _drop_column("uptime_hours"), "{path}:1: missing columns: ['uptime_hours']"),
+        ("hypervisor", _set_cells(2, event_class=""), "{path}:3: empty event_class"),
+        ("host", _set_line(1, '{"event_id": "host-1", "truth": 0}'), "{path}:2: not an object with"),
+        ("host", _set_line(1, '["host-1", 0, "sshd"]'), "{path}:2: not an object with"),
+        ("host", _set_line(1, '{"event_id": "host-1" "raw": ""}'), "{path}:2: Expecting ',' delimiter"),
     ],
-    ids=["truth", "truth-not-int", "short-row", "long-row", "nan-cell", "bogus-cell", "missing-column"],
+    ids=[
+        "truth", "truth-not-int", "short-row", "long-row", "nan-cell", "bogus-cell",
+        "missing-column", "empty-class", "host-no-raw", "host-not-object", "host-bad-json",
+    ],
 )
 def test_loaded_corpus_with_bad_truth_label_fails(tmp_path, capsys, layer, edit, message):
     # a malformed corpus file stops the run where it is loaded, naming the line
     cfg = write_cfg(tmp_path, SMALL)
     out = os.path.join(tmp_path, "out")
     assert main(["gen", "--config", cfg, *base_args(tmp_path), "--layers", layer]) == 0
-    path = os.path.join(out, f"{layer}.csv")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    edit(rows)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    if layer == "host":
+        path = os.path.join(out, "host.jsonl")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        edit(lines)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    else:
+        path = os.path.join(out, f"{layer}.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
     capsys.readouterr()
     code = main(["compare", "--config", cfg, *base_args(tmp_path), "--layers", layer, "--data", out])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message.format(path=path) in err
+
+
+def _calibration(**layers):
+    return {"seed": 0, "episodes": 2, "layers": layers}
+
+
+NET = {"learned_threshold": 0.6, "action_histogram": {"0.6": 3}}
+
+
+@pytest.mark.parametrize("command", [["compare"], ["run", "--mode", "adaptive"]])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_calibration(host=NET), "no threshold for layer network"),
+        (_calibration(network=NET, cloud=NET), "unknown layer 'cloud'"),
+        (_calibration(network={"learned_threshold": "0.6"}), "layer network: learned_threshold '0.6'"),
+        (_calibration(network={"learned_threshold": 7}), "layer network: learned_threshold 7 "),
+        (_calibration(network={"learned_threshold": -1}), "layer network: learned_threshold -1 "),
+        (_calibration(network={"learned_threshold": True}), "layer network: learned_threshold True "),
+        (_calibration(network={"learned_threshold": float("nan")}), "layer network: learned_threshold nan "),
+        (_calibration(network={}), "layer network: learned_threshold None "),
+        (_calibration(network=0.6), "layer network: learned_threshold None "),
+        ([NET], "no 'layers' object"),
+    ],
+    ids=[
+        "missing-layer", "unknown-layer", "string", "above-1", "below-0", "bool", "nan",
+        "absent", "entry-not-object", "file-not-object",
+    ],
+)
+def test_bad_calibration_file_fails_before_routing(tmp_path, capsys, command, payload, message):
+    cfg = write_cfg(tmp_path, SMALL)
+    calib = os.path.join(tmp_path, "calibration.json")
+    with open(calib, "w") as fh:
+        json.dump(payload, fh)
+    code = main([*command, "--config", cfg, *base_args(tmp_path), "--calibration", calib])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {calib}: {message}")
+    # nothing was routed, so no mode wrote its artifacts
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
 def test_report_without_runs_fails(tmp_path, capsys):

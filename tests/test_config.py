@@ -107,6 +107,9 @@ def test_build_rejects_bad_values():
         ({"epsilon_start": "1.5"}, "epsilon_start"),
         ({"epsilon_decay": "2"}, "epsilon_decay"),
         ({"epsilon_floor": "-0.05"}, "epsilon_floor"),
+        # fusion weights whose exact decimal sum is not 1
+        ({"w_model": "0.5"}, "w_model"),
+        ({"w_llm": "0.7"}, "w_llm"),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}:"):
             build_experiment_config(kv)

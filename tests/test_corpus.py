@@ -156,6 +156,17 @@ def test_hypervisor_loader_cell_rules(tmp_path):
         assert e.features[4:].tolist() == numeric
 
 
+def test_hypervisor_loader_reads_class_case_and_space_blind(tmp_path):
+    cells = ["1"] * len(HYP_NUMERIC_FIELDS)
+    classes = ["normal", "Normal", " normal ", "NORMAL", "benign", "vm_escape", "normal_ish"]
+    path = os.path.join(tmp_path, "hyp.csv")
+    _write_hyp_rows(path, [[cls, "KVM"] + cells for cls in classes])
+    assert [e.truth for e in load_hypervisor_csv(path)] == [0, 0, 0, 0, 1, 1, 1]
+    _write_hyp_rows(path, [["normal", "KVM"] + cells, [" ", "KVM"] + cells])
+    with pytest.raises(MalformedCorpus, match=f"^{re.escape(path)}:3: empty event_class"):
+        load_hypervisor_csv(path)
+
+
 @pytest.mark.parametrize("n_cells", [23, 25])
 def test_hypervisor_loader_rejects_ragged_rows(tmp_path, n_cells):
     row = ["normal", "KVM"] + ["1"] * len(HYP_NUMERIC_FIELDS)

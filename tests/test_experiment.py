@@ -236,7 +236,7 @@ def test_do_calibrate_roundtrip(tmp_path):
     xcfg = small_cfg(tmp_path, layers="network", net_count=400)
     path = do_calibrate(xcfg)
     assert path.endswith("calibration_run0.json")
-    calibs = load_calibration(path)
+    calibs = load_calibration(path, xcfg.layers)
     assert set(calibs) == {LayerId.NETWORK}
     result = calibs[LayerId.NETWORK]
     assert result.learned_threshold in xcfg.pipeline.calib.actions.thresholds
@@ -315,7 +315,7 @@ def test_do_run_static_writes_artifacts(tmp_path):
 def test_do_run_adaptive_accepts_saved_calibration(tmp_path):
     xcfg = small_cfg(tmp_path, layers="network", net_count=400)
     calib_path = do_calibrate(xcfg)
-    learned = load_calibration(calib_path)[LayerId.NETWORK].learned_threshold
+    learned = load_calibration(calib_path, xcfg.layers)[LayerId.NETWORK].learned_threshold
     mode_run, summary, _ = do_run(xcfg, calibration_path=calib_path)
     assert summary.mode == "adaptive"
     assert summary.layers[0].learned_threshold == learned

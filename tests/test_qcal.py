@@ -8,8 +8,6 @@ from idsgate.qcal import (
     ActionSet,
     CalibConfig,
     Gate1Route,
-    QState,
-    QTable,
     RewardConfig,
     StreamTooShort,
     UnlabeledStream,
@@ -74,16 +72,6 @@ def test_action_set_validation():
     with pytest.raises(ValueError):
         ActionSet(thresholds=(0.6, 0.6))
     assert len(ActionSet(thresholds=(0.5, 0.75, 0.99))) == 3
-
-
-def test_qstate_bounds():
-    QState(mean_bin=9, var_bin=4, unc_bin=4)
-    with pytest.raises(ValueError):
-        QState(mean_bin=10, var_bin=0, unc_bin=0)
-    with pytest.raises(ValueError):
-        QState(mean_bin=0, var_bin=5, unc_bin=0)
-    with pytest.raises(ValueError):
-        QState(mean_bin=0, var_bin=0, unc_bin=-1)
 
 
 def test_discretize_confident_quiet_window():
@@ -215,52 +203,44 @@ def test_outcome_table_matches_per_event_oracle(seed):
 
 
 def test_bellman_update_worked_example():
-    qt = QTable(n_actions=2, alpha=0.1, gamma=0.9)
-    s = QState(0, 0, 0)
-    s2 = QState(1, 0, 0)
-    qt.table[(s, 0)] = 0.5
-    qt.table[(s2, 1)] = 0.8
-    updated = bellman_update(qt, s, 0, 1.0, s2)
+    q = [[0.0, 0.0] for _ in range(3)]
+    q[0][0] = 0.5
+    q[2][1] = 0.8
+    updated = bellman_update(q, 0, 0, 1.0, 2, alpha=0.1, gamma=0.9)
     assert updated == pytest.approx(0.622, abs=1e-12)
-    assert qt.get(s, 0) == pytest.approx(0.622, abs=1e-12)
+    assert q[0][0] == updated
 
 
 def test_bellman_update_random_oracle():
     rng = random.Random(42)
     for _ in range(500):
-        qt = QTable(n_actions=3, alpha=rng.random(), gamma=rng.random())
-        s, s2 = QState(1, 1, 1), QState(2, 2, 2)
+        alpha, gamma = rng.random(), rng.random()
+        q = [[0.0] * 3 for _ in range(250)]
+        s, s2 = 31, 62  # states (1, 1, 1) and (2, 2, 2)
         q0 = rng.uniform(-5, 5)
-        qt.table[(s, 1)] = q0
-        next_best = 0.0
+        q[s][1] = q0
         for a in range(3):
-            v = rng.uniform(-5, 5)
-            qt.table[(s2, a)] = v
-            next_best = max(next_best, v) if a else v
-        next_best = max(qt.get(s2, a) for a in range(3))
+            q[s2][a] = rng.uniform(-5, 5)
+        next_best = max(q[s2][a] for a in range(3))
         r = rng.uniform(-4, 2)
-        updated = bellman_update(qt, s, 1, r, s2)
-        expected = q0 + qt.alpha * (r + qt.gamma * next_best - q0)
+        updated = bellman_update(q, s, 1, r, s2, alpha, gamma)
+        expected = q0 + alpha * (r + gamma * next_best - q0)
         assert updated == pytest.approx(expected, abs=1e-12)
 
 
 def test_best_action_tie_goes_low():
-    qt = QTable(n_actions=4)
-    s = QState(0, 0, 0)
-    qt.table[(s, 2)] = 1.0
-    qt.table[(s, 3)] = 1.0
-    assert qt.best_action(s) == 2
-    # Never-seen state: everything ties at zero, lowest index wins.
-    assert qt.best_action(QState(5, 0, 0)) == 0
+    row = [0.0, 0.0, 1.0, 1.0]
+    rng = random.Random(0)
+    assert select_action(row, 0.0, rng) == 2
+    # Never-visited state: everything ties at zero, lowest index wins.
+    assert select_action([0.0] * 4, 0.0, rng) == 0
 
 
 def test_select_action_explores_and_exploits():
-    qt = QTable(n_actions=5)
-    s = QState(0, 0, 0)
-    qt.table[(s, 3)] = 2.0
+    row = [0.0, 0.0, 0.0, 2.0, 0.0]
     rng = random.Random(0)
-    assert select_action(qt, s, 0.0, rng) == 3
-    picks = {select_action(qt, s, 1.0, rng) for _ in range(100)}
+    assert select_action(row, 0.0, rng) == 3
+    picks = {select_action(row, 1.0, rng) for _ in range(100)}
     assert len(picks) == 5
 
 
@@ -327,3 +307,62 @@ def test_calibrate_is_deterministic():
     # shows here, on every interpreter.
     assert a.learned_threshold == 0.53
     assert a.action_histogram == {0.52: 2, 0.53: 31, 0.59: 17}
+
+
+def sparse_reference(stream, cfg, seed):
+    """The learner as a sparse dict keyed by (mean, var, unc, action),
+    default 0.0, greedy ties to the lowest index: the same rule and the
+    same random draws as ``calibrate``, on a different table."""
+    rng = random.Random(seed)
+    thresholds = cfg.actions.thresholds
+    n = len(thresholds)
+    mean_bin, var_bin, unc_bin, reward = (
+        a.tolist() for a in outcome_table(stream, cfg.window, thresholds, cfg.rewards)
+    )
+    table = {}
+
+    def greedy(state):
+        best, best_q = 0, table.get((*state, 0), 0.0)
+        for a in range(1, n):
+            q = table.get((*state, a), 0.0)
+            if q > best_q:
+                best, best_q = a, q
+        return best
+
+    start = (mean_bin[0], var_bin[0], 0)
+    for episode in range(cfg.episodes):
+        epsilon = max(cfg.epsilon_floor, cfg.epsilon_start * cfg.epsilon_decay**episode)
+        state = start
+        for i in range(len(reward)):
+            action = rng.randrange(n) if rng.random() < epsilon else greedy(state)
+            nxt = (mean_bin[i], var_bin[i], unc_bin[i][action])
+            old = table.get((*state, action), 0.0)
+            best_next = max(table.get((*nxt, a), 0.0) for a in range(n))
+            table[(*state, action)] = old + cfg.alpha * (
+                reward[i][action] + cfg.gamma * best_next - old
+            )
+            state = nxt
+    histogram = {}
+    state = start
+    for i in range(len(reward)):
+        action = greedy(state)
+        histogram[thresholds[action]] = histogram.get(thresholds[action], 0) + 1
+        state = (mean_bin[i], var_bin[i], unc_bin[i][action])
+    return min(histogram, key=lambda t: (-histogram[t], t)), histogram
+
+
+@pytest.mark.parametrize(
+    "seed, n, cfg",
+    [
+        (7, 5000, CalibConfig()),
+        (2, 3050, CalibConfig(episodes=5)),  # a short last slice of 50
+        (3, 2037, CalibConfig(window=7, episodes=8, rewards=RewardConfig(r_escalate=-0.3))),
+        (4, 2037, CalibConfig(window=33, episodes=60, alpha=0.3, gamma=0.5)),
+    ],
+)
+def test_calibrate_matches_sparse_reference(seed, n, cfg):
+    stream = hidslike_stream(seed, n, f"sparse-{seed}")
+    learned, histogram = sparse_reference(stream, cfg, seed)
+    result = calibrate(stream, cfg, seed)
+    assert result.learned_threshold == learned
+    assert list(result.action_histogram.items()) == list(histogram.items())
