@@ -377,12 +377,10 @@ def load_calibration(path: str, layers: tuple[LayerId, ...]) -> dict[LayerId, Ca
             raise MalformedCalibration(
                 f"{path}: layer {name}: learned_threshold {tau!r} is not a number in [0, 1]"
             )
+        # Routing reads only the threshold; the file's histogram and
+        # episode count are a record of the run, left unparsed.
         out[LayerId(name)] = CalibrationResult(
-            learned_threshold=float(tau),
-            action_histogram={
-                float(t): n for t, n in entry.get("action_histogram", {}).items()
-            },
-            episodes=payload.get("episodes", 0),
+            learned_threshold=float(tau), action_histogram={}, episodes=0
         )
     missing = [layer.value for layer in layers if layer not in out]
     if missing:

@@ -163,18 +163,22 @@ def train_baseline(events: list[Event], cfg: TrainConfig) -> Scorer:
         raise SingleClassData(
             f"logistic training needs both classes, got {sorted(classes)}"
         )
-    x = np.stack([e.features for e in labeled]).astype(np.float64)
     y = np.array([e.truth for e in labeled], dtype=np.float64)
+    n = len(y)
 
-    mu = x.mean(axis=0)
-    sigma = x.std(axis=0)
+    # Standardize in place: the steps np.std takes on the centred matrix,
+    # so mu and sigma (and z) are bit-equal to x.mean, x.std and
+    # (x - mu) / sigma while only one full-size temporary (z * z) exists.
+    z = np.stack([e.features for e in labeled], dtype=np.float64)
+    mu = z.mean(axis=0)
+    z -= mu
+    sigma = np.sqrt(np.add.reduce(z * z, axis=0) / n)
     sigma[sigma == 0.0] = 1.0
-    z = (x - mu) / sigma
+    z /= sigma
 
     rng = np.random.default_rng(cfg.seed)
     w = rng.normal(0.0, 0.01, size=z.shape[1])
     b = 0.0
-    n = len(y)
     for _ in range(cfg.epochs):
         p = _sigmoid(z @ w + b)
         err = p - y

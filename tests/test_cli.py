@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -187,8 +188,8 @@ def test_run_adaptive_with_saved_calibration(tmp_path, capsys):
         == 0
     )
     assert "mode=adaptive" in capsys.readouterr().out
-    summary = json.load(open(os.path.join(out, "summary_adaptive_run0.json")))
-    learned = json.load(open(calib))["layers"]["network"]["learned_threshold"]
+    summary = json.loads(Path(out, "summary_adaptive_run0.json").read_text())
+    learned = json.loads(Path(calib).read_text())["layers"]["network"]["learned_threshold"]
     assert summary["layers"]["network"]["learned_threshold"] == learned
 
 
@@ -313,6 +314,26 @@ def test_bad_calibration_file_fails_before_routing(tmp_path, capsys, command, pa
     assert capsys.readouterr().err.startswith(f"error: {calib}: {message}")
     # nothing was routed, so no mode wrote its artifacts
     assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+
+def test_calibration_file_is_read_for_its_threshold_only(tmp_path):
+    # The histogram and episode count are a record of the calibration run;
+    # a key that is not a number must not stop routing with the threshold.
+    cfg = write_cfg(tmp_path, SMALL)
+    summaries = []
+    for name, entry in [
+        ("clean", {"learned_threshold": 0.77}),
+        ("junk", {"learned_threshold": 0.77, "action_histogram": {"x": 1}}),
+    ]:
+        calib = os.path.join(tmp_path, f"{name}.json")
+        with open(calib, "w") as fh:
+            json.dump({"seed": 0, "episodes": "many", "layers": {"network": entry}}, fh)
+        out = os.path.join(tmp_path, name)
+        args = ["compare", "--config", cfg, *base_args(tmp_path), "--out", out]
+        assert main([*args, "--mock-llm", "echo:0.9", "--calibration", calib]) == 0
+        summaries.append(json.loads(Path(out, "summary_adaptive_run0.json").read_text()))
+    assert summaries[0]["layers"]["network"]["learned_threshold"] == 0.77
+    assert summaries[1] == summaries[0]
 
 
 def test_report_without_runs_fails(tmp_path, capsys):

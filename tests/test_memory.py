@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import os
@@ -6,6 +7,14 @@ import random
 import numpy as np
 import pytest
 
+from idsgate.corpus import (
+    HostGenConfig,
+    HypGenConfig,
+    NetGenConfig,
+    gen_hostlogs,
+    gen_hypervisor,
+    gen_network,
+)
 from idsgate.events import LayerId
 from idsgate.memory import (
     DimMismatch,
@@ -20,6 +29,7 @@ from idsgate.memory import (
     match_decision,
     save_store,
 )
+from idsgate.scoring import tokenize
 
 ECFG = EmbeddingConfig(dims=32)
 
@@ -57,6 +67,35 @@ def test_embed_is_stable_across_calls():
     a = embed("exec /bin/sh user=www-data", ECFG)
     b = embed("exec /bin/sh user=www-data", ECFG)
     assert np.array_equal(a, b)
+
+
+def _sha256_embed(text, dims):
+    # Oracle: the hashing-trick rule written out, one SHA-256 per token.
+    vec = np.zeros(dims)
+    for token in tokenize(text):
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:8], "big") % dims] += 1.0
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0.0 else vec
+
+
+def test_embed_matches_sha256_formula():
+    raws = [e.raw for e in gen_network(NetGenConfig(count=150, seed=3))]
+    raws += [e.raw for e in gen_hostlogs(HostGenConfig(count=150, seed=3))]
+    raws += [
+        e.raw
+        for e in gen_hypervisor(
+            HypGenConfig(total=150, class_counts={"normal": 100, "vm_escape": 50}, seed=3)
+        )
+    ]
+    raws += ["", "  -- ;; ", "alpha alpha alpha beta", "Alpha ALPHA alpha"]
+    # Interleaved dims: a bucket remembered for one dims must not be
+    # reused for the other.
+    for text in raws:
+        for dims in (256, 97):
+            got = embed(text, EmbeddingConfig(dims=dims))
+            assert got.dtype == np.float64 and got.shape == (dims,)
+            assert np.array_equal(got, _sha256_embed(text, dims)), (text, dims)
 
 
 def test_embedding_config_rejects_tiny_dims():
@@ -357,4 +396,69 @@ def test_load_store_rejects_dim_mismatch(tmp_path):
     store = load_store(path, dims=4)
     store.insert(make_record("a", [1, 0, 0, 0]))
     with pytest.raises(DimMismatch):
+        load_store(path, dims=8)
+
+
+def _store_state(store):
+    n = len(store)
+    return (
+        [(r.id, r.layer, r.attack_type, r.source, r.created_at) for r in store.records],
+        dict(store._index),
+        store._rows[:n].copy(),
+        store._norms[:n].copy(),
+    )
+
+
+def _assert_same_store(got, want):
+    g, w = _store_state(got), _store_state(want)
+    assert g[0] == w[0]
+    assert g[1] == w[1]
+    assert np.array_equal(g[2], w[2])
+    assert np.array_equal(g[3], w[3])
+    for a, b in zip(got.records, want.records):
+        assert np.array_equal(a.vector, b.vector)
+
+
+def test_load_store_matches_insert_by_insert(tmp_path, caplog):
+    rng = np.random.default_rng(5)
+    ids = [f"r{i}" for i in range(300)] + ["r7", "r150", "r7"]  # three overwrites
+    records = [
+        make_record(rid, rng.normal(size=8) * rng.choice([1e-3, 1.0, 1e3]))
+        for rid in ids
+    ]
+    records[40] = make_record("r40", np.zeros(8))
+    path = os.path.join(tmp_path, "mem.jsonl")
+    # The reference: the same records inserted one by one into a store
+    # that appends each to the file, with blank lines in between.
+    want = MemoryStore(dims=8, path=path)
+    for i, record in enumerate(records):
+        if i % 50 == 0:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n  \n")
+        want.insert(record)
+    want.path = None
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="idsgate.memory"):
+        got = load_store(path, dims=8)
+    assert [r.getMessage() for r in caplog.records] == [
+        "memory record r7 overwritten",
+        "memory record r150 overwritten",
+        "memory record r7 overwritten",
+    ]
+    assert len(got) == 300
+    _assert_same_store(got, want)
+
+    # The loaded block keeps growing and answering as the inserted one does.
+    for record in [make_record(f"n{i}", rng.normal(size=8)) for i in range(40)]:
+        got.insert(record)
+        want.insert(record)
+    _assert_same_store(got, want)
+    q = rng.normal(size=8)
+    assert [(r.id, d) for r, d in got.query(q, 5)] == [(r.id, d) for r, d in want.query(q, 5)]
+
+    # a record with the wrong dims after good ones fails the whole load
+    MemoryStore(dims=8, path=path).insert(make_record("r9", np.ones(8)))
+    MemoryStore(dims=3, path=path).insert(make_record("bad", np.ones(3)))
+    with pytest.raises(DimMismatch, match=r"^stored record bad has 3 dims, expected 8$"):
         load_store(path, dims=8)

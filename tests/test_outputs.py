@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -138,7 +139,7 @@ def routed(sink, event_id="host-1", confidence=0.73, truth=1):
 def test_confidence_csv_format(tmp_path):
     path = os.path.join(tmp_path, "conf.csv")
     write_confidence_csv(path, [routed(Sink.KNOWN_ACCEPT, confidence=0.8500000000000001)])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == CONFIDENCE_CSV_HEADER
     # repr() keeps every bit of the float so reruns diff cleanly.
     assert lines[1] == "host-1,host,1,0.8500000000000001,1,known_accept"
@@ -147,7 +148,7 @@ def test_confidence_csv_format(tmp_path):
 def test_confidence_csv_blank_truth(tmp_path):
     path = os.path.join(tmp_path, "conf.csv")
     write_confidence_csv(path, [routed(Sink.REVIEW_BUCKET, truth=None)])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[1].split(",")[4] == ""
 
 
@@ -170,7 +171,7 @@ def test_review_jsonl_field_order(tmp_path):
     )
     path = os.path.join(tmp_path, "review.jsonl")
     write_review_jsonl(path, [record])
-    line = open(path).read().strip()
+    line = Path(path).read_text().strip()
     data = json.loads(line)
     assert list(data) == [
         "event_id",
@@ -198,14 +199,14 @@ def test_run_summary_file_roundtrip(tmp_path):
     )
     path = os.path.join(tmp_path, "summary.json")
     write_run_summary(path, summary)
-    assert parse_run_summary(open(path).read()) == summary
+    assert parse_run_summary(Path(path).read_text()) == summary
 
 
 def test_histogram_top_bin_includes_one(tmp_path):
     path = os.path.join(tmp_path, "hist.csv")
     rows = [("host", 0.0), ("host", 0.049), ("host", 0.95), ("host", 1.0), ("network", 0.5)]
     write_histogram_csv(path, rows, bins=20)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "layer,bin_low,bin_high,count"
     assert len(lines) == 1 + 2 * 20  # two layers, twenty bins each
     counts = {}
@@ -221,7 +222,7 @@ def test_histogram_top_bin_includes_one(tmp_path):
 def test_histogram_bin_edges_cover_unit_interval(tmp_path):
     path = os.path.join(tmp_path, "hist.csv")
     write_histogram_csv(path, [("host", 0.5)], bins=4)
-    lines = open(path).read().splitlines()[1:]
+    lines = Path(path).read_text().splitlines()[1:]
     edges = [(line.split(",")[1], line.split(",")[2]) for line in lines]
     assert edges == [("0.00", "0.25"), ("0.25", "0.50"), ("0.50", "0.75"), ("0.75", "1.00")]
 

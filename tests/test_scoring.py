@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import random
@@ -11,8 +12,10 @@ from idsgate.corpus import (
     HYP_COLUMNS,
     HYP_NUMERIC_FIELDS,
     HYP_TYPES,
+    HostGenConfig,
     HypGenConfig,
     NetGenConfig,
+    gen_hostlogs,
     gen_hypervisor,
     gen_network,
     load_hypervisor_csv,
@@ -161,6 +164,62 @@ def test_logistic_matches_brute_force_descent():
 
     assert scorer.weights == pytest.approx(w_raw, abs=1e-9)
     assert scorer.bias == pytest.approx(b_raw, abs=1e-9)
+
+
+def _reference_train(events, cfg):
+    # The standardization as first written (astype copy, x.std, one
+    # expression for z), then the same schedule and folding.
+    x = np.stack([e.features for e in events]).astype(np.float64)
+    y = np.array([e.truth for e in events], dtype=np.float64)
+    mu = x.mean(axis=0)
+    sigma = x.std(axis=0)
+    sigma[sigma == 0.0] = 1.0
+    z = (x - mu) / sigma
+    rng = np.random.default_rng(cfg.seed)
+    w = rng.normal(0.0, 0.01, size=z.shape[1])
+    b = 0.0
+    n = len(y)
+    for _ in range(cfg.epochs):
+        p = 1.0 / (1.0 + np.exp(-np.clip(z @ w + b, -500.0, 500.0)))
+        err = p - y
+        grad_w = z.T @ err / n + cfg.l2 * w
+        grad_b = float(err.mean())
+        w = w - cfg.learning_rate * grad_w
+        b = b - cfg.learning_rate * grad_b
+    return w / sigma, b - float((w * (mu / sigma)).sum())
+
+
+def _host_train(seed):
+    train, _ = split_train_test(gen_hostlogs(HostGenConfig(count=1500, seed=seed)), 0.8, seed)
+    fx = fit_tfidf([e.raw for e in train])
+    return [dataclasses.replace(e, features=extract_features(e, fx)) for e in train]
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        lambda: split_train_test(gen_network(NetGenConfig(count=1500, seed=4)), 0.8, 4)[0],
+        lambda: _host_train(4),
+        lambda: split_train_test(
+            gen_hypervisor(
+                HypGenConfig(
+                    total=1500, class_counts={"normal": 900, "vm_escape": 600}, seed=4
+                )
+            ),
+            0.8,
+            4,
+        )[0],
+    ],
+    ids=["network", "host", "hypervisor"],
+)
+def test_train_baseline_matches_reference(train):
+    # A constant column (sigma 0, standardized as 1) rides along.
+    events = [dataclasses.replace(e, features=np.append(e.features, 2.5)) for e in train()]
+    cfg = TrainConfig(seed=4)
+    w_raw, b_raw = _reference_train(events, cfg)
+    scorer = train_baseline(events, cfg)
+    assert np.array_equal(scorer.weights, w_raw)
+    assert scorer.bias == b_raw
 
 
 def test_logistic_separates_blobs():
