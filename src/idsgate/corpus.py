@@ -207,27 +207,30 @@ def _safe_float(text: str) -> float:
     return value if math.isfinite(value) else 0.0
 
 
-def _hyp_row(rng: np.random.Generator, cls: str) -> dict[str, str]:
-    gauss = dict(_HYP_GAUSS)
-    gauss.update(_HYP_CLASS_GAUSS.get(cls, {}))
-    poisson = dict(_HYP_POISSON)
-    poisson.update(_HYP_CLASS_POISSON.get(cls, {}))
-    row: dict[str, str] = {
-        "event_class": cls,
-        "hv": HYP_TYPES[int(rng.integers(len(HYP_TYPES)))],
-    }
-    for name in HYP_NUMERIC_FIELDS:
-        if name in poisson:
-            row[name] = str(int(rng.poisson(poisson[name])))
-        else:
-            mean, sd = gauss[name]
-            value = float(rng.normal(mean, sd))
-            if name in _FRACTION_FIELDS:
-                value = min(max(value, 0.0), 1.0)
-            else:
-                value = max(value, 0.0)
-            row[name] = f"{value:.4f}"
-    return row
+def _hyp_plan(cls: str) -> list[tuple[float, float | None, bool]]:
+    """The draws of one row of class ``cls``, field by field in
+    ``HYP_NUMERIC_FIELDS`` order: ``(rate, None, False)`` for a Poisson
+    count, ``(mean, sd, is_fraction)`` for a Gaussian value."""
+    gauss = {**_HYP_GAUSS, **_HYP_CLASS_GAUSS.get(cls, {})}
+    poisson = {**_HYP_POISSON, **_HYP_CLASS_POISSON.get(cls, {})}
+    return [
+        (poisson[name], None, False)
+        if name in poisson
+        else (*gauss[name], name in _FRACTION_FIELDS)
+        for name in HYP_NUMERIC_FIELDS
+    ]
+
+
+# A generated raw record: the type token, then counts without and
+# Gaussian values with four decimals.
+_HYP_RAW_TEMPLATE = "hv=%s " + " ".join(
+    f"{name}=%.0f" if name in _HYP_POISSON else f"{name}=%.4f"
+    for name in HYP_NUMERIC_FIELDS
+)
+
+
+def _hyp_truth(cls: str) -> int:
+    return 0 if cls.strip().lower() == HYP_NORMAL_CLASS else 1
 
 
 def _hyp_event(row: dict[str, str], ordinal: int) -> Event:
@@ -242,7 +245,7 @@ def _hyp_event(row: dict[str, str], ordinal: int) -> Event:
         layer=LayerId.HYPERVISOR,
         raw=" ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:]),
         features=np.array(features),
-        truth=0 if cls.strip().lower() == HYP_NORMAL_CLASS else 1,
+        truth=_hyp_truth(cls),
         truth_class=cls,
     )
 
@@ -250,16 +253,48 @@ def _hyp_event(row: dict[str, str], ordinal: int) -> Event:
 def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
     """Generate the hypervisor corpus with exact per-class counts.
 
-    Rows are drawn class by class, shuffled once, and numbered; the same
-    config always yields the same events.
+    Rows are drawn class by class into one feature block (the one-hot of
+    the type, then each numeric cell as its raw record shows it),
+    shuffled once, and numbered; each event's features are a row of that
+    block.  The same config always yields the same events.
     """
     rng = np.random.default_rng(cfg.seed)
-    rows: list[dict[str, str]] = []
+    n_types = len(HYP_TYPES)
+    block = np.zeros((cfg.total, n_types + len(HYP_NUMERIC_FIELDS)))
+    types: list[int] = []
+    classes: list[str] = []
     for cls in sorted(cfg.class_counts):
+        plan = _hyp_plan(cls)
         for _ in range(cfg.class_counts[cls]):
-            rows.append(_hyp_row(rng, cls))
-    order = rng.permutation(len(rows))
-    return [_hyp_event(rows[i], ordinal) for ordinal, i in enumerate(order)]
+            hv = int(rng.integers(n_types))
+            cells = []
+            for a, sd, is_fraction in plan:
+                if sd is None:
+                    cells.append(float(rng.poisson(a)))
+                else:
+                    value = float(rng.normal(a, sd))
+                    value = min(max(value, 0.0), 1.0) if is_fraction else max(value, 0.0)
+                    # round(v, 4) is float(f"{v:.4f}"): the cell as printed.
+                    cells.append(round(value, 4))
+            row = block[len(types)]
+            row[hv] = 1.0
+            row[n_types:] = cells
+            types.append(hv)
+            classes.append(cls)
+    order = rng.permutation(cfg.total).tolist()
+    block = block[order]
+    hv_tokens = [_kv_token(t) for t in HYP_TYPES]
+    return [
+        Event(
+            id=make_event_id(LayerId.HYPERVISOR, ordinal),
+            layer=LayerId.HYPERVISOR,
+            raw=_HYP_RAW_TEMPLATE % (hv_tokens[types[i]], *row[n_types:].tolist()),
+            features=row,
+            truth=_hyp_truth(classes[i]),
+            truth_class=classes[i],
+        )
+        for ordinal, (i, row) in enumerate(zip(order, block))
+    ]
 
 
 def write_hypervisor_csv(events: list[Event], path: str) -> None:
@@ -301,13 +336,20 @@ def load_hypervisor_csv(path: str) -> list[Event]:
 NET_ATTACK_TYPES = ("port_scan", "brute_force", "dos", "infiltration")
 
 
+# gen_network parses its raw records back into the feature block this
+# many rows at a time, so no corpus-sized list of cell strings exists.
+_PARSE_CHUNK_ROWS = 1024
+
+
 def gen_network(cfg: NetGenConfig) -> list[Event]:
     """Two numeric flow populations with configurable mean separation.
 
     Benign flows are standard normal per feature; attack flows share the
     covariance but sit ``separation`` away along a fixed random
     direction.  High separation makes a trained model confident, low
-    separation leaves diffuse mid-range confidence mass.
+    separation leaves diffuse mid-range confidence mass.  Each event's
+    features are its row of one block, holding the values its raw
+    record prints (four decimals).
     """
     rng = np.random.default_rng(cfg.seed)
     direction = rng.normal(size=cfg.n_features)
@@ -316,26 +358,35 @@ def gen_network(cfg: NetGenConfig) -> list[Event]:
     labels = np.zeros(cfg.count, dtype=int)
     labels[:n_attack] = 1
     rng.shuffle(labels)
-    events: list[Event] = []
-    for i in range(cfg.count):
-        truth = int(labels[i])
-        x = rng.normal(size=cfg.n_features)
+    truths = labels.tolist()
+    block = np.empty((cfg.count, cfg.n_features))
+    kinds: list[str | None] = []
+    for row, truth in zip(block, truths):
+        row[:] = rng.normal(size=cfg.n_features)
         if truth == 1:
-            x = x + cfg.separation * direction
-        cells = [f"{v:.4f}" for v in x]
-        events.append(
-            Event(
-                id=make_event_id(LayerId.NETWORK, i),
-                layer=LayerId.NETWORK,
-                raw=",".join(cells),
-                features=np.array([float(c) for c in cells]),
-                truth=truth,
-                truth_class=NET_ATTACK_TYPES[int(rng.integers(len(NET_ATTACK_TYPES)))]
-                if truth == 1
-                else None,
-            )
+            row += cfg.separation * direction
+            kinds.append(NET_ATTACK_TYPES[int(rng.integers(len(NET_ATTACK_TYPES)))])
+        else:
+            kinds.append(None)
+    template = ",".join(["%.4f"] * cfg.n_features)
+    raws = [template % tuple(row.tolist()) for row in block]
+    for start in range(0, cfg.count, _PARSE_CHUNK_ROWS):
+        chunk = raws[start : start + _PARSE_CHUNK_ROWS]
+        cells = ",".join(chunk).split(",")
+        block[start : start + len(chunk)] = np.fromiter(
+            map(float, cells), np.float64, len(cells)
+        ).reshape(len(chunk), cfg.n_features)
+    return [
+        Event(
+            id=make_event_id(LayerId.NETWORK, i),
+            layer=LayerId.NETWORK,
+            raw=raw,
+            features=row,
+            truth=truth,
+            truth_class=kind,
         )
-    return events
+        for i, (raw, row, truth, kind) in enumerate(zip(raws, block, truths, kinds))
+    ]
 
 
 def write_network_csv(events: list[Event], path: str) -> None:
@@ -361,7 +412,9 @@ def load_network_csv(path: str) -> list[Event]:
     events: list[Event] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedCorpus(f"{path}:1: empty file")
         for row in reader:
             where = f"{path}:{reader.line_num}"
             if len(row) != len(header):

@@ -173,11 +173,10 @@ def prepare_layer(
     cfg = xcfg.pipeline
     train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
     if layer is LayerId.HOST and not xcfg.scorers[layer].startswith("replay:"):
-        fx = fit_tfidf([e.raw for e in train])
-        train = [
-            dataclasses.replace(e, features=extract_features(e, fx)) for e in train
-        ]
-        test = [dataclasses.replace(e, features=extract_features(e, fx)) for e in test]
+        texts = [e.raw for e in train + test]
+        block = extract_features(texts, fit_tfidf(texts[: len(train)]))
+        test = [dataclasses.replace(e, features=x) for e, x in zip(test, block[len(train) :])]
+        train = [dataclasses.replace(e, features=x) for e, x in zip(train, block)]
     spec = xcfg.scorers[layer]
     if spec.startswith("replay:"):
         scorer = make_replay_scorer(replay)

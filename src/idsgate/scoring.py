@@ -92,21 +92,36 @@ def fit_tfidf(
     return FeatureExtractor(layer=layer, vocab=vocab, idf=idf)
 
 
-def extract_features(event: Event, extractor: FeatureExtractor) -> np.ndarray:
-    """The unit-norm tf-idf vector of an event's raw text.
+# Rows at a time in the block kernels below: extract_features counts the
+# terms of this many texts at once, _sum_of_squares squares this many rows.
+_CHUNK_ROWS = 1024
 
-    Text without any vocabulary term gives the zero vector.  The result
-    length always equals ``extractor.dims``.
+
+def extract_features(texts: list[str], extractor: FeatureExtractor) -> np.ndarray:
+    """The unit-norm tf-idf vectors of texts, one row each.
+
+    Text without any vocabulary term gives the zero row.  The result has
+    shape ``(len(texts), extractor.dims)``.  Each row is divided by its
+    own 1-D norm, so it equals the vector of its text alone.
     """
-    vec = np.zeros(extractor.dims, dtype=np.float64)
-    for term in tokenize(event.raw):
-        idx = extractor.vocab.get(term)
-        if idx is not None:
-            vec[idx] += 1.0
-    if not vec.any():
-        return vec
-    vec *= extractor.idf
-    return vec / np.linalg.norm(vec)
+    n, dims = len(texts), extractor.dims
+    block = np.zeros((n, dims), dtype=np.float64)
+    cells = block.reshape(-1)
+    vocab = extractor.vocab
+    for start in range(0, n, _CHUNK_ROWS):
+        # Flat cell index of every vocabulary term; repeats count up.
+        hits = [
+            i * dims + vocab[term]
+            for i in range(start, min(n, start + _CHUNK_ROWS))
+            for term in tokenize(texts[i])
+            if term in vocab
+        ]
+        np.add.at(cells, hits, 1.0)
+    block *= extractor.idf
+    for row in block:
+        if row.any():
+            row /= np.linalg.norm(row)
+    return block
 
 
 class ScorerKind(str, Enum):
@@ -146,6 +161,27 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
+def _sum_of_squares(z: np.ndarray) -> np.ndarray:
+    """Column sums of ``z * z``, bit-equal to ``np.add.reduce(z * z, axis=0)``.
+
+    A reduction over axis 0 of a C-ordered matrix adds the rows one after
+    another into the running sum.  Row 0 of the buffer carries that sum
+    from chunk to chunk, so the additions happen in the same order while
+    only ``_CHUNK_ROWS`` squared rows exist at a time.  A single
+    column is summed pairwise, as a 1-D reduction is, so it is squared
+    whole.
+    """
+    n, d = z.shape
+    if d == 1:
+        return np.add.reduce(z * z, axis=0)
+    buf = np.zeros((min(n, _CHUNK_ROWS) + 1, d))
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = z[start : start + _CHUNK_ROWS]
+        np.multiply(rows, rows, out=buf[1 : len(rows) + 1])
+        buf[0] = np.add.reduce(buf[: len(rows) + 1], axis=0)
+    return buf[0]
+
+
 def train_baseline(events: list[Event], cfg: TrainConfig) -> Scorer:
     """Train the built-in logistic stand-in on labeled events.
 
@@ -168,11 +204,11 @@ def train_baseline(events: list[Event], cfg: TrainConfig) -> Scorer:
 
     # Standardize in place: the steps np.std takes on the centred matrix,
     # so mu and sigma (and z) are bit-equal to x.mean, x.std and
-    # (x - mu) / sigma while only one full-size temporary (z * z) exists.
-    z = np.stack([e.features for e in labeled], dtype=np.float64)
+    # (x - mu) / sigma with no full-size temporary.
+    z = np.array([e.features for e in labeled], dtype=np.float64)
     mu = z.mean(axis=0)
     z -= mu
-    sigma = np.sqrt(np.add.reduce(z * z, axis=0) / n)
+    sigma = np.sqrt(_sum_of_squares(z) / n)
     sigma[sigma == 0.0] = 1.0
     z /= sigma
 

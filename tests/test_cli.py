@@ -239,6 +239,7 @@ def _set_line(index, text):
         ("network", lambda rows: rows[2].append("0.5"), "{path}:3: 44 cells, header has 43"),
         ("network", _set_cells(2, f05="nan"), "{path}:3: feature cells must be finite numbers"),
         ("network", _set_cells(2, f05="bogus"), "{path}:3: could not convert string to float: 'bogus'"),
+        ("network", lambda rows: rows.clear(), "{path}:1: empty file"),
         ("hypervisor", _drop_column("uptime_hours"), "{path}:1: missing columns: ['uptime_hours']"),
         ("hypervisor", _set_cells(2, event_class=""), "{path}:3: empty event_class"),
         ("host", _set_line(1, '{"event_id": "host-1", "truth": 0}'), "{path}:2: not an object with"),
@@ -246,7 +247,7 @@ def _set_line(index, text):
         ("host", _set_line(1, '{"event_id": "host-1" "raw": ""}'), "{path}:2: Expecting ',' delimiter"),
     ],
     ids=[
-        "truth", "truth-not-int", "short-row", "long-row", "nan-cell", "bogus-cell",
+        "truth", "truth-not-int", "short-row", "long-row", "nan-cell", "bogus-cell", "empty-file",
         "missing-column", "empty-class", "host-no-raw", "host-not-object", "host-bad-json",
     ],
 )

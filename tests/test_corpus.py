@@ -1,12 +1,15 @@
 import collections
 import csv
+import math
 import os
 import re
 
 import numpy as np
 import pytest
 
+from idsgate import corpus
 from idsgate.corpus import (
+    DEFAULT_HYP_COUNTS,
     HYP_COLUMNS,
     HYP_NUMERIC_FIELDS,
     HYP_TYPES,
@@ -28,7 +31,7 @@ from idsgate.corpus import (
     write_hypervisor_csv,
     write_network_csv,
 )
-from idsgate.events import LayerId, validate_event
+from idsgate.events import Event, LayerId, make_event_id, validate_event
 
 
 def test_parse_kv_record():
@@ -174,6 +177,129 @@ def test_hypervisor_loader_rejects_ragged_rows(tmp_path, n_cells):
     _write_hyp_rows(path, [row, (row + ["1"])[:n_cells]])
     with pytest.raises(MalformedCorpus, match=f"^{re.escape(path)}:3: "):
         load_hypervisor_csv(path)
+
+
+# The generators as first written, one cell at a time: each draw becomes
+# its printed cell and each feature the parsed cell.  ``drawn`` collects
+# every value that was printed with four decimals.
+
+
+def _reference_hyp_row(rng, cls, drawn):
+    gauss = dict(corpus._HYP_GAUSS)
+    gauss.update(corpus._HYP_CLASS_GAUSS.get(cls, {}))
+    poisson = dict(corpus._HYP_POISSON)
+    poisson.update(corpus._HYP_CLASS_POISSON.get(cls, {}))
+    row = {"event_class": cls, "hv": HYP_TYPES[int(rng.integers(len(HYP_TYPES)))]}
+    for name in HYP_NUMERIC_FIELDS:
+        if name in poisson:
+            row[name] = str(int(rng.poisson(poisson[name])))
+        else:
+            mean, sd = gauss[name]
+            value = float(rng.normal(mean, sd))
+            if name in corpus._FRACTION_FIELDS:
+                value = min(max(value, 0.0), 1.0)
+            else:
+                value = max(value, 0.0)
+            drawn.append(value)
+            row[name] = f"{value:.4f}"
+    return row
+
+
+def _reference_gen_hypervisor(cfg, drawn):
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for cls in sorted(cfg.class_counts):
+        for _ in range(cfg.class_counts[cls]):
+            rows.append(_reference_hyp_row(rng, cls, drawn))
+    order = rng.permutation(len(rows))
+    events = []
+    for ordinal, i in enumerate(order):
+        row = rows[i]
+        hv = row["hv"].replace(" ", "_")
+        features = [1.0 if hv == t.replace(" ", "_") else 0.0 for t in HYP_TYPES]
+        features += [float(row[name]) for name in HYP_NUMERIC_FIELDS]
+        events.append(
+            Event(
+                id=make_event_id(LayerId.HYPERVISOR, ordinal),
+                layer=LayerId.HYPERVISOR,
+                raw=" ".join(f"{k}={row[k].replace(' ', '_')}" for k in HYP_COLUMNS[1:]),
+                features=np.array(features),
+                truth=0 if row["event_class"] == "normal" else 1,
+                truth_class=row["event_class"],
+            )
+        )
+    return events
+
+
+def _reference_gen_network(cfg, drawn):
+    rng = np.random.default_rng(cfg.seed)
+    direction = rng.normal(size=cfg.n_features)
+    direction /= np.linalg.norm(direction)
+    n_attack = int(round(cfg.count * cfg.attack_fraction))
+    labels = np.zeros(cfg.count, dtype=int)
+    labels[:n_attack] = 1
+    rng.shuffle(labels)
+    events = []
+    for i in range(cfg.count):
+        truth = int(labels[i])
+        x = rng.normal(size=cfg.n_features)
+        if truth == 1:
+            x = x + cfg.separation * direction
+        drawn.extend(x.tolist())
+        cells = [f"{v:.4f}" for v in x]
+        events.append(
+            Event(
+                id=make_event_id(LayerId.NETWORK, i),
+                layer=LayerId.NETWORK,
+                raw=",".join(cells),
+                features=np.array([float(c) for c in cells]),
+                truth=truth,
+                truth_class=corpus.NET_ATTACK_TYPES[int(rng.integers(4))] if truth == 1 else None,
+            )
+        )
+    return events
+
+
+def _assert_same_events(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.id, g.layer, g.raw, g.truth, g.truth_class) == (
+            w.id, w.layer, w.raw, w.truth, w.truth_class
+        )
+        assert g.features.dtype == w.features.dtype
+        assert g.features.shape == w.features.shape
+        assert g.features.tobytes() == w.features.tobytes()
+
+
+def _assert_round_is_printed_value(drawn):
+    assert drawn
+    for v in drawn:
+        printed = float(f"{v:.4f}")
+        assert round(v, 4) == printed
+        assert math.copysign(1.0, round(v, 4)) == math.copysign(1.0, printed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hypervisor_matches_per_cell_reference(seed):
+    counts = {cls: 40 + 7 * i for i, cls in enumerate(DEFAULT_HYP_COUNTS)}
+    cfg = HypGenConfig(total=sum(counts.values()), class_counts=counts, seed=seed)
+    drawn = []
+    want = _reference_gen_hypervisor(cfg, drawn)
+    got = gen_hypervisor(cfg)
+    assert {e.truth_class for e in got} == set(DEFAULT_HYP_COUNTS)
+    _assert_same_events(got, want)
+    _assert_round_is_printed_value(drawn)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("count, n_features", [(2100, 40), (300, 4)])
+def test_network_matches_per_cell_reference(seed, count, n_features):
+    # 2100 rows parse back in two full chunks and a short one.
+    cfg = NetGenConfig(count=count, n_features=n_features, seed=seed)
+    drawn = []
+    want = _reference_gen_network(cfg, drawn)
+    _assert_same_events(gen_network(cfg), want)
+    _assert_round_is_printed_value(drawn)
 
 
 def test_network_counts_and_labels():

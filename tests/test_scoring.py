@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,10 @@ def test_tokenize_lowercases_and_splits():
     assert tokenize("...") == []
 
 
+def _vec(text, fx):
+    return extract_features([text], fx)[0]
+
+
 def test_tfidf_idf_matches_hand_formula():
     fx = fit_tfidf(["alpha beta", "alpha gamma"])
     # Oracle: recompute idf for each term from document frequency.
@@ -58,23 +63,22 @@ def test_tfidf_idf_matches_hand_formula():
 
 def test_tfidf_vectors_are_unit_norm():
     fx = fit_tfidf(["alpha beta", "alpha gamma", "beta beta delta"])
-    e = make_event(raw="alpha beta unseen", layer=LayerId.HOST)
-    vec = extract_features(e, fx)
+    vec = _vec("alpha beta unseen", fx)
     assert vec.shape == (fx.dims,)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tfidf_repeated_terms_count():
     fx = fit_tfidf(["alpha beta", "alpha gamma"])
-    once = extract_features(make_event(raw="beta alpha"), fx)
-    twice = extract_features(make_event(raw="beta beta alpha"), fx)
+    once = _vec("beta alpha", fx)
+    twice = _vec("beta beta alpha", fx)
     # More beta mass tilts the unit vector toward the beta axis.
     assert twice[fx.vocab["beta"]] > once[fx.vocab["beta"]]
 
 
 def test_tfidf_zero_vector_for_unseen_text():
     fx = fit_tfidf(["alpha beta"])
-    vec = extract_features(make_event(raw="zeta theta"), fx)
+    vec = _vec("zeta theta", fx)
     assert not vec.any()
 
 
@@ -94,6 +98,33 @@ def test_tfidf_cap_ties_break_on_term():
 def test_tfidf_empty_corpus_raises():
     with pytest.raises(EmptyCorpus):
         fit_tfidf([])
+
+
+def _reference_tfidf_vector(raw, fx):
+    # One event at a time, as first written: its own zero vector, counts,
+    # idf scaling, then division by its norm.
+    vec = np.zeros(fx.dims, dtype=np.float64)
+    for term in tokenize(raw):
+        idx = fx.vocab.get(term)
+        if idx is not None:
+            vec[idx] += 1.0
+    if not vec.any():
+        return vec
+    vec *= fx.idf
+    return vec / np.linalg.norm(vec)
+
+
+def test_tfidf_block_matches_per_event_reference():
+    events = gen_hostlogs(HostGenConfig(count=3000, seed=2))
+    train, test = split_train_test(events, 0.8, 2)
+    fx = fit_tfidf([e.raw for e in train])
+    # 2403 texts: two full chunks of the term count and a short one.
+    raws = [e.raw for e in train + test] + ["", "zeta theta", "pid pid pid"]
+    block = extract_features(raws, fx)
+    assert block.shape == (len(raws), fx.dims)
+    assert not block[-2].any()
+    for raw, row in zip(raws, block):
+        assert row.tobytes() == _reference_tfidf_vector(raw, fx).tobytes()
 
 
 def _load_one_hyp_row(tmp_path, hv: str, cells: list[str]) -> Event:
@@ -191,8 +222,9 @@ def _reference_train(events, cfg):
 
 def _host_train(seed):
     train, _ = split_train_test(gen_hostlogs(HostGenConfig(count=1500, seed=seed)), 0.8, seed)
-    fx = fit_tfidf([e.raw for e in train])
-    return [dataclasses.replace(e, features=extract_features(e, fx)) for e in train]
+    raws = [e.raw for e in train]
+    block = extract_features(raws, fit_tfidf(raws))
+    return [dataclasses.replace(e, features=x) for e, x in zip(train, block)]
 
 
 @pytest.mark.parametrize(
@@ -209,8 +241,20 @@ def _host_train(seed):
             0.8,
             4,
         )[0],
+        # 400 rows, fewer than one chunk of the sum of squares.
+        lambda: split_train_test(gen_network(NetGenConfig(count=500, seed=5)), 0.8, 5)[0],
+        # 3200 rows: three full chunks and a short one.
+        lambda: split_train_test(
+            gen_hypervisor(
+                HypGenConfig(
+                    total=4000, class_counts={"normal": 2400, "hyper_jacking": 1600}, seed=6
+                )
+            ),
+            0.8,
+            6,
+        )[0],
     ],
-    ids=["network", "host", "hypervisor"],
+    ids=["network", "host", "hypervisor", "below-chunk", "several-chunks"],
 )
 def test_train_baseline_matches_reference(train):
     # A constant column (sigma 0, standardized as 1) rides along.
@@ -220,6 +264,30 @@ def test_train_baseline_matches_reference(train):
     scorer = train_baseline(events, cfg)
     assert np.array_equal(scorer.weights, w_raw)
     assert scorer.bias == b_raw
+
+
+def test_train_baseline_one_column_matches_reference():
+    # A single column is summed pairwise, not row after row.
+    events = _labeled_blob(13, 3000, dims=1)
+    cfg = TrainConfig(seed=2)
+    w_raw, b_raw = _reference_train(events, cfg)
+    scorer = train_baseline(events, cfg)
+    assert np.array_equal(scorer.weights, w_raw)
+    assert scorer.bias == b_raw
+
+
+def test_train_baseline_holds_one_standardized_matrix():
+    # The stacked matrix is the one full-size array training needs; its
+    # squares are summed a chunk at a time, not as a second matrix.
+    events = _labeled_blob(12, 16000, dims=64)
+    matrix_bytes = 16000 * 64 * 8
+    tracemalloc.start()
+    try:
+        train_baseline(events, TrainConfig(epochs=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * matrix_bytes
 
 
 def test_logistic_separates_blobs():
