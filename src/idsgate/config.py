@@ -95,6 +95,16 @@ def _layers(value: str) -> tuple[LayerId, ...]:
     return layers
 
 
+def _llm_spec(value: str) -> str:
+    kind, sep, arg = value.partition(":")
+    if kind == "echo" and sep:
+        if not 0.0 <= float(arg) <= 1.0:  # NaN fails too
+            raise ValueError("echo confidence must be in [0, 1]")
+    elif not (value in ("echo", "http") or (kind == "table" and arg)):
+        raise ValueError("expected echo[:confidence], table:<path> or http")
+    return value
+
+
 # key -> (dotted field path under ExperimentConfig, parser)
 _KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "mode": ("pipeline.mode", lambda v: Mode(v.lower())),
@@ -128,7 +138,7 @@ _KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "p_min": ("pipeline.llm_thresholds.p_min", _num),
     "w_model": ("pipeline.fusion.w_model", _num),
     "w_llm": ("pipeline.fusion.w_llm", _num),
-    "llm": ("llm_spec", str),
+    "llm": ("llm_spec", _llm_spec),
     "llm_url": ("llm_url", str),
     "llm_model": ("llm_model", str),
     "llm_timeout": ("llm_timeout", _num),
@@ -206,11 +216,7 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     except BadFusionWeights as exc:
         key = [k for k in kv if k in ("w_model", "w_llm")][-1]
         raise ConfigError(f"bad value for {key}: {kv[key]!r} ({exc})") from exc
-    # fusion thresholds follow the LLM thresholds unless set explicitly
-    pipe = xcfg.pipeline
-    pinned = {_layer(k.removeprefix("fusion_tau_")) for k in kv if k.startswith("fusion_tau_")}
-    fusion_tau = {**pipe.llm_thresholds.tau, **{t: pipe.fusion.fusion_tau[t] for t in pinned}}
-    return _set(xcfg, "pipeline.fusion.fusion_tau", fusion_tau)
+    return xcfg
 
 
 def load_experiment_config(

@@ -315,8 +315,8 @@ def load_hypervisor_csv(path: str) -> list[Event]:
     """Rebuild events from a 24-column dataset file; ids are positional.
 
     Raises:
-        MalformedCorpus: a column is missing, a row is ragged or its
-            ``event_class`` is empty.
+        MalformedCorpus: a column is missing, a row is ragged, its
+            ``event_class`` is empty, or the file holds no events.
     """
     events: list[Event] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -330,6 +330,8 @@ def load_hypervisor_csv(path: str) -> list[Event]:
             if not row["event_class"].strip():
                 raise MalformedCorpus(f"{path}:{reader.line_num}: empty event_class")
             events.append(_hyp_event(row, ordinal))
+    if not events:
+        raise MalformedCorpus(f"{path}: no events")
     return events
 
 
@@ -407,7 +409,8 @@ def load_network_csv(path: str) -> list[Event]:
     """Rebuild events from a network CSV written by ``write_network_csv``.
 
     Raises:
-        MalformedCorpus: a row is ragged or a cell is not a finite number.
+        MalformedCorpus: a row is ragged, a cell is not a finite number,
+            or the file holds no events.
     """
     events: list[Event] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -437,6 +440,8 @@ def load_network_csv(path: str) -> list[Event]:
                     truth_class=row[2] or None,
                 )
             )
+    if not events:
+        raise MalformedCorpus(f"{path}: no events")
     return events
 
 
@@ -548,7 +553,7 @@ def load_host_jsonl(path: str) -> list[Event]:
 
     Raises:
         MalformedCorpus: a line is not a JSON object with ``event_id``,
-            ``raw`` and ``truth``.
+            ``raw`` and ``truth``, or the file holds no events.
     """
     events: list[Event] = []
     with open(path, encoding="utf-8") as fh:
@@ -572,6 +577,8 @@ def load_host_jsonl(path: str) -> list[Event]:
                     truth_class=data.get("truth_class"),
                 )
             )
+    if not events:
+        raise MalformedCorpus(f"{path}: no events")
     return events
 
 

@@ -31,14 +31,7 @@ from .corpus import (
     write_network_csv,
 )
 from .events import Event, LayerId, ScoredEvent, validate_event
-from .llm import (
-    EchoLlmClient,
-    HttpLlmClient,
-    LlmCalibration,
-    MockLlmClient,
-    NoAttackSamples,
-    default_threshold_grid,
-)
+from .llm import EchoLlmClient, HttpLlmClient, MockLlmClient
 from .memory import MemoryStore, load_store
 from .outputs import (
     OutputPaths,
@@ -393,28 +386,21 @@ def do_calibrate_llm(xcfg: ExperimentConfig) -> str:
     make_client = client_factory(xcfg, bundles)
     os.makedirs(xcfg.out_dir, exist_ok=True)
     results = {}
+    p_min = xcfg.pipeline.llm_thresholds.p_min
     for layer, bundle in bundles.items():
-        try:
-            cal = calibrate_llm_for_layer(
-                layer, bundle.train_scored, xcfg.pipeline, make_client(layer, Mode.ADAPTIVE)
-            )
-        except NoAttackSamples as exc:
-            # Recorded like a layer where no threshold meets the floor.
-            logger.warning("layer %s: %s; calibration failed", layer.value, exc)
-            cal = LlmCalibration(
-                threshold=max(default_threshold_grid()),
-                feasible=False,
-                precision=0.0,
-                recall=0.0,
+        cal = calibrate_llm_for_layer(
+            bundle.train_scored, xcfg.pipeline, make_client(layer, Mode.ADAPTIVE)
+        )
+        if not cal.feasible:
+            logger.warning(
+                "layer %s: no LLM threshold reaches precision %.2f; calibration failed",
+                layer.value,
+                p_min,
             )
         results[layer.value] = dataclasses.asdict(cal)
     path = os.path.join(xcfg.out_dir, f"llm_thresholds_{run_id_of(xcfg)}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"p_min": xcfg.pipeline.llm_thresholds.p_min, "layers": results},
-            fh,
-            indent=2,
-        )
+        json.dump({"p_min": p_min, "layers": results}, fh, indent=2)
         fh.write("\n")
     return path
 

@@ -71,10 +71,6 @@ class BadFusionWeights(ValueError):
     """Fusion weights do not sum to 1."""
 
 
-class NoAttackSamples(ValueError):
-    """Threshold calibration needs at least one true attack sample."""
-
-
 @dataclass(frozen=True)
 class LlmVerdict:
     decision: Verdict
@@ -99,15 +95,14 @@ class LlmThresholds:
 class FusionConfig:
     """Weighted fusion of model and LLM confidence.
 
-    The fused score is w_model * c_model + w_llm * c_llm with the
-    per-layer fusion threshold defaulting to the layer's LLM threshold.
+    The fused score is w_model * c_model + w_llm * c_llm.  ``fusion_tau``
+    holds only the layers whose fusion threshold is pinned; any other
+    layer fuses at its LLM threshold.
     """
 
     w_model: float = 0.20
     w_llm: float = 0.80
-    fusion_tau: dict[LayerId, float] = field(
-        default_factory=lambda: dict(DEFAULT_LLM_THRESHOLDS)
-    )
+    fusion_tau: dict[LayerId, float] = field(default_factory=dict)
 
 
 class Provenance(str, Enum):
@@ -366,57 +361,35 @@ def default_threshold_grid() -> tuple[float, ...]:
 
 
 def calibrate_llm_threshold(
-    samples: list[LlmSample],
-    p_min: float = DEFAULT_PRECISION_FLOOR,
-    grid: tuple[float, ...] | None = None,
+    samples: list[LlmSample], p_min: float = DEFAULT_PRECISION_FLOOR
 ) -> LlmCalibration:
     """Pick the LLM acceptance threshold under a precision floor.
 
     A sample is predicted attack at threshold t when its decision is
     ATTACK and its confidence is at least t.  Among thresholds whose
     precision meets the floor, the one with maximum recall wins (ties to
-    the lowest threshold).  If no threshold is feasible the highest
-    candidate is returned with ``feasible=False``.
-
-    Raises:
-        NoAttackSamples: no sample has truth 1.
+    the lowest threshold).  If no threshold is feasible, or no sample is
+    a true attack, the highest candidate is returned with
+    ``feasible=False`` and precision and recall 0.0.
     """
-    candidates = grid if grid is not None else default_threshold_grid()
+    candidates = default_threshold_grid()
+    infeasible = LlmCalibration(
+        threshold=max(candidates), feasible=False, precision=0.0, recall=0.0
+    )
     n_attacks = sum(1 for s in samples if s.truth == 1)
     if n_attacks == 0:
-        raise NoAttackSamples("calibration sample has no true attacks")
+        return infeasible
 
-    best: tuple[float, float, float] | None = None  # (recall, -t) ordering
-    for t in candidates:
-        tp = fp = 0
-        for s in samples:
-            if s.decision is Verdict.ATTACK and s.confidence >= t:
-                if s.truth == 1:
-                    tp += 1
-                else:
-                    fp += 1
-        precision = tp / (tp + fp) if (tp + fp) else 0.0
+    attack_calls = [s for s in samples if s.decision is Verdict.ATTACK]
+    best = infeasible
+    for t in candidates:  # ascending, so a recall tie keeps the lower threshold
+        called = [s.truth for s in attack_calls if s.confidence >= t]
+        tp = called.count(1)
+        precision = tp / len(called) if called else 0.0
         recall = tp / n_attacks
-        if precision >= p_min:
-            if best is None or recall > best[1]:
-                best = (t, recall, precision)
-    if best is None:
-        logger.warning("no threshold reaches precision %.2f; calibration failed", p_min)
-        return LlmCalibration(
-            threshold=max(candidates), feasible=False, precision=0.0, recall=0.0
-        )
-    t, recall, precision = best
-    return LlmCalibration(threshold=t, feasible=True, precision=precision, recall=recall)
-
-
-def direct_decide(v: LlmVerdict, layer: LayerId, th: LlmThresholds) -> Verdict:
-    """Accept the LLM's label only at or above the layer threshold."""
-    tau = th.tau[layer]
-    if v.decision is Verdict.ATTACK and v.confidence >= tau:
-        return Verdict.ATTACK
-    if v.decision is Verdict.BENIGN and v.confidence >= tau:
-        return Verdict.BENIGN
-    return Verdict.UNSURE
+        if precision >= p_min and (not best.feasible or recall > best.recall):
+            best = LlmCalibration(threshold=t, feasible=True, precision=precision, recall=recall)
+    return best
 
 
 def _dfrac(x: float) -> Fraction:
@@ -440,24 +413,6 @@ def fuse(c_model: float, c_llm: float, fc: FusionConfig) -> float:
     return float(_fuse_fraction(c_model, c_llm, fc))
 
 
-def fallback_decide(
-    se: ScoredEvent, v: LlmVerdict, layer: LayerId, fc: FusionConfig
-) -> tuple[bool, float]:
-    """Fusion fallback for an ATTACK verdict that missed its threshold.
-
-    Returns (promote, fused_score): promote is true when the fused score
-    reaches the layer's fusion threshold.
-
-    Raises:
-        ValueError: called for a verdict that is not ATTACK.
-    """
-    if v.decision is not Verdict.ATTACK:
-        raise ValueError("fusion fallback only applies to ATTACK verdicts")
-    fused = _fuse_fraction(se.confidence, v.confidence, fc)
-    promote = fused >= _dfrac(fc.fusion_tau[layer])
-    return promote, float(fused)
-
-
 @dataclass(frozen=True)
 class Gate3Decision:
     sink: Sink
@@ -474,23 +429,25 @@ def gate3_decide(
 ) -> Gate3Decision:
     """Route one escalated event on its LLM verdict.
 
-    The direct rule runs first; only an ATTACK verdict below threshold
-    goes through fusion.  BENIGN and UNSURE outcomes land in the review
-    bucket (benign calls are kept for human confirmation, not silently
-    accepted).
+    An ATTACK or BENIGN verdict at or above the layer's LLM threshold is
+    taken directly: ATTACK is promoted, BENIGN lands in the review bucket
+    (benign calls are kept for human confirmation, not silently
+    accepted).  An ATTACK below the threshold is fused with the model
+    confidence and promoted when the fused score reaches the layer's
+    fusion threshold: ``fc.fusion_tau[layer]`` when pinned, the LLM
+    threshold otherwise.  Everything else lands in the review bucket.
     """
-    direct = direct_decide(v, layer, th)
-    if direct is Verdict.ATTACK:
-        return Gate3Decision(sink=Sink.LLM_ATTACK, provenance=Provenance.DIRECT)
-    if direct is Verdict.BENIGN:
-        return Gate3Decision(sink=Sink.REVIEW_BUCKET, provenance=Provenance.DIRECT)
-    if v.decision is Verdict.ATTACK:
-        promote, fused = fallback_decide(se, v, layer, fc)
-        if promote:
-            return Gate3Decision(
-                sink=Sink.LLM_ATTACK, provenance=Provenance.FUSION, fused_score=fused
-            )
+    tau = th.tau[layer]
+    if v.decision is not Verdict.UNSURE and v.confidence >= tau:
+        sink = Sink.LLM_ATTACK if v.decision is Verdict.ATTACK else Sink.REVIEW_BUCKET
+        return Gate3Decision(sink=sink, provenance=Provenance.DIRECT)
+    if v.decision is not Verdict.ATTACK:
+        return Gate3Decision(sink=Sink.REVIEW_BUCKET, provenance=Provenance.NONE)
+    fused = _fuse_fraction(se.confidence, v.confidence, fc)
+    if fused >= _dfrac(fc.fusion_tau.get(layer, tau)):
         return Gate3Decision(
-            sink=Sink.REVIEW_BUCKET, provenance=Provenance.NONE, fused_score=fused
+            sink=Sink.LLM_ATTACK, provenance=Provenance.FUSION, fused_score=float(fused)
         )
-    return Gate3Decision(sink=Sink.REVIEW_BUCKET, provenance=Provenance.NONE)
+    return Gate3Decision(
+        sink=Sink.REVIEW_BUCKET, provenance=Provenance.NONE, fused_score=float(fused)
+    )

@@ -470,10 +470,7 @@ def calibrate_gate1(
 
 
 def harvest_llm_samples(
-    layer: LayerId,
-    train_scored: list[ScoredEvent],
-    cfg: PipelineConfig,
-    client,
+    train_scored: list[ScoredEvent], cfg: PipelineConfig, client
 ) -> list[LlmSample]:
     """Run the labeled calibration split's escalations through the LLM.
 
@@ -499,12 +496,9 @@ def harvest_llm_samples(
 
 
 def calibrate_llm_for_layer(
-    layer: LayerId,
-    train_scored: list[ScoredEvent],
-    cfg: PipelineConfig,
-    client,
+    train_scored: list[ScoredEvent], cfg: PipelineConfig, client
 ) -> LlmCalibration:
-    samples = harvest_llm_samples(layer, train_scored, cfg, client)
+    samples = harvest_llm_samples(train_scored, cfg, client)
     return calibrate_llm_threshold(samples, cfg.llm_thresholds.p_min)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from idsgate import experiment
 from idsgate.cli import build_parser, main, overrides_from_args
 
 
@@ -127,6 +128,30 @@ def test_out_of_range_calibration_or_match_key_is_usage_error(tmp_path, capsys, 
     cfg = write_cfg(tmp_path, SMALL + line + "\n")
     assert main([command, "--config", cfg, *base_args(tmp_path)]) == 2
     assert f"config error: bad value for {key}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--mock-llm", "echo:abc"], ""),
+        (["--mock-llm", "echo:1.5"], ""),
+        (["--mock-llm", "echo:nan"], ""),
+        ([], "llm = echo:\n"),
+        ([], "llm = table:\n"),
+        ([], "llm = oracle\n"),
+    ],
+    ids=["not-a-number", "above-1", "nan", "echo-colon", "table-without-path", "unknown"],
+)
+def test_bad_llm_spec_is_usage_error(tmp_path, capsys, monkeypatch, flags, line):
+    # rejected while the config is built, before any corpus is generated
+    def no_corpus(*args):
+        raise AssertionError("corpus generated")
+
+    monkeypatch.setattr(experiment, "generate_events", no_corpus)
+    cfg = write_cfg(tmp_path, SMALL + line)
+    assert main(["compare", "--config", cfg, *base_args(tmp_path), *flags]) == 2
+    assert "config error: bad value for llm" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
@@ -276,6 +301,26 @@ def test_loaded_corpus_with_bad_truth_label_fails(tmp_path, capsys, layer, edit,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message.format(path=path) in err
+
+
+@pytest.mark.parametrize(
+    "layer, name, keep",
+    [("network", "network.csv", 1), ("host", "host.jsonl", 0), ("hypervisor", "hypervisor.csv", 1)],
+)
+def test_loaded_corpus_without_events_fails(tmp_path, capsys, layer, name, keep):
+    # a header-only CSV or an empty JSONL file is named where it is loaded
+    cfg = write_cfg(tmp_path, SMALL)
+    out = os.path.join(tmp_path, "out")
+    assert main(["gen", "--config", cfg, *base_args(tmp_path), "--layers", layer]) == 0
+    path = os.path.join(out, name)
+    with open(path) as fh:
+        head = fh.readlines()[:keep]
+    with open(path, "w") as fh:
+        fh.writelines(head)
+    capsys.readouterr()
+    code = main(["compare", "--config", cfg, *base_args(tmp_path), "--layers", layer, "--data", out])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: no events\n"
 
 
 def _calibration(**layers):

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from conftest import make_scored
 from idsgate.config import (
     ConfigError,
     ExperimentConfig,
@@ -9,7 +10,8 @@ from idsgate.config import (
     load_experiment_config,
     read_config_file,
 )
-from idsgate.events import LayerId
+from idsgate.events import LayerId, Sink, Verdict
+from idsgate.llm import LlmVerdict, Provenance, gate3_decide
 from idsgate.pipeline import Mode
 
 
@@ -203,11 +205,28 @@ def test_per_layer_llm_thresholds():
 
 
 def test_fusion_tau_follows_llm_tau_unless_set():
-    xcfg = build_experiment_config({"llm_tau_host": "0.7"})
-    assert xcfg.pipeline.fusion.fusion_tau[LayerId.HOST] == 0.7
-    pinned = build_experiment_config({"llm_tau_host": "0.7", "fusion_tau_host": "0.65"})
-    assert pinned.pipeline.fusion.fusion_tau[LayerId.HOST] == 0.65
-    assert pinned.pipeline.llm_thresholds.tau[LayerId.HOST] == 0.7
+    # ATTACK at 0.65 on a 0.5-confidence event fuses to 0.62: below the
+    # 0.7 LLM threshold, above a pinned 0.6 fusion threshold.
+    se, verdict = make_scored(0.5, pred_label=1), LlmVerdict(Verdict.ATTACK, 0.65)
+
+    def decide(kv):
+        pipe = build_experiment_config(kv).pipeline
+        return gate3_decide(se, verdict, LayerId.HOST, pipe.llm_thresholds, pipe.fusion)
+
+    follows = decide({"llm_tau_host": "0.7"})
+    assert (follows.sink, follows.provenance) == (Sink.REVIEW_BUCKET, Provenance.NONE)
+    pinned = decide({"llm_tau_host": "0.7", "fusion_tau_host": "0.6"})
+    assert (pinned.sink, pinned.provenance) == (Sink.LLM_ATTACK, Provenance.FUSION)
+    assert build_experiment_config({"fusion_tau_host": "0.6"}).pipeline.fusion.fusion_tau == {
+        LayerId.HOST: 0.6
+    }
+
+
+@pytest.mark.parametrize(
+    "spec", ["echo", "echo:0", "echo:1", "echo:0.75", "table:mock.jsonl", "http"]
+)
+def test_llm_spec_forms_accepted(spec):
+    assert build_experiment_config({"llm": spec}).llm_spec == spec
 
 
 def test_fusion_weights():

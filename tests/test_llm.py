@@ -17,6 +17,7 @@ from idsgate.llm import (
     BadFusionWeights,
     EchoLlmClient,
     FusionConfig,
+    Gate3Decision,
     HttpLlmClient,
     LlmCalibration,
     LlmHttpError,
@@ -25,13 +26,10 @@ from idsgate.llm import (
     LlmTimeout,
     LlmVerdict,
     MockLlmClient,
-    NoAttackSamples,
     Provenance,
     build_prompt,
     calibrate_llm_threshold,
     default_threshold_grid,
-    direct_decide,
-    fallback_decide,
     fuse,
     gate3_decide,
     parse_verdict,
@@ -202,9 +200,10 @@ def test_calibrate_llm_threshold_infeasible():
     assert cal.threshold == 0.95
 
 
-def test_calibrate_llm_threshold_needs_attacks():
-    with pytest.raises(NoAttackSamples):
-        calibrate_llm_threshold([LlmSample(0.9, Verdict.ATTACK, 0)])
+def test_calibrate_llm_threshold_without_attacks_is_infeasible():
+    cal = calibrate_llm_threshold([LlmSample(0.9, Verdict.ATTACK, 0)] * 3)
+    assert cal == LlmCalibration(threshold=0.95, feasible=False, precision=0.0, recall=0.0)
+    assert calibrate_llm_threshold([]) == cal
 
 
 def test_default_threshold_grid_span():
@@ -212,21 +211,6 @@ def test_default_threshold_grid_span():
     assert len(grid) == 91
     assert grid[0] == 0.05
     assert grid[-1] == 0.95
-
-
-def test_direct_decide_boundary_inclusive():
-    th = LlmThresholds()
-    assert direct_decide(LlmVerdict(Verdict.ATTACK, 0.61), LayerId.HOST, th) is Verdict.ATTACK
-    assert direct_decide(LlmVerdict(Verdict.ATTACK, 0.609), LayerId.HOST, th) is Verdict.UNSURE
-    assert direct_decide(LlmVerdict(Verdict.BENIGN, 0.61), LayerId.HOST, th) is Verdict.BENIGN
-    assert direct_decide(LlmVerdict(Verdict.UNSURE, 0.99), LayerId.HOST, th) is Verdict.UNSURE
-
-
-def test_direct_decide_uses_layer_threshold():
-    th = LlmThresholds()
-    v = LlmVerdict(Verdict.ATTACK, 0.75)
-    assert direct_decide(v, LayerId.NETWORK, th) is Verdict.ATTACK
-    assert direct_decide(v, LayerId.HYPERVISOR, th) is Verdict.UNSURE
 
 
 def test_fuse_worked_example_is_exact():
@@ -248,32 +232,55 @@ def test_fuse_rejects_bad_weights():
         fuse(0.5, 0.5, fc)
 
 
-def test_fallback_decide_worked_examples():
-    fc = FusionConfig()
-    reject_se = make_scored(0.42, pred_label=1)
-    promote_se = make_scored(0.52, pred_label=1)
-    promoted, fused = fallback_decide(reject_se, LlmVerdict(Verdict.ATTACK, 0.625), LayerId.HOST, fc)
-    assert promoted is False
-    assert fused == pytest.approx(0.584)
-    promoted, fused = fallback_decide(promote_se, LlmVerdict(Verdict.ATTACK, 0.675), LayerId.HOST, fc)
-    assert promoted is True
-    assert fused == pytest.approx(0.644)
+DIRECT_ATTACK = Gate3Decision(Sink.LLM_ATTACK, Provenance.DIRECT)
+DIRECT_REVIEW = Gate3Decision(Sink.REVIEW_BUCKET, Provenance.DIRECT)
+REVIEW = Gate3Decision(Sink.REVIEW_BUCKET, Provenance.NONE)
 
 
-def test_fallback_decide_exact_boundary_promotes():
-    # 0.2 * 0.5 + 0.8 * 0.6375 lands exactly on the 0.61 cutoff; the
-    # comparison is done in decimal rationals, not floats.
-    fc = FusionConfig()
-    promoted, fused = fallback_decide(
-        make_scored(0.5, pred_label=1), LlmVerdict(Verdict.ATTACK, 0.6375), LayerId.HOST, fc
+def fusion(fused):
+    return Gate3Decision(Sink.LLM_ATTACK, Provenance.FUSION, fused)
+
+
+def fused_review(fused):
+    return Gate3Decision(Sink.REVIEW_BUCKET, Provenance.NONE, fused)
+
+
+# Default host thresholds: LLM 0.61, fusion 0.2 * model + 0.8 * LLM.
+@pytest.mark.parametrize(
+    "c_model, verdict, c_llm, layer, fusion_tau, expected",
+    [
+        (0.5, Verdict.ATTACK, 0.61, LayerId.HOST, {}, DIRECT_ATTACK),
+        (0.5, Verdict.ATTACK, 0.609, LayerId.HOST, {}, fused_review(0.5872)),
+        (0.5, Verdict.BENIGN, 0.61, LayerId.HOST, {}, DIRECT_REVIEW),
+        (0.5, Verdict.BENIGN, 0.5, LayerId.HOST, {}, REVIEW),
+        (0.5, Verdict.UNSURE, 0.99, LayerId.HOST, {}, REVIEW),
+        (0.5, Verdict.ATTACK, 0.75, LayerId.NETWORK, {}, DIRECT_ATTACK),
+        (0.5, Verdict.ATTACK, 0.75, LayerId.HYPERVISOR, {}, fused_review(0.7)),
+        (0.5, Verdict.ATTACK, 0.605, LayerId.HOST, {}, fused_review(0.584)),
+        (0.82, Verdict.ATTACK, 0.6, LayerId.HOST, {}, fusion(0.644)),
+        # 0.2 * 0.65 + 0.8 * 0.6 lands exactly on the 0.61 cutoff; the
+        # comparison is done in decimal rationals, not floats.
+        (0.65, Verdict.ATTACK, 0.6, LayerId.HOST, {}, fusion(0.61)),
+        (0.82, Verdict.ATTACK, 0.6, LayerId.HOST, {LayerId.HOST: 0.65}, fused_review(0.644)),
+        (0.5, Verdict.ATTACK, 0.605, LayerId.HOST, {LayerId.HOST: 0.5}, fusion(0.584)),
+        (0.5, Verdict.ATTACK, 0.605, LayerId.HOST, {LayerId.NETWORK: 0.5}, fused_review(0.584)),
+    ],
+    ids=[
+        "attack-at-tau", "attack-below-tau", "benign-at-tau", "benign-below-tau",
+        "unsure-is-never-direct", "network-tau", "hypervisor-tau", "fused-below-tau",
+        "fused-above-tau", "fused-exactly-at-tau", "pinned-fusion-tau-above",
+        "pinned-fusion-tau-below", "pinned-other-layer",
+    ],
+)
+def test_gate3_decide(c_model, verdict, c_llm, layer, fusion_tau, expected):
+    d = gate3_decide(
+        make_scored(c_model, pred_label=1),
+        LlmVerdict(verdict, c_llm),
+        layer,
+        LlmThresholds(),
+        FusionConfig(fusion_tau=fusion_tau),
     )
-    assert promoted is True
-    assert fused == 0.61
-
-
-def test_fallback_decide_rejects_non_attack():
-    with pytest.raises(ValueError):
-        fallback_decide(make_scored(0.5), LlmVerdict(Verdict.BENIGN, 0.9), LayerId.HOST, FusionConfig())
+    assert d == expected
 
 
 def test_gate3_decide_direct_attack():

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from conftest import dead_endpoint_url, make_scored
+from idsgate.config import build_experiment_config
 from idsgate.events import LayerId, Sink
-from idsgate.llm import EchoLlmClient, HttpLlmClient, LlmTimeout, MockLlmClient
+from idsgate.llm import EchoLlmClient, HttpLlmClient, LlmThresholds, LlmTimeout, MockLlmClient
 from idsgate.memory import MemoryStore
 from idsgate.pipeline import (
     Comparison,
@@ -316,10 +317,26 @@ def test_run_layer_adaptive_uses_learned_threshold():
     assert run.summary.learned_threshold == 0.62
 
 
+def test_code_built_config_routes_like_config_file():
+    # An ATTACK verdict at 0.65 on a 0.5-confidence event fuses to 0.62,
+    # short of a 0.7 host LLM threshold however that threshold was set.
+    tau = {**LlmThresholds().tau, LayerId.HOST: 0.7}
+    in_code = PipelineConfig(llm_thresholds=LlmThresholds(tau=tau))
+    from_file = build_experiment_config({"llm_tau_host": "0.7"}).pipeline
+    stream = host_stream([(0.5, 1, 1)])
+    outcomes = []
+    for cfg in (in_code, from_file):
+        client = echo_for(stream, confidence=0.65)
+        run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), client)
+        gate3 = [a for a in run.audits if a["gate"] == "gate3"]
+        outcomes.append([(a["sink"], a["provenance"], a["fused_score"]) for a in gate3])
+    assert outcomes == [[("review_bucket", "none", 0.62)]] * 2
+
+
 def test_harvest_llm_samples_covers_exactly_the_escalations():
     cfg = PipelineConfig()
     stream = host_stream([(0.90, 1, 1), (0.60, 1, 1), (0.55, 0, 0), (0.86, 0, 0)])
-    samples = harvest_llm_samples(LayerId.HOST, stream, cfg, echo_for(stream, confidence=0.88))
+    samples = harvest_llm_samples(stream, cfg, echo_for(stream, confidence=0.88))
     assert len(samples) == 2
     assert all(s.confidence == 0.88 for s in samples)
     assert [s.truth for s in samples] == [1, 0]
@@ -329,13 +346,13 @@ def test_harvest_llm_samples_requires_labels():
     cfg = PipelineConfig()
     stream = host_stream([(0.60, 1, None)])
     with pytest.raises(NoLabeledEvents):
-        harvest_llm_samples(LayerId.HOST, stream, cfg, echo_for(stream))
+        harvest_llm_samples(stream, cfg, echo_for(stream))
 
 
 def test_calibrate_llm_for_layer_with_perfect_analyst():
     cfg = PipelineConfig()
     stream = host_stream([(0.6, 1, i % 2) for i in range(20)])
-    cal = calibrate_llm_for_layer(LayerId.HOST, stream, cfg, echo_for(stream))
+    cal = calibrate_llm_for_layer(stream, cfg, echo_for(stream))
     # A perfect analyst is feasible everywhere; ties resolve to the
     # lowest candidate threshold.
     assert cal.feasible is True
