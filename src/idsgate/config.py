@@ -49,6 +49,11 @@ class ExperimentConfig:
     host_attack_fraction: float = 0.35
     host_ambiguity: float = 0.5
 
+    def __post_init__(self) -> None:
+        for name in ("net_count", "host_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def read_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines; later keys override earlier ones."""

@@ -55,6 +55,7 @@ from .pipeline import (
 )
 from .qcal import CalibrationResult
 from .scoring import (
+    FeatureExtractor,
     ReplayRow,
     Scorer,
     TrainConfig,
@@ -81,12 +82,11 @@ HYPERVISOR_FILE = "hypervisor.csv"
 
 @dataclasses.dataclass
 class LayerBundle:
-    """One layer, ready to run: split corpus, fitted scorer, scores."""
+    """One layer, ready to run: its corpus, the evaluation events with
+    their features, the fitted scorer and the scores of both splits."""
 
     layer: LayerId
     events: list[Event]
-    train: list[Event]
-    test: list[Event]
     eval_events: list[Event]
     scorer: Scorer
     train_scored: list[ScoredEvent]
@@ -159,35 +159,47 @@ def prepare_layer(
 ) -> LayerBundle:
     """Split, fit the text extractor if needed, train/score the base model.
 
-    tf-idf for the host layer is fitted on the training split only, then
-    applied to every event, so evaluation text never leaks into the fit.
-    A replay scorer needs ``replay``, the table ``layer_input`` read.
+    tf-idf for the host layer is fitted on the training split only, so
+    evaluation text never leaks into the fit.  The training rows exist
+    only while the model is trained and scored: the host ``train_scored``
+    holds the split's own events, and the evaluation events get their own
+    block.  A replay scorer needs ``replay``, the table ``layer_input`` read.
     """
     cfg = xcfg.pipeline
     train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
-    if layer is LayerId.HOST and not xcfg.scorers[layer].startswith("replay:"):
-        texts = [e.raw for e in train + test]
-        block = extract_features(texts, fit_tfidf(texts[: len(train)]))
-        test = [dataclasses.replace(e, features=x) for e, x in zip(test, block[len(train) :])]
-        train = [dataclasses.replace(e, features=x) for e, x in zip(train, block)]
+    eval_events = test[: cfg.eval_count]
     spec = xcfg.scorers[layer]
     if spec.startswith("replay:"):
         scorer = make_replay_scorer(replay)
-    elif spec == "baseline":
-        scorer = train_baseline(train, TrainConfig(seed=cfg.seed))
-    else:
+        train_scored = score_stream(train, scorer)
+    elif spec != "baseline":
         raise ConfigError(f"unknown scorer spec for {layer.value}: {spec!r}")
-    eval_events = test[: cfg.eval_count]
+    elif layer is LayerId.HOST:
+        extractor = fit_tfidf([e.raw for e in train])
+        featurized = _with_tfidf(train, extractor)
+        scorer = train_baseline(featurized, TrainConfig(seed=cfg.seed))
+        train_scored = [
+            ScoredEvent(e, se.pred_label, se.confidence)
+            for e, se in zip(train, score_stream(featurized, scorer))
+        ]
+        eval_events = _with_tfidf(eval_events, extractor)
+    else:
+        scorer = train_baseline(train, TrainConfig(seed=cfg.seed))
+        train_scored = score_stream(train, scorer)
     return LayerBundle(
         layer=layer,
         events=events,
-        train=train,
-        test=test,
         eval_events=eval_events,
         scorer=scorer,
-        train_scored=score_stream(train, scorer),
+        train_scored=train_scored,
         eval_scored=score_stream(eval_events, scorer),
     )
+
+
+def _with_tfidf(events: list[Event], extractor: FeatureExtractor) -> list[Event]:
+    """Copies of ``events`` whose features are rows of one tf-idf block."""
+    block = extract_features([e.raw for e in events], extractor)
+    return [dataclasses.replace(e, features=x) for e, x in zip(events, block)]
 
 
 def prepare_bundles(xcfg: ExperimentConfig) -> dict[LayerId, LayerBundle]:

@@ -98,6 +98,10 @@ class PipelineConfig:
             raise ValueError(f"c_event must be >= 0, got {self.c_event}")
         if self.llm_parallelism < 1:
             raise ValueError("llm_parallelism must be >= 1")
+        if self.eval_count < 1:
+            raise ValueError(f"eval_count must be >= 1, got {self.eval_count}")
+        if not 0.0 < self.train_ratio < 1.0:  # NaN fails too
+            raise ValueError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
 
 
 @dataclass

@@ -155,6 +155,29 @@ def test_bad_llm_spec_is_usage_error(tmp_path, capsys, monkeypatch, flags, line)
     assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("eval_count = -5", "eval_count"),
+        ("eval_count = 0", "eval_count"),
+        ("train_ratio = 1.5", "train_ratio"),
+        ("net_count = 0", "net_count"),
+        ("host_count = -3", "host_count"),
+    ],
+)
+def test_out_of_range_run_size_key_is_usage_error(tmp_path, capsys, monkeypatch, line, key):
+    # rejected while the config is built, before any corpus is generated
+    def no_corpus(*args):
+        raise AssertionError("corpus generated")
+
+    monkeypatch.setattr(experiment, "generate_events", no_corpus)
+    cfg = write_cfg(tmp_path, SMALL + line + "\n")
+    out = os.path.join(tmp_path, "out")
+    assert main(["compare", "--seed", "0", "--config", cfg, "--out", out]) == 2
+    assert f"config error: bad value for {key}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     missing = os.path.join(tmp_path, "nope.cfg")
     assert main(["gen", "--config", missing]) == 2

@@ -7,6 +7,7 @@ import pytest
 
 from idsgate import experiment
 from idsgate.config import ConfigError, build_experiment_config
+from idsgate.corpus import split_train_test
 from idsgate.events import LayerId
 from idsgate.experiment import (
     HOST_FILE,
@@ -30,6 +31,7 @@ from idsgate.experiment import (
 from idsgate.llm import EchoLlmClient, HttpLlmClient, MockLlmClient, prompt_sha256
 from idsgate.memory import MemoryRecord, MemorySource, embed
 from idsgate.pipeline import Mode
+from idsgate.scoring import extract_features, fit_tfidf
 
 
 def small_cfg(tmp_path, **extra):
@@ -73,21 +75,50 @@ def test_get_events_loads_from_data_dir(tmp_path):
     assert events[0].id == "host-0"
 
 
-def test_prepare_layer_fits_host_tfidf_on_train_only(tmp_path):
+def test_prepare_layer_fits_host_tfidf_on_train_only(tmp_path, monkeypatch):
     xcfg = small_cfg(tmp_path)
     events = get_events(LayerId.HOST, xcfg)
     assert all(len(e.features) == 1 for e in events)  # placeholder until fit
+    train, test = split_train_test(events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
+    assert (len(train), len(test)) == (192, 48)
+    corpora = []
+    original = experiment.fit_tfidf
+    monkeypatch.setattr(
+        experiment, "fit_tfidf", lambda texts: corpora.append(texts) or original(texts)
+    )
     bundle = prepare_layer(LayerId.HOST, events, xcfg)
-    assert len(bundle.train) == 192
-    assert len(bundle.test) == 48
-    assert len(bundle.eval_events) == 40
-    dims = len(bundle.train[0].features)
+    assert corpora == [[e.raw for e in train]]
+    assert [e.id for e in bundle.eval_events] == [e.id for e in test[:40]]
+    dims = len(bundle.eval_events[0].features)
     assert dims > 1
-    assert all(len(e.features) == dims for e in bundle.test)
-    norms = [float(np.linalg.norm(e.features)) for e in bundle.train[:20]]
-    assert all(n == pytest.approx(1.0) or n == 0.0 for n in norms)
+    assert all(len(e.features) == dims for e in bundle.eval_events)
+    norms = [float(np.linalg.norm(e.features)) for e in bundle.eval_events]
+    assert all(n == pytest.approx(1.0) for n in norms)
     assert len(bundle.eval_scored) == 40
     assert all(0.5 <= se.confidence <= 1.0 for se in bundle.eval_scored)
+
+
+def test_host_bundle_keeps_no_training_rows(tmp_path):
+    # Only the evaluation rows outlive prepare_layer: the training split is
+    # featurized, trained on and scored, and its block is then let go.
+    xcfg = small_cfg(tmp_path)
+    events = get_events(LayerId.HOST, xcfg)
+    bundle = prepare_layer(LayerId.HOST, events, xcfg)
+    assert all(se.event.features.shape == (1,) for se in bundle.train_scored)
+    n_eval = len(bundle.eval_events)
+    assert all(
+        e.features.base is None or e.features.base.shape[0] == n_eval
+        for e in bundle.eval_events
+    )
+    # each pair is the one the featurized training event scores
+    train, _ = split_train_test(events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
+    texts = [e.raw for e in train]
+    block = extract_features(texts, fit_tfidf(texts))
+    z = np.array([float(np.dot(bundle.scorer.weights, x)) for x in block]) + bundle.scorer.bias
+    p = 1.0 / (1.0 + np.exp(-z))
+    assert [se.event.id for se in bundle.train_scored] == [e.id for e in train]
+    assert [se.pred_label for se in bundle.train_scored] == (p > 0.5).tolist()
+    assert [se.confidence for se in bundle.train_scored] == np.maximum(p, 1.0 - p).tolist()
 
 
 def test_prepare_layer_baseline_learns_separable_network(tmp_path):

@@ -118,6 +118,9 @@ def test_pipeline_config_validation():
         PipelineConfig(c_event=-1.0)
     with pytest.raises(ValueError):
         PipelineConfig(llm_parallelism=0)
+    for bad in ({"eval_count": 0}, {"train_ratio": 0.0}, {"train_ratio": 1.0}):
+        with pytest.raises(ValueError):
+            PipelineConfig(**bad)
 
 
 def test_confident_stream_never_reaches_the_llm():
