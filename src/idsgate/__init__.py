@@ -9,7 +9,7 @@ parked for human review.
 
 Usage as a library:
 
-    from idsgate import PipelineConfig, Mode, run_layer
+    from idsgate import PipelineConfig, Mode, route_stream
 
 Usage from the shell:
 
@@ -46,7 +46,7 @@ from .pipeline import (
     PipelineConfig,
     compare_modes,
     cost_analysis,
-    run_layer,
+    route_stream,
     run_mode,
 )
 from .qcal import CalibConfig, CalibrationResult, calibrate
@@ -66,7 +66,7 @@ __all__ = [
     "Mode",
     "Metrics",
     "CostReport",
-    "run_layer",
+    "route_stream",
     "run_mode",
     "compare_modes",
     "cost_analysis",

@@ -138,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
             path = experiment.do_calibrate_llm(xcfg)
             print(f"wrote LLM thresholds: {path}")
         elif args.command == "run":
-            mode_run, summary, paths = experiment.do_run(xcfg, args.calibration)
-            print(f"mode={summary.mode} uncertain={mode_run.total_uncertain}")
+            _, summary, paths = experiment.do_run(xcfg, args.calibration)
+            print(f"mode={summary.mode} uncertain={summary.overall['uncertain']}")
             print(f"wrote summary: {paths.summary}")
         elif args.command == "compare":
             comp, files = experiment.do_compare(xcfg, args.calibration)

@@ -53,6 +53,14 @@ class ExperimentConfig:
         for name in ("net_count", "host_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.llm_retries < 0:
+            raise ValueError(f"llm_retries must be >= 0, got {self.llm_retries}")
+        if not self.llm_timeout > 0:  # NaN fails too
+            raise ValueError(f"llm_timeout must be > 0, got {self.llm_timeout}")
+        for layer, spec in self.scorers.items():
+            kind, _, path = spec.partition(":")
+            if not (spec == "baseline" or (kind == "replay" and path)):
+                raise ValueError(f"scorer_{layer.value} must be baseline or replay:<path>")
 
 
 def read_config_file(path: str) -> dict[str, str]:

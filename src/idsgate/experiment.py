@@ -31,7 +31,7 @@ from .corpus import (
     write_network_csv,
 )
 from .events import Event, LayerId, ScoredEvent, validate_event
-from .llm import EchoLlmClient, HttpLlmClient, MockLlmClient
+from .llm import EchoLlmClient, HttpLlmClient, MockLlmClient, calibrate_llm_threshold
 from .memory import MemoryStore, load_store
 from .outputs import (
     OutputPaths,
@@ -49,11 +49,10 @@ from .pipeline import (
     Mode,
     ModeRun,
     calibrate_gate1,
-    calibrate_llm_for_layer,
     compare_modes,
+    harvest_llm_samples,
     run_mode,
 )
-from .qcal import CalibrationResult
 from .scoring import (
     FeatureExtractor,
     ReplayRow,
@@ -146,11 +145,6 @@ def layer_input(
     return events, table
 
 
-def get_events(layer: LayerId, xcfg: ExperimentConfig) -> list[Event]:
-    """A layer's events alone (``layer_input`` without the replay table)."""
-    return layer_input(layer, xcfg)[0]
-
-
 def prepare_layer(
     layer: LayerId,
     events: list[Event],
@@ -172,8 +166,6 @@ def prepare_layer(
     if spec.startswith("replay:"):
         scorer = make_replay_scorer(replay)
         train_scored = score_stream(train, scorer)
-    elif spec != "baseline":
-        raise ConfigError(f"unknown scorer spec for {layer.value}: {spec!r}")
     elif layer is LayerId.HOST:
         extractor = fit_tfidf([e.raw for e in train])
         featurized = _with_tfidf(train, extractor)
@@ -280,9 +272,10 @@ def store_factory(xcfg: ExperimentConfig):
 
 def gate1_calibrations(
     bundles: dict[LayerId, LayerBundle], xcfg: ExperimentConfig
-) -> dict[LayerId, CalibrationResult]:
+) -> dict[LayerId, float]:
+    """Each layer's Gate-1 threshold, learned on its training split."""
     return {
-        layer: calibrate_gate1(bundle.train_scored, xcfg.pipeline)
+        layer: calibrate_gate1(bundle.train_scored, xcfg.pipeline).learned_threshold
         for layer, bundle in bundles.items()
     }
 
@@ -335,7 +328,10 @@ def do_gen(xcfg: ExperimentConfig) -> dict[str, str]:
 def do_calibrate(xcfg: ExperimentConfig) -> str:
     """Calibrate Gate-1 per layer and persist the learned thresholds."""
     bundles = prepare_bundles(xcfg)
-    calibs = gate1_calibrations(bundles, xcfg)
+    calibs = {
+        layer: calibrate_gate1(bundle.train_scored, xcfg.pipeline)
+        for layer, bundle in bundles.items()
+    }
     os.makedirs(xcfg.out_dir, exist_ok=True)
     path = os.path.join(xcfg.out_dir, f"calibration_{run_id_of(xcfg)}.json")
     payload = {
@@ -357,7 +353,7 @@ def do_calibrate(xcfg: ExperimentConfig) -> str:
     return path
 
 
-def load_calibration(path: str, layers: tuple[LayerId, ...]) -> dict[LayerId, CalibrationResult]:
+def load_calibration(path: str, layers: tuple[LayerId, ...]) -> dict[LayerId, float]:
     """Gate-1 thresholds saved by ``do_calibrate``, checked for the routed ``layers``.
 
     Raises:
@@ -371,7 +367,7 @@ def load_calibration(path: str, layers: tuple[LayerId, ...]) -> dict[LayerId, Ca
     entries = payload.get("layers") if isinstance(payload, dict) else None
     if not isinstance(entries, dict):
         raise MalformedCalibration(f"{path}: no 'layers' object")
-    out: dict[LayerId, CalibrationResult] = {}
+    out: dict[LayerId, float] = {}
     for name, entry in entries.items():
         if name not in {layer.value for layer in LayerId}:
             raise MalformedCalibration(f"{path}: unknown layer {name!r}")
@@ -383,9 +379,7 @@ def load_calibration(path: str, layers: tuple[LayerId, ...]) -> dict[LayerId, Ca
             )
         # Routing reads only the threshold; the file's histogram and
         # episode count are a record of the run, left unparsed.
-        out[LayerId(name)] = CalibrationResult(
-            learned_threshold=float(tau), action_histogram={}, episodes=0
-        )
+        out[LayerId(name)] = float(tau)
     missing = [layer.value for layer in layers if layer not in out]
     if missing:
         raise MalformedCalibration(f"{path}: no threshold for layer {', '.join(missing)}")
@@ -400,8 +394,9 @@ def do_calibrate_llm(xcfg: ExperimentConfig) -> str:
     results = {}
     p_min = xcfg.pipeline.llm_thresholds.p_min
     for layer, bundle in bundles.items():
-        cal = calibrate_llm_for_layer(
-            bundle.train_scored, xcfg.pipeline, make_client(layer, Mode.ADAPTIVE)
+        client = make_client(layer, Mode.ADAPTIVE)
+        cal = calibrate_llm_threshold(
+            harvest_llm_samples(bundle.train_scored, xcfg.pipeline, client), p_min
         )
         if not cal.feasible:
             logger.warning(
@@ -423,17 +418,16 @@ def do_run(
     """One full run in the configured mode; writes all artifacts."""
     bundles = prepare_bundles(xcfg)
     cfg = xcfg.pipeline
-    if cfg.mode is Mode.ADAPTIVE:
-        if calibration_path:
-            calibs = load_calibration(calibration_path, xcfg.layers)
-        else:
-            calibs = gate1_calibrations(bundles, xcfg)
+    if cfg.mode is Mode.STATIC:
+        thresholds = {}
+    elif calibration_path:
+        thresholds = load_calibration(calibration_path, xcfg.layers)
     else:
-        calibs = {}
+        thresholds = gate1_calibrations(bundles, xcfg)
     scored = {layer: bundle.eval_scored for layer, bundle in bundles.items()}
     mode_run, summary = run_mode(
         scored,
-        calibs,
+        thresholds,
         cfg.mode,
         cfg,
         store_factory(xcfg),
@@ -449,13 +443,13 @@ def do_compare(
     """Both modes on shared scores; writes artifacts plus the comparison."""
     bundles = prepare_bundles(xcfg)
     if calibration_path:
-        calibs = load_calibration(calibration_path, xcfg.layers)
+        thresholds = load_calibration(calibration_path, xcfg.layers)
     else:
-        calibs = gate1_calibrations(bundles, xcfg)
+        thresholds = gate1_calibrations(bundles, xcfg)
     scored = {layer: bundle.eval_scored for layer, bundle in bundles.items()}
     comp = compare_modes(
         scored,
-        calibs,
+        thresholds,
         xcfg.pipeline,
         store_factory(xcfg),
         client_factory(xcfg, bundles),
@@ -471,12 +465,12 @@ def do_compare(
     payload = {
         "cost": comp.cost.to_dict(),
         "learned_thresholds": {
-            layer.value: calibs[layer].learned_threshold
-            for layer in sorted(calibs, key=lambda l: l.value)
+            layer.value: thresholds[layer]
+            for layer in sorted(thresholds, key=lambda l: l.value)
             if layer in scored
         },
-        "static": _mode_digest(comp.static),
-        "adaptive": _mode_digest(comp.adaptive),
+        "static": _mode_digest(comp.static_summary),
+        "adaptive": _mode_digest(comp.adaptive_summary),
     }
     with open(compare_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -503,13 +497,8 @@ def do_compare(
     return comp, files
 
 
-def _mode_digest(mode_run: ModeRun) -> dict:
-    metrics = mode_run.overall_metrics()
-    return {
-        "uncertain": mode_run.total_uncertain,
-        "llm_calls": mode_run.total_llm_calls,
-        "metrics": metrics.to_dict() if metrics else None,
-    }
+def _mode_digest(summary: RunSummary) -> dict:
+    return {key: summary.overall[key] for key in ("uncertain", "llm_calls", "metrics")}
 
 
 def do_report(xcfg: ExperimentConfig) -> list[str]:

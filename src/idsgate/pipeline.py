@@ -33,14 +33,12 @@ from .events import (
 )
 from .llm import (
     FusionConfig,
-    LlmCalibration,
     LlmSample,
     LlmThresholds,
     LlmHttpError,
     LlmTimeout,
     LlmVerdict,
     build_prompt,
-    calibrate_llm_threshold,
     gate3_decide,
     parse_verdict,
     prompt_sha256,
@@ -102,6 +100,8 @@ class PipelineConfig:
             raise ValueError(f"eval_count must be >= 1, got {self.eval_count}")
         if not 0.0 < self.train_ratio < 1.0:  # NaN fails too
             raise ValueError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
+        if not 0.0 <= self.static_threshold <= 1.0:
+            raise ValueError(f"static_threshold must be in [0, 1], got {self.static_threshold}")
 
 
 @dataclass
@@ -110,12 +110,10 @@ class LayerRun:
 
     layer: LayerId
     mode: Mode
-    threshold: float
     routed: list[RoutedEvent]
     summary: LayerSummary
     audits: list[dict]
     reviews: list[ReviewRecord]
-    metrics: Metrics | None  # None when no routed event carries truth
 
     @property
     def llm_calls(self) -> int:
@@ -163,16 +161,6 @@ class Metrics:
             "f1": self.f1,
         }
 
-    @staticmethod
-    def merge(parts: list["Metrics"]) -> "Metrics":
-        return Metrics(
-            tp=sum(m.tp for m in parts),
-            fp=sum(m.fp for m in parts),
-            fn=sum(m.fn for m in parts),
-            tn=sum(m.tn for m in parts),
-            deferred=sum(m.deferred for m in parts),
-        )
-
 
 def compute_metrics(routed: list[RoutedEvent]) -> Metrics:
     """Confusion counts of the working verdicts against ground truth.
@@ -198,6 +186,13 @@ def compute_metrics(routed: list[RoutedEvent]) -> Metrics:
         else:
             tn += 1
     return Metrics(tp=tp, fp=fp, fn=fn, tn=tn, deferred=sum(r.deferred for r in labeled))
+
+
+def _metrics_dict(routed: list[RoutedEvent]) -> dict | None:
+    """``compute_metrics`` as a dict, or None when no event carries truth."""
+    if not any(r.se.event.truth is not None for r in routed):
+        return None
+    return compute_metrics(routed).to_dict()
 
 
 @dataclass(frozen=True)
@@ -395,9 +390,6 @@ def route_stream(
 
     assert all(r is not None for r in routed)
     done: list[RoutedEvent] = routed  # type: ignore[assignment]
-    metrics = None
-    if any(r.se.event.truth is not None for r in done):
-        metrics = compute_metrics(done)
     summary = LayerSummary(
         layer=layer.value,
         total=len(scored),
@@ -412,17 +404,10 @@ def route_stream(
         bucket=tallies["bucket"],
         learned_threshold=threshold,
         llm_threshold=llm_tau,
-        metrics=metrics.to_dict() if metrics else None,
+        metrics=_metrics_dict(done),
     ).validate()
     return LayerRun(
-        layer=layer,
-        mode=mode,
-        threshold=threshold,
-        routed=done,
-        summary=summary,
-        audits=audits,
-        reviews=reviews,
-        metrics=metrics,
+        layer=layer, mode=mode, routed=done, summary=summary, audits=audits, reviews=reviews
     )
 
 
@@ -438,33 +423,6 @@ def ask_llm(client, se: ScoredEvent, prompt: str) -> LlmVerdict:
         logger.warning("llm failure for %s: %s", se.event.id, exc)
         return LlmVerdict(Verdict.UNSURE, 0.0)
     return parse_verdict(raw)
-
-
-def run_layer(
-    layer: LayerId,
-    scored: list[ScoredEvent],
-    cfg: PipelineConfig,
-    store: MemoryStore,
-    client,
-    calibration: CalibrationResult | None = None,
-    clock=None,
-    mode: Mode | None = None,
-) -> LayerRun:
-    """Route one layer in one mode.
-
-    STATIC uses the fixed threshold from the config; ADAPTIVE requires a
-    CalibrationResult (computed or loaded).
-    """
-    mode = mode if mode is not None else cfg.mode
-    if mode is Mode.STATIC:
-        threshold = cfg.static_threshold
-    else:
-        if calibration is None:
-            raise ValueError("adaptive mode needs a calibration result")
-        threshold = calibration.learned_threshold
-    return route_stream(
-        layer, scored, threshold, cfg, store, client, clock=clock, mode=mode
-    )
 
 
 def calibrate_gate1(
@@ -499,29 +457,10 @@ def harvest_llm_samples(
     return samples
 
 
-def calibrate_llm_for_layer(
-    train_scored: list[ScoredEvent], cfg: PipelineConfig, client
-) -> LlmCalibration:
-    samples = harvest_llm_samples(train_scored, cfg, client)
-    return calibrate_llm_threshold(samples, cfg.llm_thresholds.p_min)
-
-
 @dataclass
 class ModeRun:
     mode: Mode
     layer_runs: dict[LayerId, LayerRun]
-
-    @property
-    def total_uncertain(self) -> int:
-        return sum(lr.summary.uncertain for lr in self.layer_runs.values())
-
-    @property
-    def total_llm_calls(self) -> int:
-        return sum(lr.llm_calls for lr in self.layer_runs.values())
-
-    def overall_metrics(self) -> Metrics | None:
-        parts = [lr.metrics for lr in self.layer_runs.values() if lr.metrics is not None]
-        return Metrics.merge(parts) if parts else None
 
 
 LAYER_ORDER = (LayerId.NETWORK, LayerId.HOST, LayerId.HYPERVISOR)
@@ -529,7 +468,7 @@ LAYER_ORDER = (LayerId.NETWORK, LayerId.HOST, LayerId.HYPERVISOR)
 
 def run_mode(
     scored_by_layer: dict[LayerId, list[ScoredEvent]],
-    calibrations: dict[LayerId, CalibrationResult],
+    thresholds: dict[LayerId, float],
     mode: Mode,
     cfg: PipelineConfig,
     make_store,
@@ -537,48 +476,52 @@ def run_mode(
 ) -> tuple[ModeRun, RunSummary]:
     """Run every layer once in one mode and summarize.
 
+    The modes differ only in Gate 1's threshold: STATIC routes every
+    layer on ``cfg.static_threshold``, ADAPTIVE each layer on its own
+    entry of ``thresholds`` (a ValueError names a layer without one).
     One clock spans the whole run, so audit and review timestamps are
     ordered across layers and a seeded run reproduces byte-identical
-    artifacts.
+    artifacts.  The mode's totals are counted here, into the summary's
+    ``overall``, and read from there.
     """
+    layers = [layer for layer in LAYER_ORDER if layer in scored_by_layer]
+    if mode is Mode.STATIC:
+        thresholds = dict.fromkeys(layers, cfg.static_threshold)
+    missing = [layer.value for layer in layers if layer not in thresholds]
+    if missing:
+        raise ValueError(f"adaptive mode has no Gate-1 threshold for layer {', '.join(missing)}")
     clock = make_clock(cfg.wall_clock)
     started = clock.tick()
-    layer_runs: dict[LayerId, LayerRun] = {}
-    for layer in LAYER_ORDER:
-        if layer not in scored_by_layer:
-            continue
-        layer_runs[layer] = run_layer(
+    layer_runs = {
+        layer: route_stream(
             layer,
             scored_by_layer[layer],
+            thresholds[layer],
             cfg,
-            store=make_store(layer, mode),
-            client=make_client(layer, mode),
-            calibration=calibrations.get(layer),
+            make_store(layer, mode),
+            make_client(layer, mode),
             clock=clock,
             mode=mode,
         )
-    finished = clock.tick()
-    mode_run = ModeRun(mode=mode, layer_runs=layer_runs)
-    overall_metrics = mode_run.overall_metrics()
-    overall = {
-        "total": sum(lr.summary.total for lr in layer_runs.values()),
-        "known": sum(lr.summary.known for lr in layer_runs.values()),
-        "uncertain": mode_run.total_uncertain,
-        "memory_matched": sum(lr.summary.memory_matched for lr in layer_runs.values()),
-        "llm_promoted": sum(lr.summary.llm_promoted for lr in layer_runs.values()),
-        "bucket": sum(lr.summary.bucket for lr in layer_runs.values()),
-        "llm_calls": mode_run.total_llm_calls,
-        "metrics": overall_metrics.to_dict() if overall_metrics else None,
+        for layer in layers
     }
+    finished = clock.tick()
+    summaries = [lr.summary for lr in layer_runs.values()]
+    overall: dict = {
+        key: sum(getattr(s, key) for s in summaries)
+        for key in ("total", "known", "uncertain", "memory_matched", "llm_promoted", "bucket")
+    }
+    overall["llm_calls"] = sum(lr.llm_calls for lr in layer_runs.values())
+    overall["metrics"] = _metrics_dict([r for lr in layer_runs.values() for r in lr.routed])
     summary = RunSummary(
         mode=mode.value,
         seed=cfg.seed,
         started_at=started,
         finished_at=finished,
-        layers=tuple(lr.summary for lr in layer_runs.values()),
+        layers=tuple(summaries),
         overall=overall,
     )
-    return mode_run, summary
+    return ModeRun(mode=mode, layer_runs=layer_runs), summary
 
 
 @dataclass
@@ -592,23 +535,24 @@ class Comparison:
 
 def compare_modes(
     scored_by_layer: dict[LayerId, list[ScoredEvent]],
-    calibrations: dict[LayerId, CalibrationResult],
+    thresholds: dict[LayerId, float],
     cfg: PipelineConfig,
     make_store,
     make_client,
 ) -> Comparison:
     """Run both modes over identical scored streams and price the gap.
 
-    ``make_store(layer, mode)`` and ``make_client(layer, mode)`` supply
-    fresh per-run dependencies so the two modes cannot contaminate each
-    other.  Scores are computed once by the caller and shared; equal
-    confidence multisets across modes are asserted per layer.
+    ``thresholds`` holds each layer's learned Gate-1 threshold for the
+    adaptive run.  ``make_store(layer, mode)`` and ``make_client(layer,
+    mode)`` supply fresh per-run dependencies so the two modes cannot
+    contaminate each other.  Scores are computed once by the caller and
+    shared; equal confidence multisets across modes are asserted per layer.
     """
     static_run, static_summary = run_mode(
-        scored_by_layer, calibrations, Mode.STATIC, cfg, make_store, make_client
+        scored_by_layer, thresholds, Mode.STATIC, cfg, make_store, make_client
     )
     adaptive_run, adaptive_summary = run_mode(
-        scored_by_layer, calibrations, Mode.ADAPTIVE, cfg, make_store, make_client
+        scored_by_layer, thresholds, Mode.ADAPTIVE, cfg, make_store, make_client
     )
 
     for layer in scored_by_layer:
@@ -624,7 +568,9 @@ def compare_modes(
             )
 
     cost = cost_analysis(
-        static_run.total_uncertain, adaptive_run.total_uncertain, cfg.c_event
+        static_summary.overall["uncertain"],
+        adaptive_summary.overall["uncertain"],
+        cfg.c_event,
     )
     return Comparison(
         static=static_run,

@@ -41,7 +41,7 @@ from idsgate.pipeline import (
     PipelineConfig,
     compare_modes,
     cost_analysis,
-    run_layer,
+    route_stream,
 )
 from idsgate.qcal import bellman_update, calibrate
 
@@ -190,7 +190,7 @@ def test_adaptive_beats_static():
     }
     comp = compare_modes(
         {LayerId.HOST: eval_stream},
-        {LayerId.HOST: calib},
+        {LayerId.HOST: calib.learned_threshold},
         cfg,
         lambda layer, mode: MemoryStore(dims=cfg.embedding.dims),
         lambda layer, mode: EchoLlmClient(truths, 0.9, attack_types),
@@ -209,10 +209,10 @@ def test_adaptive_beats_static():
     # escalates a strictly smaller fraction of the stream.
     assert adaptive_unc / 5000 < static_unc / 5000
 
-    m_static = comp.static.overall_metrics()
-    m_adaptive = comp.adaptive.overall_metrics()
+    m_static = comp.static_summary.overall["metrics"]
+    m_adaptive = comp.adaptive_summary.overall["metrics"]
     assert m_static is not None and m_adaptive is not None
-    assert m_static.accuracy - m_adaptive.accuracy <= 0.02
+    assert m_static["accuracy"] - m_adaptive["accuracy"] <= 0.02
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -283,9 +283,10 @@ def test_memory_warmup(tmp_path):
     cfg = PipelineConfig(seed=7, static_threshold=0.85)
     path = str(tmp_path / "memory_host.jsonl")
 
-    run1 = run_layer(
+    run1 = route_stream(
         LayerId.HOST,
         stream,
+        cfg.static_threshold,
         cfg,
         store=load_store(path, cfg.embedding.dims),
         client=EchoLlmClient(truths, 0.9, attack_types),
@@ -293,9 +294,10 @@ def test_memory_warmup(tmp_path):
     )
     store2 = load_store(path, cfg.embedding.dims)
     assert len(store2) == 25
-    run2 = run_layer(
+    run2 = route_stream(
         LayerId.HOST,
         stream,
+        cfg.static_threshold,
         cfg,
         store=store2,
         client=EchoLlmClient(truths, 0.9, attack_types),

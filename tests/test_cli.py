@@ -166,7 +166,27 @@ def test_bad_llm_spec_is_usage_error(tmp_path, capsys, monkeypatch, flags, line)
     ],
 )
 def test_out_of_range_run_size_key_is_usage_error(tmp_path, capsys, monkeypatch, line, key):
-    # rejected while the config is built, before any corpus is generated
+    assert_rejected_before_corpus(tmp_path, capsys, monkeypatch, line, key)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("llm_retries = -1", "llm_retries"),
+        ("llm_timeout = -1", "llm_timeout"),
+        ("llm_timeout = 0", "llm_timeout"),
+        ("static_threshold = 7", "static_threshold"),
+        ("scorer_network = bogus", "scorer_network"),
+        ("scorer_host = replay:", "scorer_host"),
+    ],
+)
+def test_bad_routing_or_client_key_is_usage_error(tmp_path, capsys, monkeypatch, line, key):
+    assert_rejected_before_corpus(tmp_path, capsys, monkeypatch, line, key)
+
+
+def assert_rejected_before_corpus(tmp_path, capsys, monkeypatch, line, key):
+    """``compare --config`` with ``line`` exits 2 naming ``key``, while the
+    config is built: no corpus is generated and no out dir is made."""
     def no_corpus(*args):
         raise AssertionError("corpus generated")
 

@@ -112,6 +112,16 @@ def test_build_rejects_bad_values():
         # fusion weights whose exact decimal sum is not 1
         ({"w_model": "0.5"}, "w_model"),
         ({"w_llm": "0.7"}, "w_llm"),
+        # Gate-1 static threshold, LLM client and scorer specs
+        ({"static_threshold": "7"}, "static_threshold"),
+        ({"static_threshold": "-0.01"}, "static_threshold"),
+        ({"llm_retries": "-1"}, "llm_retries"),
+        ({"llm_timeout": "-1"}, "llm_timeout"),
+        ({"llm_timeout": "0"}, "llm_timeout"),
+        ({"scorer_network": "bogus"}, "scorer_network"),
+        ({"scorer_host": "replay:"}, "scorer_host"),
+        ({"scorer_hypervisor": "replay"}, "scorer_hypervisor"),
+        ({"scorer_network": "baseline:x"}, "scorer_network"),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}:"):
             build_experiment_config(kv)
@@ -246,6 +256,9 @@ def test_scorer_selection():
     xcfg = build_experiment_config({"scorer_network": "replay:scores.csv"})
     assert xcfg.scorers[LayerId.NETWORK] == "replay:scores.csv"
     assert xcfg.scorers[LayerId.HOST] == "baseline"
+    xcfg = build_experiment_config({"scorer_host": "baseline", "scorer_network": "replay:a:b.csv"})
+    assert xcfg.scorers[LayerId.HOST] == "baseline"
+    assert xcfg.scorers[LayerId.NETWORK] == "replay:a:b.csv"
 
 
 def test_llm_client_keys():

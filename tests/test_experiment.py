@@ -20,7 +20,7 @@ from idsgate.experiment import (
     do_gen,
     do_report,
     do_run,
-    get_events,
+    layer_input,
     load_calibration,
     prepare_bundles,
     prepare_layer,
@@ -49,7 +49,7 @@ def small_cfg(tmp_path, **extra):
 
 def test_get_events_generates_when_no_data_dir(tmp_path):
     xcfg = small_cfg(tmp_path)
-    events = get_events(LayerId.NETWORK, xcfg)
+    events = layer_input(LayerId.NETWORK, xcfg)[0]
     assert len(events) == 200
     assert all(e.layer is LayerId.NETWORK for e in events)
 
@@ -61,7 +61,7 @@ def test_get_events_prefers_replay_spec(tmp_path):
         fh.write("network-0,network,1,0.9,1\n")
         fh.write("network-1,network,0,0.6,0\n")
     xcfg = small_cfg(tmp_path, scorer_network=f"replay:{replay}")
-    events = get_events(LayerId.NETWORK, xcfg)
+    events = layer_input(LayerId.NETWORK, xcfg)[0]
     assert [e.id for e in events] == ["network-0", "network-1"]
     assert [e.truth for e in events] == [1, 0]
 
@@ -70,14 +70,14 @@ def test_get_events_loads_from_data_dir(tmp_path):
     gen_cfg = small_cfg(tmp_path, layers="host")
     do_gen(gen_cfg)
     xcfg = small_cfg(tmp_path, data_dir=gen_cfg.out_dir, layers="host")
-    events = get_events(LayerId.HOST, xcfg)
+    events = layer_input(LayerId.HOST, xcfg)[0]
     assert len(events) == 240
     assert events[0].id == "host-0"
 
 
 def test_prepare_layer_fits_host_tfidf_on_train_only(tmp_path, monkeypatch):
     xcfg = small_cfg(tmp_path)
-    events = get_events(LayerId.HOST, xcfg)
+    events = layer_input(LayerId.HOST, xcfg)[0]
     assert all(len(e.features) == 1 for e in events)  # placeholder until fit
     train, test = split_train_test(events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
     assert (len(train), len(test)) == (192, 48)
@@ -102,7 +102,7 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
     # Only the evaluation rows outlive prepare_layer: the training split is
     # featurized, trained on and scored, and its block is then let go.
     xcfg = small_cfg(tmp_path)
-    events = get_events(LayerId.HOST, xcfg)
+    events = layer_input(LayerId.HOST, xcfg)[0]
     bundle = prepare_layer(LayerId.HOST, events, xcfg)
     assert all(se.event.features.shape == (1,) for se in bundle.train_scored)
     n_eval = len(bundle.eval_events)
@@ -123,18 +123,11 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
 
 def test_prepare_layer_baseline_learns_separable_network(tmp_path):
     xcfg = small_cfg(tmp_path, net_count=600, net_separation=4.0, eval_count=120)
-    bundle = prepare_layer(LayerId.NETWORK, get_events(LayerId.NETWORK, xcfg), xcfg)
+    bundle = prepare_layer(LayerId.NETWORK, layer_input(LayerId.NETWORK, xcfg)[0], xcfg)
     correct = sum(
         1 for se in bundle.eval_scored if se.pred_label == se.event.truth
     )
     assert correct / len(bundle.eval_scored) >= 0.95
-
-
-def test_prepare_layer_rejects_unknown_scorer(tmp_path):
-    xcfg = small_cfg(tmp_path)
-    xcfg.scorers[LayerId.NETWORK] = "oracle"
-    with pytest.raises(ConfigError, match="unknown scorer"):
-        prepare_layer(LayerId.NETWORK, get_events(LayerId.NETWORK, xcfg), xcfg)
 
 
 def test_prepare_bundles_reads_each_replay_csv_once(tmp_path, monkeypatch):
@@ -268,18 +261,15 @@ def test_do_calibrate_roundtrip(tmp_path):
     xcfg = small_cfg(tmp_path, layers="network", net_count=400)
     path = do_calibrate(xcfg)
     assert path.endswith("calibration_run0.json")
-    calibs = load_calibration(path, xcfg.layers)
-    assert set(calibs) == {LayerId.NETWORK}
-    result = calibs[LayerId.NETWORK]
+    # only the threshold is read back; the histogram stays a record of the run
+    thresholds = load_calibration(path, xcfg.layers)
+    assert set(thresholds) == {LayerId.NETWORK}
     payload = json.loads(Path(path).read_text())
     entry = payload["layers"]["network"]
     assert payload["episodes"] == 2
     assert sum(entry["action_histogram"].values()) >= 1
-    assert result.learned_threshold == entry["learned_threshold"]
-    assert result.learned_threshold in xcfg.pipeline.calib.actions.thresholds
-    # only the threshold is read back; the histogram stays a record of the run
-    assert result.action_histogram == {}
-    assert result.episodes == 0
+    assert thresholds[LayerId.NETWORK] == entry["learned_threshold"]
+    assert thresholds[LayerId.NETWORK] in xcfg.pipeline.calib.actions.thresholds
 
 
 def test_do_calibrate_llm_writes_thresholds(tmp_path):
@@ -352,7 +342,7 @@ def test_do_run_static_writes_artifacts(tmp_path):
 def test_do_run_adaptive_accepts_saved_calibration(tmp_path):
     xcfg = small_cfg(tmp_path, layers="network", net_count=400)
     calib_path = do_calibrate(xcfg)
-    learned = load_calibration(calib_path, xcfg.layers)[LayerId.NETWORK].learned_threshold
+    learned = load_calibration(calib_path, xcfg.layers)[LayerId.NETWORK]
     mode_run, summary, _ = do_run(xcfg, calibration_path=calib_path)
     assert summary.mode == "adaptive"
     assert summary.layers[0].learned_threshold == learned
@@ -366,7 +356,10 @@ def test_do_compare_writes_comparison_files(tmp_path):
         payload = json.load(fh)
     assert payload["cost"]["n_static"] == comp.cost.n_static
     assert set(payload["learned_thresholds"]) == {"network", "host"}
-    assert payload["static"]["uncertain"] == comp.static.total_uncertain
+    assert payload["static"]["uncertain"] == comp.static_summary.overall["uncertain"]
+    assert payload["adaptive"] == {
+        key: comp.adaptive_summary.overall[key] for key in ("uncertain", "llm_calls", "metrics")
+    }
     lines = Path(files["table"]).read_text().splitlines()
     assert lines[0].startswith("layer,mode,")
     assert len(lines) == 1 + 2 * 2  # two modes, two layers

@@ -6,26 +6,30 @@ import pytest
 from conftest import dead_endpoint_url, make_scored
 from idsgate.config import build_experiment_config
 from idsgate.events import LayerId, Sink
-from idsgate.llm import EchoLlmClient, HttpLlmClient, LlmThresholds, LlmTimeout, MockLlmClient
+from idsgate.llm import (
+    EchoLlmClient,
+    HttpLlmClient,
+    LlmThresholds,
+    LlmTimeout,
+    MockLlmClient,
+    calibrate_llm_threshold,
+)
 from idsgate.memory import MemoryStore
 from idsgate.pipeline import (
     Comparison,
-    Metrics,
     Mode,
     NoLabeledEvents,
     PipelineConfig,
     ZeroStaticBaseline,
     calibrate_gate1,
-    calibrate_llm_for_layer,
     compare_modes,
     compute_metrics,
     cost_analysis,
     harvest_llm_samples,
     route_stream,
-    run_layer,
     run_mode,
 )
-from idsgate.qcal import CalibConfig, CalibrationResult
+from idsgate.qcal import CalibConfig
 
 
 def fresh_store(cfg):
@@ -82,10 +86,31 @@ def test_compute_metrics_requires_labels():
 
 
 def test_metrics_merge_adds_counts():
-    a = Metrics(tp=1, fp=2, fn=3, tn=4, deferred=1)
-    b = Metrics(tp=10, fp=20, fn=30, tn=40, deferred=2)
-    merged = Metrics.merge([a, b])
-    assert (merged.tp, merged.fp, merged.fn, merged.tn, merged.deferred) == (11, 22, 33, 44, 3)
+    # A mode's overall metrics count every routed event of every layer
+    # once, so they add up the layers' confusion counts.
+    cfg = PipelineConfig()
+    rows = [(0.9, 1, 1), (0.9, 1, 0), (0.9, 0, 1), (0.6, 0, 0), (0.55, 1, 1)]
+    scored = {
+        LayerId.NETWORK: [
+            make_scored(c, pred_label=p, truth=t, event_id=f"network-{i}", layer=LayerId.NETWORK)
+            for i, (c, p, t) in enumerate(rows)
+        ],
+        LayerId.HOST: host_stream(rows[1:] + [(0.9, 0, None)]),  # one unlabeled
+    }
+    truths = {se.event.id: se.event.truth for stream in scored.values() for se in stream}
+    mode_run, summary = run_mode(
+        scored,
+        {},
+        Mode.STATIC,
+        cfg,
+        make_store=lambda layer, mode: fresh_store(cfg),
+        make_client=lambda layer, mode: EchoLlmClient(truths, confidence=0.5),
+    )
+    keys = ("tp", "fp", "fn", "tn", "deferred")
+    per_layer = [ls.metrics for ls in summary.layers]
+    overall = summary.overall["metrics"]
+    assert [overall[k] for k in keys] == [sum(m[k] for m in per_layer) for k in keys]
+    assert overall["tp"] + overall["fp"] + overall["fn"] + overall["tn"] == 9
 
 
 def test_cost_analysis_simple_numbers():
@@ -283,41 +308,52 @@ def test_parallelism_does_not_change_results():
             assert sinks == base[1]
 
 
+def run_host(stream, thresholds, mode, cfg):
+    """run_mode over one host stream; the host layer's run and summary."""
+    mode_run, summary = run_mode(
+        {LayerId.HOST: stream},
+        thresholds,
+        mode,
+        cfg,
+        make_store=lambda layer, mode: fresh_store(cfg),
+        make_client=lambda layer, mode: echo_for(stream),
+    )
+    return mode_run.layer_runs[LayerId.HOST], summary
+
+
 def test_run_layer_static_uses_config_threshold():
     cfg = PipelineConfig(static_threshold=0.85)
     stream = host_stream([(0.86, 0, 0), (0.84, 0, 0)])
-    run = run_layer(
-        LayerId.HOST, stream, cfg, fresh_store(cfg), echo_for(stream), mode=Mode.STATIC
-    )
-    assert run.threshold == 0.85
+    # a learned threshold does not reach the static run
+    run, _ = run_host(stream, {LayerId.HOST: 0.5}, Mode.STATIC, cfg)
+    assert run.summary.learned_threshold == 0.85
     assert run.summary.known == 1
 
 
 def test_run_layer_adaptive_needs_calibration():
     cfg = PipelineConfig()
     stream = host_stream([(0.9, 0, 0)])
-    with pytest.raises(ValueError):
-        run_layer(LayerId.HOST, stream, cfg, fresh_store(cfg), echo_for(stream), mode=Mode.ADAPTIVE)
+    made = []
+    with pytest.raises(ValueError, match="threshold for layer host"):
+        run_mode(
+            {LayerId.HOST: stream},
+            {LayerId.NETWORK: 0.6},
+            Mode.ADAPTIVE,
+            cfg,
+            make_store=lambda layer, mode: made.append(layer) or fresh_store(cfg),
+            make_client=lambda layer, mode: echo_for(stream),
+        )
+    assert made == []  # rejected before any layer is routed
 
 
 def test_run_layer_adaptive_uses_learned_threshold():
     cfg = PipelineConfig()
-    calibration = CalibrationResult(
-        learned_threshold=0.62, episodes=20, action_histogram={0.62: 10}
-    )
     stream = host_stream([(0.63, 0, 0), (0.61, 0, 0)])
-    run = run_layer(
-        LayerId.HOST,
-        stream,
-        cfg,
-        fresh_store(cfg),
-        echo_for(stream),
-        calibration=calibration,
-        mode=Mode.ADAPTIVE,
-    )
-    assert run.threshold == 0.62
+    run, summary = run_host(stream, {LayerId.HOST: 0.62}, Mode.ADAPTIVE, cfg)
+    assert run.mode is Mode.ADAPTIVE
     assert run.summary.known == 1
     assert run.summary.learned_threshold == 0.62
+    assert summary.overall["uncertain"] == 1
 
 
 def test_code_built_config_routes_like_config_file():
@@ -355,7 +391,8 @@ def test_harvest_llm_samples_requires_labels():
 def test_calibrate_llm_for_layer_with_perfect_analyst():
     cfg = PipelineConfig()
     stream = host_stream([(0.6, 1, i % 2) for i in range(20)])
-    cal = calibrate_llm_for_layer(stream, cfg, echo_for(stream))
+    samples = harvest_llm_samples(stream, cfg, echo_for(stream))
+    cal = calibrate_llm_threshold(samples, cfg.llm_thresholds.p_min)
     # A perfect analyst is feasible everywhere; ties resolve to the
     # lowest candidate threshold.
     assert cal.feasible is True
@@ -406,12 +443,9 @@ def test_compare_modes_prices_the_escalation_gap():
     rows = [(0.5 + (i % 45) * 0.01, i % 2, i % 2) for i in range(200)]
     stream = host_stream(rows)
     truths = {se.event.id: se.event.truth for se in stream}
-    calibration = CalibrationResult(
-        learned_threshold=0.60, episodes=20, action_histogram={0.60: 5}
-    )
     comparison = compare_modes(
         {LayerId.HOST: stream},
-        {LayerId.HOST: calibration},
+        {LayerId.HOST: 0.60},
         cfg,
         make_store=lambda layer, mode: fresh_store(cfg),
         make_client=lambda layer, mode: EchoLlmClient(truths),
@@ -424,4 +458,6 @@ def test_compare_modes_prices_the_escalation_gap():
     assert comparison.cost.delta == n_static - n_adaptive
     assert comparison.static_summary.mode == "static"
     assert comparison.adaptive_summary.mode == "adaptive"
-    assert comparison.adaptive.layer_runs[LayerId.HOST].threshold == 0.60
+    assert comparison.static_summary.overall["uncertain"] == n_static
+    assert comparison.adaptive_summary.overall["uncertain"] == n_adaptive
+    assert comparison.adaptive.layer_runs[LayerId.HOST].summary.learned_threshold == 0.60
