@@ -57,7 +57,7 @@ class EmptyFeatureVector(ValueError):
     """Event carries a zero-length feature vector."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Event:
     """One observable unit: a flow record, a log line, or a hypervisor event.
 
@@ -75,7 +75,7 @@ class Event:
     truth_class: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ScoredEvent:
     """An event plus the base model's binary prediction and confidence."""
 
@@ -90,7 +90,7 @@ class ScoredEvent:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateRecord:
     """One hop of an event's route: which gate, what it decided, the score
     the decision was based on (confidence, distance, or fused score)."""
@@ -104,7 +104,7 @@ class GateRecord:
             raise ValueError(f"unknown gate {self.gate!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteOutcome:
     """Final sink plus the append-only gate trace that led there."""
 
@@ -115,7 +115,7 @@ class RouteOutcome:
         validate_trace(self.trace)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RoutedEvent:
     """A scored event together with the sink it reached.
 

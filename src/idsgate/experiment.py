@@ -14,6 +14,8 @@ import json
 import logging
 import os
 
+import numpy as np
+
 from .config import ConfigError, ExperimentConfig
 from .corpus import (
     HostGenConfig,
@@ -168,15 +170,14 @@ def prepare_layer(
         train_scored = score_stream(train, scorer)
     elif layer is LayerId.HOST:
         extractor = fit_tfidf([e.raw for e in train])
-        featurized = _with_tfidf(train, extractor)
-        scorer = train_baseline(featurized, TrainConfig(seed=cfg.seed))
-        train_scored = [
-            ScoredEvent(e, se.pred_label, se.confidence)
-            for e, se in zip(train, score_stream(featurized, scorer))
-        ]
-        eval_events = _with_tfidf(eval_events, extractor)
+        scorer, train_scored = _train_on_tfidf(train, extractor, TrainConfig(seed=cfg.seed))
+        eval_events = _with_rows(
+            eval_events, extract_features([e.raw for e in eval_events], extractor)
+        )
     else:
-        scorer = train_baseline(train, TrainConfig(seed=cfg.seed))
+        # train_baseline standardizes this stacked copy in place.
+        x = np.array([e.features for e in train], dtype=np.float64)
+        scorer = train_baseline(train, x, TrainConfig(seed=cfg.seed))
         train_scored = score_stream(train, scorer)
     return LayerBundle(
         layer=layer,
@@ -188,9 +189,32 @@ def prepare_layer(
     )
 
 
-def _with_tfidf(events: list[Event], extractor: FeatureExtractor) -> list[Event]:
-    """Copies of ``events`` whose features are rows of one tf-idf block."""
-    block = extract_features([e.raw for e in events], extractor)
+def _train_on_tfidf(
+    train: list[Event], extractor: FeatureExtractor, tcfg: TrainConfig
+) -> tuple[Scorer, list[ScoredEvent]]:
+    """Train the host model on the tf-idf block of ``train`` and score it.
+
+    Training standardizes the block in place.  tf-idf cells are >= 0 and
+    its zeros are +0.0, so writing the non-zero cells back into the zeroed
+    block restores the raw rows bit for bit, and the split is scored from
+    the same buffer.  The scored events are the split's own, and the block
+    dies on return.
+    """
+    block = extract_features([e.raw for e in train], extractor)
+    cells = np.flatnonzero(block)
+    values = block.ravel()[cells]
+    scorer = train_baseline(train, block, tcfg)
+    block.fill(0.0)
+    block.ravel()[cells] = values
+    train_scored = [
+        ScoredEvent(e, se.pred_label, se.confidence)
+        for e, se in zip(train, score_stream(_with_rows(train, block), scorer))
+    ]
+    return scorer, train_scored
+
+
+def _with_rows(events: list[Event], block: np.ndarray) -> list[Event]:
+    """Copies of ``events`` whose features are the rows of ``block``."""
     return [dataclasses.replace(e, features=x) for e, x in zip(events, block)]
 
 
@@ -415,15 +439,19 @@ def do_calibrate_llm(xcfg: ExperimentConfig) -> str:
 def do_run(
     xcfg: ExperimentConfig, calibration_path: str | None = None
 ) -> tuple[ModeRun, RunSummary, OutputPaths]:
-    """One full run in the configured mode; writes all artifacts."""
+    """One full run in the configured mode; writes all artifacts.
+
+    A calibration file is read and checked in either mode; static mode
+    routes on ``static_threshold`` and uses none of its thresholds.
+    """
     bundles = prepare_bundles(xcfg)
     cfg = xcfg.pipeline
-    if cfg.mode is Mode.STATIC:
-        thresholds = {}
-    elif calibration_path:
+    if calibration_path:
         thresholds = load_calibration(calibration_path, xcfg.layers)
-    else:
+    elif cfg.mode is Mode.ADAPTIVE:
         thresholds = gate1_calibrations(bundles, xcfg)
+    else:
+        thresholds = {}
     scored = {layer: bundle.eval_scored for layer, bundle in bundles.items()}
     mode_run, summary = run_mode(
         scored,

@@ -105,7 +105,7 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return min(max(1.0 - sim, 0.0), 2.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MemoryRecord:
     id: str
     layer: LayerId

@@ -182,30 +182,39 @@ def _sum_of_squares(z: np.ndarray) -> np.ndarray:
     return buf[0]
 
 
-def train_baseline(events: list[Event], cfg: TrainConfig) -> Scorer:
+def train_baseline(events: list[Event], x: np.ndarray, cfg: TrainConfig) -> Scorer:
     """Train the built-in logistic stand-in on labeled events.
 
-    Full-batch gradient descent with a fixed schedule.  Features are
-    standardized internally and the affine transform is folded back into
-    the returned weights, so the scorer applies directly to raw vectors.
-    The same (events, cfg) always yields identical weights.
+    ``x`` is the float64 feature matrix of ``events``, one row per event.
+    Training standardizes it in place, so the caller's matrix is consumed:
+    its values afterwards are the standardized ones.  When some events
+    have no truth label, only the labeled rows are taken (``x[keep]``, a
+    copy) and ``x`` is left as it was.
+
+    Full-batch gradient descent with a fixed schedule.  The affine
+    standardization is folded back into the returned weights, so the
+    scorer applies directly to raw vectors.  The same (events, x, cfg)
+    always yields identical weights.
 
     Raises:
+        ValueError: ``x`` does not have one row per event.
         SingleClassData: fewer than two truth classes present.
     """
-    labeled = [e for e in events if e.truth is not None]
-    classes = {e.truth for e in labeled}
+    if x.shape[0] != len(events):
+        raise ValueError(f"{len(events)} events but {x.shape[0]} feature rows")
+    keep = [i for i, e in enumerate(events) if e.truth is not None]
+    classes = {events[i].truth for i in keep}
     if len(classes) < 2:
         raise SingleClassData(
             f"logistic training needs both classes, got {sorted(classes)}"
         )
-    y = np.array([e.truth for e in labeled], dtype=np.float64)
+    y = np.array([events[i].truth for i in keep], dtype=np.float64)
     n = len(y)
 
     # Standardize in place: the steps np.std takes on the centred matrix,
     # so mu and sigma (and z) are bit-equal to x.mean, x.std and
     # (x - mu) / sigma with no full-size temporary.
-    z = np.array([e.features for e in labeled], dtype=np.float64)
+    z = x if n == len(events) else x[keep]
     mu = z.mean(axis=0)
     z -= mu
     sigma = np.sqrt(_sum_of_squares(z) / n)

@@ -373,7 +373,10 @@ def _calibration(**layers):
 NET = {"learned_threshold": 0.6, "action_histogram": {"0.6": 3}}
 
 
-@pytest.mark.parametrize("command", [["compare"], ["run", "--mode", "adaptive"]])
+CALIBRATED_COMMANDS = [["compare"], ["run", "--mode", "adaptive"], ["run", "--mode", "static"]]
+
+
+@pytest.mark.parametrize("command", CALIBRATED_COMMANDS)
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -402,6 +405,17 @@ def test_bad_calibration_file_fails_before_routing(tmp_path, capsys, command, pa
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {calib}: {message}")
     # nothing was routed, so no mode wrote its artifacts
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+
+@pytest.mark.parametrize("command", CALIBRATED_COMMANDS)
+def test_missing_calibration_file_fails_before_routing(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SMALL)
+    calib = os.path.join(tmp_path, "absent.json")
+    code = main([*command, "--config", cfg, *base_args(tmp_path), "--calibration", calib])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and calib in err
     assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 

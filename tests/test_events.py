@@ -16,6 +16,7 @@ from idsgate.events import (
     validate_event,
     validate_trace,
 )
+from idsgate.memory import MemoryRecord, MemorySource
 
 
 def test_layer_and_sink_values_round_trip():
@@ -27,6 +28,29 @@ def test_layer_and_sink_values_round_trip():
         "llm_attack",
         "review_bucket",
     ]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_event(),
+        lambda: make_scored(0.9),
+        lambda: GateRecord("gate1", "uncertain", 0.6),
+        lambda: RouteOutcome(Sink.KNOWN_ACCEPT, (GateRecord("gate1", "known", 0.9),)),
+        lambda: RoutedEvent(
+            make_scored(0.9), RouteOutcome(Sink.KNOWN_ACCEPT, (GateRecord("gate1", "known", 0.9),))
+        ),
+        lambda: MemoryRecord(
+            "m-0", LayerId.NETWORK, np.zeros(4), "dos", MemorySource.MEMORY_SEEDED, "2024-01-01"
+        ),
+    ],
+    ids=["Event", "ScoredEvent", "GateRecord", "RouteOutcome", "RoutedEvent", "MemoryRecord"],
+)
+def test_per_event_records_are_slotted(build):
+    # One of each is made per event; a per-instance dict would double its size.
+    record = build()
+    assert not hasattr(record, "__dict__")
+    assert type(record).__slots__
 
 
 def test_scored_event_rejects_bad_label():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -31,7 +32,13 @@ from idsgate.experiment import (
 from idsgate.llm import EchoLlmClient, HttpLlmClient, MockLlmClient, prompt_sha256
 from idsgate.memory import MemoryRecord, MemorySource, embed
 from idsgate.pipeline import Mode
-from idsgate.scoring import extract_features, fit_tfidf
+from idsgate.scoring import (
+    TrainConfig,
+    extract_features,
+    fit_tfidf,
+    score_stream,
+    train_baseline,
+)
 
 
 def small_cfg(tmp_path, **extra):
@@ -119,6 +126,36 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
     assert [se.event.id for se in bundle.train_scored] == [e.id for e in train]
     assert [se.pred_label for se in bundle.train_scored] == (p > 0.5).tolist()
     assert [se.confidence for se in bundle.train_scored] == np.maximum(p, 1.0 - p).tolist()
+
+
+def test_host_prepare_layer_restores_its_block_bit_for_bit(tmp_path, monkeypatch):
+    # Training standardizes the host block in place; the split must then be
+    # scored from the raw rows, exactly as the old path did: featurize, copy,
+    # train on the copy, score the untouched block.
+    xcfg = small_cfg(tmp_path, host_count=600)
+    events = layer_input(LayerId.HOST, xcfg)[0]
+    scored_rows = []
+    original = experiment.score_stream
+
+    def recording(stream, scorer):
+        scored_rows.append(np.array([e.features for e in stream]))
+        return original(stream, scorer)
+
+    monkeypatch.setattr(experiment, "score_stream", recording)
+    bundle = prepare_layer(LayerId.HOST, events, xcfg)
+
+    train, _ = split_train_test(events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
+    texts = [e.raw for e in train]
+    block = extract_features(texts, fit_tfidf(texts))
+    scorer = train_baseline(train, block.copy(), TrainConfig(seed=xcfg.pipeline.seed))
+    featurized = [dataclasses.replace(e, features=x) for e, x in zip(train, block)]
+    expected = score_stream(featurized, scorer)
+
+    assert scored_rows[0].tobytes() == block.tobytes()
+    assert bundle.scorer.weights.tobytes() == scorer.weights.tobytes()
+    assert bundle.scorer.bias == scorer.bias
+    assert [se.pred_label for se in bundle.train_scored] == [se.pred_label for se in expected]
+    assert [se.confidence for se in bundle.train_scored] == [se.confidence for se in expected]
 
 
 def test_prepare_layer_baseline_learns_separable_network(tmp_path):

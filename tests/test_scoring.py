@@ -175,7 +175,7 @@ def _labeled_blob(seed: int, n: int, dims: int = 6) -> list[Event]:
 def test_logistic_matches_brute_force_descent():
     events = _labeled_blob(3, 80)
     cfg = TrainConfig(epochs=50, learning_rate=0.2, l2=1e-3, seed=11)
-    scorer = train_baseline(events, cfg)
+    scorer = train_baseline(events, _stack(events), cfg)
 
     # Oracle: independent re-derivation of the same schedule.
     x = np.stack([e.features for e in events])
@@ -195,6 +195,10 @@ def test_logistic_matches_brute_force_descent():
 
     assert scorer.weights == pytest.approx(w_raw, abs=1e-9)
     assert scorer.bias == pytest.approx(b_raw, abs=1e-9)
+
+
+def _stack(events):
+    return np.array([e.features for e in events], dtype=np.float64)
 
 
 def _reference_train(events, cfg):
@@ -261,7 +265,7 @@ def test_train_baseline_matches_reference(train):
     events = [dataclasses.replace(e, features=np.append(e.features, 2.5)) for e in train()]
     cfg = TrainConfig(seed=4)
     w_raw, b_raw = _reference_train(events, cfg)
-    scorer = train_baseline(events, cfg)
+    scorer = train_baseline(events, _stack(events), cfg)
     assert np.array_equal(scorer.weights, w_raw)
     assert scorer.bias == b_raw
 
@@ -271,29 +275,61 @@ def test_train_baseline_one_column_matches_reference():
     events = _labeled_blob(13, 3000, dims=1)
     cfg = TrainConfig(seed=2)
     w_raw, b_raw = _reference_train(events, cfg)
-    scorer = train_baseline(events, cfg)
+    scorer = train_baseline(events, _stack(events), cfg)
     assert np.array_equal(scorer.weights, w_raw)
     assert scorer.bias == b_raw
 
 
-def test_train_baseline_holds_one_standardized_matrix():
-    # The stacked matrix is the one full-size array training needs; its
-    # squares are summed a chunk at a time, not as a second matrix.
+def test_train_baseline_allocates_no_matrix_the_size_of_x():
+    # x is standardized in place and its squares are summed a chunk at a
+    # time, so training holds no second full-size matrix.
     events = _labeled_blob(12, 16000, dims=64)
-    matrix_bytes = 16000 * 64 * 8
+    x = _stack(events)
     tracemalloc.start()
     try:
-        train_baseline(events, TrainConfig(epochs=2))
+        train_baseline(events, x, TrainConfig(epochs=2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * matrix_bytes
+    assert peak < 0.3 * x.nbytes
+
+
+def test_train_baseline_standardizes_x_in_place():
+    events = _labeled_blob(14, 300)
+    x = _stack(events)
+    raw = x.copy()
+    train_baseline(events, x, TrainConfig(epochs=2))
+    assert np.array_equal(x, (raw - raw.mean(axis=0)) / raw.std(axis=0))
+
+
+def test_train_baseline_takes_the_labeled_rows_of_x():
+    # Unlabeled rows are left out of training, and x is left as it was.
+    labeled = _labeled_blob(15, 300)
+    events = [
+        dataclasses.replace(e, truth=None) if i % 7 == 3 else e
+        for i, e in enumerate(labeled)
+    ]
+    x = _stack(events)
+    raw = x.copy()
+    kept = [e for e in events if e.truth is not None]
+    cfg = TrainConfig(seed=3)
+    w_raw, b_raw = _reference_train(kept, cfg)
+    scorer = train_baseline(events, x, cfg)
+    assert np.array_equal(scorer.weights, w_raw)
+    assert scorer.bias == b_raw
+    assert np.array_equal(x, raw)
+
+
+def test_train_baseline_rejects_a_row_count_mismatch():
+    events = _labeled_blob(16, 20)
+    with pytest.raises(ValueError, match="20 events but 19 feature rows"):
+        train_baseline(events, _stack(events)[:19], TrainConfig())
 
 
 def test_logistic_separates_blobs():
     train = _labeled_blob(5, 400)
     test = _labeled_blob(6, 200)
-    scorer = train_baseline(train, TrainConfig())
+    scorer = train_baseline(train, _stack(train), TrainConfig())
     scored = score_stream(test, scorer)
     hits = sum(1 for se in scored if se.pred_label == se.event.truth)
     assert hits / len(scored) >= 0.95
@@ -302,8 +338,8 @@ def test_logistic_separates_blobs():
 
 def test_logistic_training_is_deterministic():
     events = _labeled_blob(9, 60)
-    a = train_baseline(events, TrainConfig())
-    b = train_baseline(events, TrainConfig())
+    a = train_baseline(events, _stack(events), TrainConfig())
+    b = train_baseline(events, _stack(events), TrainConfig())
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
 
@@ -311,7 +347,7 @@ def test_logistic_training_is_deterministic():
 def test_logistic_single_class_raises():
     events = [make_event(event_id=f"network-{i}", truth=1) for i in range(10)]
     with pytest.raises(SingleClassData):
-        train_baseline(events, TrainConfig())
+        train_baseline(events, _stack(events), TrainConfig())
 
 
 def test_logistic_tie_predicts_benign():
@@ -351,7 +387,7 @@ def test_replay_scorer_missing_id_raises():
 )
 def test_score_stream_matches_per_event_formula(generate):
     train, _ = split_train_test(generate(), 0.8, seed=0)
-    scorer = train_baseline(train, TrainConfig())
+    scorer = train_baseline(train, _stack(train), TrainConfig())
     scored = score_stream(train, scorer)
     assert len(scored) == len(train)
     # Oracle: the scalar formula, one event at a time.
