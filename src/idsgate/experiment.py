@@ -441,17 +441,15 @@ def do_run(
 ) -> tuple[ModeRun, RunSummary, OutputPaths]:
     """One full run in the configured mode; writes all artifacts.
 
-    A calibration file is read and checked in either mode; static mode
-    routes on ``static_threshold`` and uses none of its thresholds.
+    A calibration file is read and checked in either mode, before any
+    set-up; static mode routes on ``static_threshold`` and uses none of
+    its thresholds.
     """
-    bundles = prepare_bundles(xcfg)
     cfg = xcfg.pipeline
-    if calibration_path:
-        thresholds = load_calibration(calibration_path, xcfg.layers)
-    elif cfg.mode is Mode.ADAPTIVE:
+    thresholds = load_calibration(calibration_path, xcfg.layers) if calibration_path else {}
+    bundles = prepare_bundles(xcfg)
+    if not calibration_path and cfg.mode is Mode.ADAPTIVE:
         thresholds = gate1_calibrations(bundles, xcfg)
-    else:
-        thresholds = {}
     scored = {layer: bundle.eval_scored for layer, bundle in bundles.items()}
     mode_run, summary = run_mode(
         scored,

@@ -6,6 +6,9 @@ cosine scan.  Only attacks are stored; a strong match short-circuits the
 LLM stage.  The vectors live in one float64 row block that inserts write
 in place, so a query is one matvec plus an O(n) selection of the k
 nearest: exact, deterministic, and with no index to keep in step.
+``insert`` is the only way in: a store file is loaded by inserting its
+records in order.  Callers embed a payload once and hand the vector to
+both the query and the insert.
 """
 
 from __future__ import annotations
@@ -166,25 +169,12 @@ class MemoryStore:
             self._index[record.id] = pos
             self._records.append(record)
         self._rows[pos] = record.vector
-        # The 2-D row-wise norm, as a whole-block norm would compute it;
-        # a 1-D norm takes another summation path and can differ in the
-        # last bit.
+        # The 2-D row-wise norm: a 1-D norm takes another summation path,
+        # and a last-bit change would move the recorded distances.
         self._norms[pos] = np.linalg.norm(self._rows[pos : pos + 1], axis=1)[0]
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(_record_to_dict(record)) + "\n")
-
-    def _fill(self, records: list[MemoryRecord], index: dict[str, int]) -> None:
-        """Replace the contents with ``records`` (unique ids, positions in
-        ``index``): one block fill and one row-wise norm, bit-equal to
-        inserting them one by one."""
-        n = len(records)
-        self._records, self._index = records, index
-        self._rows = np.zeros((max(n, 16), self.dims), dtype=np.float64)
-        self._norms = np.zeros(len(self._rows), dtype=np.float64)
-        if n:
-            np.stack([r.vector for r in records], out=self._rows[:n])
-            self._norms[:n] = np.linalg.norm(self._rows[:n], axis=1)
 
     def query(self, vector: np.ndarray, k: int) -> list[tuple[MemoryRecord, float]]:
         """k nearest records by cosine distance, distance then id order."""
@@ -215,20 +205,15 @@ class MemoryStore:
         return [(recs[i], d) for d, _, i in heapq.nsmallest(k, scored)]
 
 
-def match_decision(
-    store: MemoryStore,
-    text: str,
-    mcfg: MatchConfig,
-    ecfg: EmbeddingConfig,
-) -> MatchResult:
-    """Decide whether stored attack vectors explain this payload.
+def match_decision(store: MemoryStore, vector: np.ndarray, mcfg: MatchConfig) -> MatchResult:
+    """Decide whether stored attack vectors explain this embedded payload.
 
     Support counts neighbors within the support radius of the k
     retrieved; meta-confidence is (support / k) times the mean closeness
     (1 - distance) of the supporting neighbors, zero when nothing
     supports.  An empty store never matches.
     """
-    neighbors = store.query(embed(text, ecfg), mcfg.k)
+    neighbors = store.query(vector, mcfg.k)
     if not neighbors:
         return MatchResult(
             matched=False, nearest_distance=math.inf, support=0, meta_confidence=0.0
@@ -277,13 +262,12 @@ def _record_from_dict(data: dict) -> MemoryRecord:
 def load_store(path: str, dims: int, bind: bool = True) -> MemoryStore:
     """Load a JSONL store file; missing file yields an empty store.
 
-    With ``bind`` the returned store appends future inserts to the same
-    file.
+    The records are inserted in file order, so a duplicated id keeps the
+    position of its first line and the contents of its last.  With
+    ``bind`` the returned store appends future inserts to the same file.
     """
     store = MemoryStore(dims=dims, path=None)
     if os.path.exists(path):
-        records: list[MemoryRecord] = []
-        index: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -294,16 +278,7 @@ def load_store(path: str, dims: int, bind: bool = True) -> MemoryStore:
                     raise DimMismatch(
                         f"stored record {record.id} has {len(record.vector)} dims, expected {dims}"
                     )
-                # As insert() does: the last line of an id wins the
-                # position of its first.
-                pos = index.get(record.id)
-                if pos is None:
-                    index[record.id] = len(records)
-                    records.append(record)
-                else:
-                    logger.warning("memory record %s overwritten", record.id)
-                    records[pos] = record
-        store._fill(records, index)
+                store.insert(record)
     if bind:
         store.path = path
     return store

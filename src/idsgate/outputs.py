@@ -137,10 +137,6 @@ class LayerSummary:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LayerSummary":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -163,24 +159,6 @@ class RunSummary:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSummary":
-        layers = tuple(
-            LayerSummary.from_dict(ld) for ld in data["layers"].values()
-        )
-        return cls(
-            mode=data["mode"],
-            seed=data["seed"],
-            started_at=data["started_at"],
-            finished_at=data["finished_at"],
-            layers=layers,
-            overall=data["overall"],
-        )
-
-
-def parse_run_summary(text: str) -> RunSummary:
-    return RunSummary.from_dict(json.loads(text))
 
 
 def _open_w(path: str):

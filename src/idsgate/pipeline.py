@@ -20,7 +20,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from fractions import Fraction
+
+import numpy as np
 
 from .events import (
     GateRecord,
@@ -199,7 +200,7 @@ def _metrics_dict(routed: list[RoutedEvent]) -> dict | None:
 class CostReport:
     """Escalation volumes and the derived cost delta.
 
-    reduction_pct is computed with exact rational arithmetic and
+    reduction_pct is one correctly rounded int/int division and is
     rendered at two decimals in serialized form.
     """
 
@@ -228,12 +229,11 @@ def cost_analysis(n_static: int, n_adaptive: int, c_event: float) -> CostReport:
     if c_event < 0:
         raise ValueError(f"c_event must be >= 0, got {c_event}")
     delta = n_static - n_adaptive
-    reduction = Fraction(100 * delta, n_static)
     return CostReport(
         n_static=n_static,
         n_adaptive=n_adaptive,
         delta=delta,
-        reduction_pct=float(reduction),
+        reduction_pct=100 * delta / n_static,
         c_event=c_event,
         cost_static=n_static * c_event,
         cost_adaptive=n_adaptive * c_event,
@@ -273,14 +273,14 @@ def route_stream(
         "fusion_rejected": 0,
         "bucket": 0,
     }
-    pending: list[tuple[int, ScoredEvent, GateRecord, GateRecord, str]] = []
+    pending: list[tuple[int, ScoredEvent, np.ndarray, GateRecord, GateRecord, str]] = []
 
     def flush() -> None:
         if not pending:
             return
         with ThreadPoolExecutor(max_workers=cfg.llm_parallelism) as pool:
-            verdicts = list(pool.map(lambda p: ask_llm(client, p[1], p[4]), pending))
-        for (i, se, t1, t2, prompt), verdict in zip(pending, verdicts):
+            verdicts = list(pool.map(lambda p: ask_llm(client, p[1], p[5]), pending))
+        for (i, se, vector, t1, t2, prompt), verdict in zip(pending, verdicts):
             decision = gate3_decide(se, verdict, layer, cfg.llm_thresholds, cfg.fusion)
             tallies[f"llm_{verdict.decision.value.lower()}"] += 1
             promoted = decision.sink is Sink.LLM_ATTACK
@@ -290,7 +290,7 @@ def route_stream(
                     MemoryRecord(
                         id=se.event.id,
                         layer=layer,
-                        vector=embed(se.event.raw, cfg.embedding),
+                        vector=vector,
                         attack_type=verdict.attack_type or "unknown",
                         source=MemorySource.LLM_PROMOTED,
                         created_at=clock.tick(),
@@ -351,7 +351,8 @@ def route_stream(
             routed[i] = RoutedEvent(se, RouteOutcome(sink=Sink.KNOWN_ACCEPT, trace=(t1,)))
             continue
         tallies["uncertain"] += 1
-        match = match_decision(store, se.event.raw, cfg.match, cfg.embedding)
+        vector = embed(se.event.raw, cfg.embedding)
+        match = match_decision(store, vector, cfg.match)
         nearest = (
             match.nearest_distance
             if math.isfinite(match.nearest_distance)
@@ -383,7 +384,7 @@ def route_stream(
                 se, RouteOutcome(sink=Sink.MEMORY_ATTACK, trace=(t1, t2))
             )
             continue
-        pending.append((i, se, t1, t2, build_prompt(se, match)))
+        pending.append((i, se, vector, t1, t2, build_prompt(se, match)))
         if len(pending) >= cfg.llm_parallelism:
             flush()
     flush()

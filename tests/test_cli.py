@@ -419,6 +419,22 @@ def test_missing_calibration_file_fails_before_routing(tmp_path, capsys, command
     assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
+def test_run_checks_calibration_file_before_set_up(tmp_path, capsys, monkeypatch):
+    set_ups = []
+
+    def no_set_up(xcfg):
+        set_ups.append(xcfg)
+        raise RuntimeError("set-up must not start")
+
+    monkeypatch.setattr(experiment, "prepare_bundles", no_set_up)
+    calib = os.path.join(tmp_path, "absent.json")
+    code = main(["run", "--mode", "adaptive", *base_args(tmp_path), "--calibration", calib])
+    assert set_ups == []
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and calib in err
+
+
 def test_calibration_file_is_read_for_its_threshold_only(tmp_path):
     # The histogram and episode count are a record of the calibration run;
     # a key that is not a number must not stop routing with the threshold.

@@ -284,7 +284,7 @@ def test_match_decision_exact_duplicate():
     store = MemoryStore(dims=ECFG.dims)
     raw = "exec /bin/sh user=www-data path=/tmp/x"
     store.insert(make_record("seed", embed(raw, ECFG)))
-    result = match_decision(store, raw, MatchConfig(), ECFG)
+    result = match_decision(store, embed(raw, ECFG), MatchConfig())
     assert result.matched is True
     assert result.nearest_distance == pytest.approx(0.0)
     assert result.record_id == "seed"
@@ -311,7 +311,7 @@ def test_match_decision_near_with_support():
     # Nearest at 0.10 (inside near radius), four more at 0.12, all within
     # the support radius: support 5/5, meta = 1 * mean(1-d) = 0.884.
     store = seeded_store([0.10, 0.12, 0.12, 0.12, 0.12])
-    result = match_decision(store, QUERY_TEXT, MatchConfig(), ECFG)
+    result = match_decision(store, embed(QUERY_TEXT, ECFG), MatchConfig())
     assert result.matched is True
     assert result.support == 5
     assert result.nearest_distance == pytest.approx(0.10, abs=1e-12)
@@ -323,7 +323,7 @@ def test_match_decision_weak_support_rejected():
     # Nearest inside the near radius but only two supporting neighbors:
     # below min_support, so no match.
     store = seeded_store([0.10, 0.28, 0.9, 0.9, 0.9])
-    result = match_decision(store, QUERY_TEXT, MatchConfig(), ECFG)
+    result = match_decision(store, embed(QUERY_TEXT, ECFG), MatchConfig())
     assert result.matched is False
     assert result.support == 2
 
@@ -332,14 +332,14 @@ def test_match_decision_low_meta_rejected():
     # Three supporters but all near the support-radius edge: meta
     # (3/5) * mean(1-d) about 0.46 misses the 0.70 floor.
     store = seeded_store([0.14, 0.28, 0.29])
-    result = match_decision(store, QUERY_TEXT, MatchConfig(), ECFG)
+    result = match_decision(store, embed(QUERY_TEXT, ECFG), MatchConfig())
     assert result.support == 3
     assert result.meta_confidence == pytest.approx((3 / 5) * (0.86 + 0.72 + 0.71) / 3, abs=1e-12)
     assert result.matched is False
 
 
 def test_match_decision_empty_store():
-    result = match_decision(MemoryStore(dims=ECFG.dims), "anything", MatchConfig(), ECFG)
+    result = match_decision(MemoryStore(dims=ECFG.dims), embed("anything", ECFG), MatchConfig())
     assert result.matched is False
     assert result.nearest_distance == math.inf
     assert result.record_id is None

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from idsgate.llm import (
     MockLlmClient,
     calibrate_llm_threshold,
 )
+from idsgate import memory, pipeline
 from idsgate.memory import MemoryStore
 from idsgate.pipeline import (
     Comparison,
@@ -128,6 +130,16 @@ def test_cost_analysis_rounds_only_in_serialized_form():
     assert report.to_dict()["reduction_pct"] == 66.67
 
 
+@pytest.mark.parametrize(
+    "n_static, n_adaptive",
+    [(3, 1), (7, 0), (3, 5), (1, 10**6), (10**15 + 7, 3), (10**15 + 7, 10**16), (999_983, 1)],
+)
+def test_cost_analysis_reduction_is_the_exact_ratio_rounded_once(n_static, n_adaptive):
+    report = cost_analysis(n_static, n_adaptive, c_event=1.0)
+    delta = n_static - n_adaptive
+    assert report.reduction_pct == float(Fraction(100 * delta, n_static))
+
+
 def test_cost_analysis_rejects_zero_baseline():
     with pytest.raises(ZeroStaticBaseline):
         cost_analysis(0, 0, c_event=1.0)
@@ -201,6 +213,36 @@ def test_promotions_match_from_the_next_batch_on():
     gate2 = by_id["host-4"].outcome.trace[1]
     assert gate2.decision == "match"
     assert gate2.score == pytest.approx(0.0, abs=1e-12)
+
+
+def test_each_escalated_event_is_embedded_once(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(text, ecfg):
+            calls.append((text, fn(text, ecfg)))
+            return calls[-1][1]
+
+        return wrapper
+
+    monkeypatch.setattr(memory, "embed", counting(memory.embed))
+    monkeypatch.setattr(pipeline, "embed", counting(pipeline.embed))
+    cfg = PipelineConfig(llm_parallelism=2)
+    attack_raw = "sshd pid=1003 auth_fail user=root attempts=30 src=10.0.3.7"
+    rows = [(0.60, 1, 1, attack_raw), (0.55, 0, 0), (0.95, 1, 1), (0.60, 1, 1, attack_raw)]
+    rows += [(0.62, 1, 1), (0.58, 0, 1)]
+    stream = host_stream(rows)
+    store = fresh_store(cfg)
+    run = route_stream(LayerId.HOST, stream, 0.85, cfg, store, echo_for(stream))
+    s = run.summary
+    assert (s.uncertain, s.memory_matched, s.llm_promoted) == (5, 1, 3)
+    assert len(calls) == s.uncertain
+    escalated = [se for se in stream if se.confidence < 0.85]
+    assert [text for text, _ in calls] == [se.event.raw for se in escalated]
+    # Each promotion stores the very vector its Gate-2 query used.
+    vector_of = {se.event.id: v for se, (_, v) in zip(escalated, calls)}
+    assert [r.id for r in store.records] == ["host-0", "host-4", "host-5"]
+    assert all(r.vector is vector_of[r.id] for r in store.records)
 
 
 def test_same_batch_duplicates_both_reach_the_llm():
