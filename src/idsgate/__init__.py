@@ -22,7 +22,6 @@ from .events import (
     Event,
     GateRecord,
     LayerId,
-    RouteOutcome,
     RoutedEvent,
     ScoredEvent,
     Sink,
@@ -57,7 +56,6 @@ __all__ = [
     "Event",
     "ScoredEvent",
     "RoutedEvent",
-    "RouteOutcome",
     "GateRecord",
     "LayerId",
     "Sink",

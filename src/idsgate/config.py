@@ -61,6 +61,12 @@ class ExperimentConfig:
             kind, _, path = spec.partition(":")
             if not (spec == "baseline" or (kind == "replay" and path)):
                 raise ValueError(f"scorer_{layer.value} must be baseline or replay:<path>")
+        kind, sep, arg = self.llm_spec.partition(":")
+        if kind == "echo" and sep:
+            if not 0.0 <= float(arg) <= 1.0:  # NaN fails too
+                raise ValueError("echo confidence must be in [0, 1]")
+        elif not (self.llm_spec in ("echo", "http") or (kind == "table" and arg)):
+            raise ValueError("expected echo[:confidence], table:<path> or http")
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -108,16 +114,6 @@ def _layers(value: str) -> tuple[LayerId, ...]:
     return layers
 
 
-def _llm_spec(value: str) -> str:
-    kind, sep, arg = value.partition(":")
-    if kind == "echo" and sep:
-        if not 0.0 <= float(arg) <= 1.0:  # NaN fails too
-            raise ValueError("echo confidence must be in [0, 1]")
-    elif not (value in ("echo", "http") or (kind == "table" and arg)):
-        raise ValueError("expected echo[:confidence], table:<path> or http")
-    return value
-
-
 # key -> (dotted field path under ExperimentConfig, parser)
 _KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "mode": ("pipeline.mode", lambda v: Mode(v.lower())),
@@ -151,7 +147,7 @@ _KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "p_min": ("pipeline.llm_thresholds.p_min", _num),
     "w_model": ("pipeline.fusion.w_model", _num),
     "w_llm": ("pipeline.fusion.w_llm", _num),
-    "llm": ("llm_spec", _llm_spec),
+    "llm": ("llm_spec", str),
     "llm_url": ("llm_url", str),
     "llm_model": ("llm_model", str),
     "llm_timeout": ("llm_timeout", _num),

@@ -3,12 +3,13 @@
 Events flow through three gates per layer.  Gate-1 splits the stream on
 model confidence, Gate-2 checks an embedded attack-vector memory, Gate-3
 escalates to an LLM analyst.  Every event leaves the pipeline through
-exactly one sink, and the gate trace records the path it took.
+exactly one sink; an event parked for review also keeps the gate trace
+of the path it took.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -104,17 +105,6 @@ class GateRecord:
             raise ValueError(f"unknown gate {self.gate!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class RouteOutcome:
-    """Final sink plus the append-only gate trace that led there."""
-
-    sink: Sink
-    trace: tuple[GateRecord, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        validate_trace(self.trace)
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class RoutedEvent:
     """A scored event together with the sink it reached.
@@ -125,17 +115,17 @@ class RoutedEvent:
     """
 
     se: ScoredEvent
-    outcome: RouteOutcome
+    sink: Sink
 
     @property
     def final_label(self) -> int:
-        if self.outcome.sink in (Sink.MEMORY_ATTACK, Sink.LLM_ATTACK):
+        if self.sink in (Sink.MEMORY_ATTACK, Sink.LLM_ATTACK):
             return 1
         return self.se.pred_label
 
     @property
     def deferred(self) -> bool:
-        return self.outcome.sink is Sink.REVIEW_BUCKET
+        return self.sink is Sink.REVIEW_BUCKET
 
 
 def validate_trace(trace: tuple[GateRecord, ...]) -> None:

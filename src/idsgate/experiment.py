@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .corpus import (
     HostGenConfig,
     HypGenConfig,
@@ -38,9 +38,11 @@ from .memory import MemoryStore, load_store
 from .outputs import (
     OutputPaths,
     RunSummary,
+    open_w,
     output_paths,
     write_confidence_csv,
     write_histogram_csv,
+    write_json,
     write_jsonl,
     write_review_jsonl,
     write_run_summary,
@@ -246,7 +248,8 @@ def client_factory(xcfg: ExperimentConfig, bundles: dict[LayerId, LayerBundle]):
 
     Specs: ``echo[:confidence]`` answers with ground truth (evaluation
     oracle), ``table:<path>`` replays canned responses keyed by prompt
-    hash, ``http`` talks to the configured endpoint.
+    hash, ``http`` talks to the configured endpoint.  ``ExperimentConfig``
+    has checked the spec, so one that is neither echo nor table is http.
     """
     spec = xcfg.llm_spec
     if spec.startswith("echo"):
@@ -265,18 +268,16 @@ def client_factory(xcfg: ExperimentConfig, bundles: dict[LayerId, LayerBundle]):
             return MockLlmClient.from_jsonl(path)
 
         return make
-    if spec == "http":
 
-        def make(layer: LayerId, mode: Mode):
-            return HttpLlmClient(
-                xcfg.llm_url,
-                xcfg.llm_model,
-                timeout=xcfg.llm_timeout,
-                retries=xcfg.llm_retries,
-            )
+    def make(layer: LayerId, mode: Mode):
+        return HttpLlmClient(
+            xcfg.llm_url,
+            xcfg.llm_model,
+            timeout=xcfg.llm_timeout,
+            retries=xcfg.llm_retries,
+        )
 
-        return make
-    raise ConfigError(f"unknown llm spec: {spec!r}")
+    return make
 
 
 def store_factory(xcfg: ExperimentConfig):
@@ -371,9 +372,7 @@ def do_calibrate(xcfg: ExperimentConfig) -> str:
             for layer in sorted(calibs, key=lambda l: l.value)
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return path
 
 
@@ -430,9 +429,7 @@ def do_calibrate_llm(xcfg: ExperimentConfig) -> str:
             )
         results[layer.value] = dataclasses.asdict(cal)
     path = os.path.join(xcfg.out_dir, f"llm_thresholds_{run_id_of(xcfg)}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"p_min": p_min, "layers": results}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"p_min": p_min, "layers": results})
     return path
 
 
@@ -498,13 +495,11 @@ def do_compare(
         "static": _mode_digest(comp.static_summary),
         "adaptive": _mode_digest(comp.adaptive_summary),
     }
-    with open(compare_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(compare_path, payload)
     files["compare"] = compare_path
 
     table_path = os.path.join(xcfg.out_dir, f"compare_table_{run_id}.csv")
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
+    with open_w(table_path) as fh:
         fh.write(
             "layer,mode,total,known,uncertain,memory_matched,llm_promoted,bucket,threshold\n"
         )

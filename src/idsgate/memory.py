@@ -37,6 +37,10 @@ class DimMismatch(ValueError):
     """Vector length differs from the store's embedding dimension."""
 
 
+class MalformedStore(ValueError):
+    """A store file line is not a memory record: ``<path>:<line>: ...``."""
+
+
 class MemorySource(str, Enum):
     LLM_PROMOTED = "llm_promoted"
     MEMORY_SEEDED = "memory_seeded"
@@ -248,11 +252,45 @@ def _record_to_dict(record: MemoryRecord) -> dict:
     }
 
 
-def _record_from_dict(data: dict) -> MemoryRecord:
+_RECORD_FIELDS = ("id", "layer", "vector", "attack_type", "source", "created_at")
+_TEXT_FIELDS = ("id", "attack_type", "created_at")
+# exact types, since bool is an int subclass
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _finite_vector(values) -> np.ndarray | None:
+    """``values`` as a float64 vector; None unless a list of finite numbers."""
+    if type(values) is not list or not _NUMBER_TYPES.issuperset(map(type, values)):
+        return None
+    try:
+        vector = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int too large for a float
+        return None
+    # JSON's NaN and Infinity parse as floats
+    return vector if np.isfinite(vector).all() else None
+
+
+def _record_from_line(line: str) -> MemoryRecord:
+    """One store file line as a record; ValueError says what is wrong."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    missing = [f for f in _RECORD_FIELDS if f not in data]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    bad = [f for f in _TEXT_FIELDS if not isinstance(data[f], str)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be a string")
+    vector = _finite_vector(data["vector"])
+    if vector is None:
+        raise ValueError("vector is not a list of finite numbers")
     return MemoryRecord(
         id=data["id"],
         layer=LayerId(data["layer"]),
-        vector=np.array(data["vector"], dtype=np.float64),
+        vector=vector,
         attack_type=data["attack_type"],
         source=MemorySource(data["source"]),
         created_at=data["created_at"],
@@ -265,15 +303,25 @@ def load_store(path: str, dims: int, bind: bool = True) -> MemoryStore:
     The records are inserted in file order, so a duplicated id keeps the
     position of its first line and the contents of its last.  With
     ``bind`` the returned store appends future inserts to the same file.
+
+    Raises:
+        MalformedStore: ``<path>:<line>: ...`` for a line that is not a
+            JSON object with the six record fields, a layer or source
+            outside its enum, or a vector that is not a list of finite
+            numbers.
+        DimMismatch: a record's vector length is not ``dims``.
     """
     store = MemoryStore(dims=dims, path=None)
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                record = _record_from_dict(json.loads(line))
+                try:
+                    record = _record_from_line(line)
+                except ValueError as exc:
+                    raise MalformedStore(f"{path}:{lineno}: {exc}") from None
                 if len(record.vector) != dims:
                     raise DimMismatch(
                         f"stored record {record.id} has {len(record.vector)} dims, expected {dims}"

@@ -12,7 +12,7 @@ import datetime
 import json
 from dataclasses import asdict, dataclass, field
 
-from .events import GateRecord, RoutedEvent
+from .events import GateRecord, RoutedEvent, validate_trace
 
 CONFIDENCE_CSV_HEADER = "event_id,layer,pred_label,confidence,truth,route"
 
@@ -53,7 +53,11 @@ def make_clock(wall: bool = False):
 
 @dataclass(frozen=True)
 class ReviewRecord:
-    """One deferred event, with everything a reviewer needs to triage it."""
+    """One deferred event, with everything a human analyst needs to triage it.
+
+    ``gate_trace`` is the path the event took through gates 1 to 3; the
+    review row is the only record that keeps one.
+    """
 
     event_id: str
     layer: str
@@ -66,6 +70,9 @@ class ReviewRecord:
     fused_score: float | None
     gate_trace: tuple[GateRecord, ...]
     created_at: str
+
+    def __post_init__(self) -> None:
+        validate_trace(self.gate_trace)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -161,7 +168,8 @@ class RunSummary:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _open_w(path: str):
+def open_w(path: str):
+    """``path`` opened for writing text; IoWriteFailure if it cannot be."""
     try:
         return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -169,19 +177,19 @@ def _open_w(path: str):
 
 
 def write_confidence_csv(path: str, routed: list[RoutedEvent]) -> None:
-    with _open_w(path) as fh:
+    with open_w(path) as fh:
         fh.write(CONFIDENCE_CSV_HEADER + "\n")
         for r in routed:
             e = r.se.event
             truth = "" if e.truth is None else str(e.truth)
             fh.write(
                 f"{e.id},{e.layer.value},{r.se.pred_label},"
-                f"{r.se.confidence!r},{truth},{r.outcome.sink.value}\n"
+                f"{r.se.confidence!r},{truth},{r.sink.value}\n"
             )
 
 
 def write_jsonl(path: str, rows: list[dict]) -> None:
-    with _open_w(path) as fh:
+    with open_w(path) as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
 
@@ -190,9 +198,14 @@ def write_review_jsonl(path: str, records: list[ReviewRecord]) -> None:
     write_jsonl(path, [r.to_dict() for r in records])
 
 
+def write_json(path: str, payload: dict) -> None:
+    """``payload`` as indented JSON with a final newline."""
+    with open_w(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
+
+
 def write_run_summary(path: str, summary: RunSummary) -> None:
-    with _open_w(path) as fh:
-        fh.write(summary.to_json())
+    write_json(path, summary.to_dict())
 
 
 def write_histogram_csv(
@@ -207,7 +220,7 @@ def write_histogram_csv(
     for layer, conf in rows:
         idx = min(int(conf * bins), bins - 1)
         counts[layer][idx] += 1
-    with _open_w(path) as fh:
+    with open_w(path) as fh:
         fh.write("layer,bin_low,bin_high,count\n")
         for layer in layers:
             for i in range(bins):

@@ -26,7 +26,6 @@ import numpy as np
 from .events import (
     GateRecord,
     LayerId,
-    RouteOutcome,
     RoutedEvent,
     ScoredEvent,
     Sink,
@@ -47,6 +46,7 @@ from .llm import (
 from .memory import (
     EmbeddingConfig,
     MatchConfig,
+    MatchResult,
     MemoryRecord,
     MemorySource,
     MemoryStore,
@@ -253,7 +253,9 @@ def route_stream(
 ) -> LayerRun:
     """Route one scored stream through the three gates.
 
-    The returned LayerRun's summary is validated (the four sinks must
+    Each routed event carries only the sink it reached; the gate trace is
+    built for the review rows, the one record that keeps it.  The
+    returned LayerRun's summary is validated (the four sinks must
     partition the stream) before it is handed back.
     """
     clock = clock if clock is not None else make_clock(cfg.wall_clock)
@@ -273,14 +275,14 @@ def route_stream(
         "fusion_rejected": 0,
         "bucket": 0,
     }
-    pending: list[tuple[int, ScoredEvent, np.ndarray, GateRecord, GateRecord, str]] = []
+    pending: list[tuple[int, ScoredEvent, np.ndarray, MatchResult, str]] = []
 
     def flush() -> None:
         if not pending:
             return
         with ThreadPoolExecutor(max_workers=cfg.llm_parallelism) as pool:
-            verdicts = list(pool.map(lambda p: ask_llm(client, p[1], p[5]), pending))
-        for (i, se, vector, t1, t2, prompt), verdict in zip(pending, verdicts):
+            verdicts = list(pool.map(lambda p: ask_llm(client, p[1], p[4]), pending))
+        for (i, se, vector, match, prompt), verdict in zip(pending, verdicts):
             decision = gate3_decide(se, verdict, layer, cfg.llm_thresholds, cfg.fusion)
             tallies[f"llm_{verdict.decision.value.lower()}"] += 1
             promoted = decision.sink is Sink.LLM_ATTACK
@@ -300,17 +302,7 @@ def route_stream(
                 tallies["bucket"] += 1
                 if verdict.decision is Verdict.ATTACK:
                     tallies["fusion_rejected"] += 1
-            t3 = GateRecord(
-                gate="gate3",
-                decision=f"attack_{decision.provenance.value}" if promoted else "review",
-                score=decision.fused_score
-                if decision.fused_score is not None
-                else verdict.confidence,
-            )
-            outcome = RouteOutcome(
-                sink=decision.sink, trace=(t1, t2, t3)
-            )
-            routed[i] = RoutedEvent(se, outcome)
+            routed[i] = RoutedEvent(se, decision.sink)
             audits.append(
                 {
                     "event_id": se.event.id,
@@ -325,44 +317,42 @@ def route_stream(
                     "created_at": clock.tick(),
                 }
             )
-            if not promoted:
-                reviews.append(
-                    ReviewRecord(
-                        event_id=se.event.id,
-                        layer=layer.value,
-                        model_label=se.pred_label,
-                        model_confidence=se.confidence,
-                        llm_label=verdict.decision.value,
-                        llm_confidence=verdict.confidence,
-                        attack_type=verdict.attack_type,
-                        explanation=verdict.explanation,
-                        fused_score=decision.fused_score,
-                        gate_trace=outcome.trace,
-                        created_at=clock.tick(),
-                    )
+            if promoted:
+                continue
+            nearest = match.nearest_distance
+            if not math.isfinite(nearest):
+                nearest = NO_NEIGHBOR_DISTANCE
+            fused = decision.fused_score
+            trace = (
+                GateRecord("gate1", Gate1Route.UNCERTAIN.value, se.confidence),
+                GateRecord("gate2", "no_match", nearest),
+                GateRecord("gate3", "review", verdict.confidence if fused is None else fused),
+            )
+            reviews.append(
+                ReviewRecord(
+                    event_id=se.event.id,
+                    layer=layer.value,
+                    model_label=se.pred_label,
+                    model_confidence=se.confidence,
+                    llm_label=verdict.decision.value,
+                    llm_confidence=verdict.confidence,
+                    attack_type=verdict.attack_type,
+                    explanation=verdict.explanation,
+                    fused_score=fused,
+                    gate_trace=trace,
+                    created_at=clock.tick(),
                 )
+            )
         pending.clear()
 
     for i, se in enumerate(scored):
-        g1 = route_gate1(se, threshold)
-        t1 = GateRecord(gate="gate1", decision=g1.value, score=se.confidence)
-        if g1 is Gate1Route.KNOWN:
+        if route_gate1(se, threshold) is Gate1Route.KNOWN:
             tallies["known"] += 1
-            routed[i] = RoutedEvent(se, RouteOutcome(sink=Sink.KNOWN_ACCEPT, trace=(t1,)))
+            routed[i] = RoutedEvent(se, Sink.KNOWN_ACCEPT)
             continue
         tallies["uncertain"] += 1
         vector = embed(se.event.raw, cfg.embedding)
         match = match_decision(store, vector, cfg.match)
-        nearest = (
-            match.nearest_distance
-            if math.isfinite(match.nearest_distance)
-            else NO_NEIGHBOR_DISTANCE
-        )
-        t2 = GateRecord(
-            gate="gate2",
-            decision="match" if match.matched else "no_match",
-            score=nearest,
-        )
         audits.append(
             {
                 "event_id": se.event.id,
@@ -380,11 +370,9 @@ def route_stream(
         )
         if match.matched:
             tallies["memory_matched"] += 1
-            routed[i] = RoutedEvent(
-                se, RouteOutcome(sink=Sink.MEMORY_ATTACK, trace=(t1, t2))
-            )
+            routed[i] = RoutedEvent(se, Sink.MEMORY_ATTACK)
             continue
-        pending.append((i, se, vector, t1, t2, build_prompt(se, match)))
+        pending.append((i, se, vector, match, build_prompt(se, match)))
         if len(pending) >= cfg.llm_parallelism:
             flush()
     flush()

@@ -409,7 +409,7 @@ def test_compare_determinism(tmp_path):
 def test_sink_partition():
     assert len(ACCEPTANCE_RUNS) >= 8
     for label, layer_run in ACCEPTANCE_RUNS:
-        tallies = Counter(r.outcome.sink for r in layer_run.routed)
+        tallies = Counter(r.sink for r in layer_run.routed)
         known = tallies[Sink.KNOWN_ACCEPT]
         memory = tallies[Sink.MEMORY_ATTACK]
         promoted = tallies[Sink.LLM_ATTACK]

@@ -237,6 +237,14 @@ def test_fusion_tau_follows_llm_tau_unless_set():
 )
 def test_llm_spec_forms_accepted(spec):
     assert build_experiment_config({"llm": spec}).llm_spec == spec
+    assert ExperimentConfig(llm_spec=spec).llm_spec == spec
+
+
+@pytest.mark.parametrize("spec", ["echo:abc", "echo:1.5", "echo:nan", "echo:", "table:", "oracle"])
+def test_experiment_config_rejects_bad_llm_spec(spec):
+    # checked where the config is made, so no client factory sees it
+    with pytest.raises(ValueError):
+        ExperimentConfig(llm_spec=spec)
 
 
 def test_fusion_weights():

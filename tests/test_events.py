@@ -9,7 +9,6 @@ from idsgate.events import (
     GateRecord,
     LayerId,
     RoutedEvent,
-    RouteOutcome,
     ScoredEvent,
     Sink,
     make_event_id,
@@ -17,6 +16,7 @@ from idsgate.events import (
     validate_trace,
 )
 from idsgate.memory import MemoryRecord, MemorySource
+from idsgate.outputs import ReviewRecord
 
 
 def test_layer_and_sink_values_round_trip():
@@ -36,15 +36,12 @@ def test_layer_and_sink_values_round_trip():
         lambda: make_event(),
         lambda: make_scored(0.9),
         lambda: GateRecord("gate1", "uncertain", 0.6),
-        lambda: RouteOutcome(Sink.KNOWN_ACCEPT, (GateRecord("gate1", "known", 0.9),)),
-        lambda: RoutedEvent(
-            make_scored(0.9), RouteOutcome(Sink.KNOWN_ACCEPT, (GateRecord("gate1", "known", 0.9),))
-        ),
+        lambda: RoutedEvent(make_scored(0.9), Sink.KNOWN_ACCEPT),
         lambda: MemoryRecord(
             "m-0", LayerId.NETWORK, np.zeros(4), "dos", MemorySource.MEMORY_SEEDED, "2024-01-01"
         ),
     ],
-    ids=["Event", "ScoredEvent", "GateRecord", "RouteOutcome", "RoutedEvent", "MemoryRecord"],
+    ids=["Event", "ScoredEvent", "GateRecord", "RoutedEvent", "MemoryRecord"],
 )
 def test_per_event_records_are_slotted(build):
     # One of each is made per event; a per-instance dict would double its size.
@@ -104,9 +101,24 @@ def test_trace_cannot_exceed_gate_order():
     assert GATE_ORDER == ("gate1", "gate2", "gate3")
 
 
-def test_route_outcome_requires_trace():
-    with pytest.raises(ValueError):
-        RouteOutcome(sink=Sink.KNOWN_ACCEPT, trace=())
+def test_trace_must_not_be_empty():
+    with pytest.raises(ValueError, match="at least the gate1 record"):
+        validate_trace(())
+    # the review row, which keeps the trace, checks it
+    with pytest.raises(ValueError, match="at least the gate1 record"):
+        ReviewRecord(
+            event_id="host-2",
+            layer="host",
+            model_label=0,
+            model_confidence=0.55,
+            llm_label="UNSURE",
+            llm_confidence=0.0,
+            attack_type="",
+            explanation="",
+            fused_score=None,
+            gate_trace=(),
+            created_at="2000-01-01T00:00:00Z",
+        )
 
 
 def test_validate_event_rejects_bad_truth():
@@ -125,37 +137,26 @@ def test_validate_event_passes_through():
 
 
 def test_final_label_promotes_attack_sinks():
-    trace = (GateRecord("gate1", "uncertain", 0.6), GateRecord("gate2", "match", 0.02))
-    routed = RoutedEvent(
-        se=make_scored(0.6, pred_label=0),
-        outcome=RouteOutcome(sink=Sink.MEMORY_ATTACK, trace=trace),
-    )
-    assert routed.final_label == 1
-    assert not routed.deferred
+    for sink in (Sink.MEMORY_ATTACK, Sink.LLM_ATTACK):
+        routed = RoutedEvent(se=make_scored(0.6, pred_label=0), sink=sink)
+        assert routed.final_label == 1
+        assert not routed.deferred
 
 
 def test_review_bucket_defers_and_keeps_model_label():
-    trace = (
-        GateRecord("gate1", "uncertain", 0.6),
-        GateRecord("gate2", "no_match", 0.9),
-        GateRecord("gate3", "review", 0.0),
-    )
-    routed = RoutedEvent(
-        se=make_scored(0.6, pred_label=0),
-        outcome=RouteOutcome(sink=Sink.REVIEW_BUCKET, trace=trace),
-    )
+    routed = RoutedEvent(se=make_scored(0.6, pred_label=0), sink=Sink.REVIEW_BUCKET)
     assert routed.final_label == 0
     assert routed.deferred
 
 
 def test_known_accept_keeps_model_label():
-    trace = (GateRecord("gate1", "known", 0.99),)
-    routed = RoutedEvent(
-        se=make_scored(0.99, pred_label=1),
-        outcome=RouteOutcome(sink=Sink.KNOWN_ACCEPT, trace=trace),
-    )
+    routed = RoutedEvent(se=make_scored(0.99, pred_label=1), sink=Sink.KNOWN_ACCEPT)
     assert routed.final_label == 1
     assert not routed.deferred
+
+
+def test_routed_event_is_a_scored_event_and_its_sink():
+    assert RoutedEvent.__slots__ == ("se", "sink")
 
 
 def test_make_event_id():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idsgate import experiment
-from idsgate.config import ConfigError, build_experiment_config
+from idsgate.config import build_experiment_config
 from idsgate.corpus import split_train_test
 from idsgate.events import LayerId
 from idsgate.experiment import (
@@ -31,6 +31,7 @@ from idsgate.experiment import (
 )
 from idsgate.llm import EchoLlmClient, HttpLlmClient, MockLlmClient, prompt_sha256
 from idsgate.memory import MemoryRecord, MemorySource, embed
+from idsgate.outputs import IoWriteFailure
 from idsgate.pipeline import Mode
 from idsgate.scoring import (
     TrainConfig,
@@ -246,13 +247,6 @@ def test_client_factory_http_spec(tmp_path):
     assert client.retries == 1
 
 
-def test_client_factory_rejects_unknown_spec(tmp_path):
-    xcfg = small_cfg(tmp_path)
-    xcfg.llm_spec = "oracle"
-    with pytest.raises(ConfigError, match="unknown llm spec"):
-        client_factory(xcfg, {})
-
-
 def test_store_factory_fresh_without_memory_dir(tmp_path):
     xcfg = small_cfg(tmp_path)
     make = store_factory(xcfg)
@@ -307,6 +301,13 @@ def test_do_calibrate_roundtrip(tmp_path):
     assert sum(entry["action_histogram"].values()) >= 1
     assert thresholds[LayerId.NETWORK] == entry["learned_threshold"]
     assert thresholds[LayerId.NETWORK] in xcfg.pipeline.calib.actions.thresholds
+
+
+def test_do_calibrate_unwritable_file_is_a_write_failure(tmp_path):
+    xcfg = small_cfg(tmp_path, layers="network")
+    os.makedirs(os.path.join(xcfg.out_dir, "calibration_run0.json"))
+    with pytest.raises(IoWriteFailure, match="cannot write .*calibration_run0.json"):
+        do_calibrate(xcfg)
 
 
 def test_do_calibrate_llm_writes_thresholds(tmp_path):

@@ -1,8 +1,10 @@
 import hashlib
+import json
 import logging
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from idsgate.events import LayerId
 from idsgate.memory import (
     DimMismatch,
     EmbeddingConfig,
+    MalformedStore,
     MatchConfig,
     MemoryRecord,
     MemorySource,
@@ -389,6 +392,47 @@ def test_load_store_unbound_does_not_append(tmp_path):
     free = load_store(path, dims=4, bind=False)
     free.insert(make_record("b", [0, 1, 0, 0]))
     assert len(load_store(path, dims=4)) == 1
+
+
+GOOD_LINE = {
+    "id": "a",
+    "layer": "host",
+    "vector": [1.0, 0, 0, 0],
+    "attack_type": "brute_force",
+    "source": "llm_promoted",
+    "created_at": "2000-01-01T00:00:00Z",
+}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"id": "b", ', "not JSON"),
+        ("[1, 2]", "not a JSON object"),
+        (json.dumps({"id": "x"}), "missing layer, vector, attack_type, source, created_at"),
+        (json.dumps({**GOOD_LINE, "id": 5}), "id must be a string"),
+        (json.dumps({**GOOD_LINE, "layer": "cloud"}), "'cloud' is not a valid LayerId"),
+        (json.dumps({**GOOD_LINE, "source": "guess"}), "'guess' is not a valid MemorySource"),
+        (json.dumps({**GOOD_LINE, "vector": [1.0, "a", 0, 0]}), "not a list of finite numbers"),
+        (json.dumps({**GOOD_LINE, "vector": [1.0, math.nan, 0, 0]}), "not a list of finite"),
+        (json.dumps({**GOOD_LINE, "vector": [1.0, -math.inf, 0, 0]}), "not a list of finite"),
+        (json.dumps({**GOOD_LINE, "vector": [1.0, True, 0, 0]}), "not a list of finite"),
+        (json.dumps({**GOOD_LINE, "vector": [1.0, 10**400, 0, 0]}), "not a list of finite"),
+        (json.dumps({**GOOD_LINE, "vector": [[1.0, 0], [0, 0]]}), "not a list of finite"),
+        (json.dumps({**GOOD_LINE, "vector": 1.0}), "not a list of finite"),
+    ],
+    ids=[
+        "not-json", "not-object", "missing-fields", "id-not-string", "unknown-layer",
+        "unknown-source", "string-in-vector", "nan", "infinity", "bool", "int-overflow",
+        "nested", "vector-not-list",
+    ],
+)
+def test_load_store_names_file_and_line_of_a_bad_record(tmp_path, line, message):
+    path = os.path.join(tmp_path, "mem.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(GOOD_LINE) + "\n\n" + line + "\n")
+    with pytest.raises(MalformedStore, match=f"^{re.escape(path)}:3: .*{re.escape(message)}"):
+        load_store(path, dims=4)
 
 
 def test_load_store_rejects_dim_mismatch(tmp_path):

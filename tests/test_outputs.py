@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_scored
-from idsgate.events import GateRecord, LayerId, RouteOutcome, RoutedEvent, Sink
+from idsgate.events import GateRecord, LayerId, RoutedEvent, Sink
 from idsgate.outputs import (
     CONFIDENCE_CSV_HEADER,
     AccountingError,
@@ -21,6 +21,7 @@ from idsgate.outputs import (
     rfc3339,
     write_confidence_csv,
     write_histogram_csv,
+    write_json,
     write_review_jsonl,
     write_run_summary,
 )
@@ -112,8 +113,7 @@ def test_make_clock_defaults_to_logical():
 
 def routed(sink, event_id="host-1", confidence=0.73, truth=1):
     se = make_scored(confidence, pred_label=1, truth=truth, event_id=event_id, layer=LayerId.HOST)
-    trace = (GateRecord("gate1", "uncertain", confidence),)
-    return RoutedEvent(se=se, outcome=RouteOutcome(sink=sink, trace=trace))
+    return RoutedEvent(se=se, sink=sink)
 
 
 def test_confidence_csv_format(tmp_path):
@@ -180,6 +180,7 @@ def test_run_summary_file_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "summary.json")
     write_run_summary(path, summary)
     assert json.loads(Path(path).read_text()) == summary.to_dict()
+    assert Path(path).read_text() == summary.to_json()
 
 
 def test_histogram_top_bin_includes_one(tmp_path):
@@ -223,3 +224,5 @@ def test_write_failure_raises_io_error(tmp_path):
         write_confidence_csv(bad, [])
     with pytest.raises(IoWriteFailure):
         write_histogram_csv(bad, [])
+    with pytest.raises(IoWriteFailure):
+        write_json(bad, {})

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import dead_endpoint_url, make_scored
 from idsgate.config import build_experiment_config
-from idsgate.events import LayerId, Sink
+from idsgate.events import GateRecord, LayerId, Sink
 from idsgate.llm import (
     EchoLlmClient,
     HttpLlmClient,
@@ -169,7 +169,7 @@ def test_confident_stream_never_reaches_the_llm():
     assert run.summary.uncertain == 0
     assert run.llm_calls == 0
     assert client.calls == 0
-    assert all(r.outcome.sink is Sink.KNOWN_ACCEPT for r in run.routed)
+    assert all(r.sink is Sink.KNOWN_ACCEPT for r in run.routed)
 
 
 def test_escalated_attacks_promoted_and_benigns_reviewed():
@@ -190,8 +190,8 @@ def test_escalated_attacks_promoted_and_benigns_reviewed():
     # Promotion overrides the model's label; review keeps it.
     by_id = {r.se.event.id: r for r in run.routed}
     assert by_id["host-1"].final_label == 1  # model said benign, echo knew better
-    assert by_id["host-1"].outcome.sink is Sink.LLM_ATTACK
-    assert by_id["host-2"].outcome.sink is Sink.REVIEW_BUCKET
+    assert by_id["host-1"].sink is Sink.LLM_ATTACK
+    assert by_id["host-2"].sink is Sink.REVIEW_BUCKET
     assert by_id["host-2"].deferred is True
     assert by_id["host-4"].final_label == 1  # deferred keeps the model label
 
@@ -207,12 +207,13 @@ def test_promotions_match_from_the_next_batch_on():
     assert run.llm_calls == 4
     assert run.summary.memory_matched == 1
     by_id = {r.se.event.id: r for r in run.routed}
-    assert by_id["host-0"].outcome.sink is Sink.LLM_ATTACK
-    assert by_id["host-4"].outcome.sink is Sink.MEMORY_ATTACK
+    assert by_id["host-0"].sink is Sink.LLM_ATTACK
+    assert by_id["host-4"].sink is Sink.MEMORY_ATTACK
     assert by_id["host-4"].final_label == 1
-    gate2 = by_id["host-4"].outcome.trace[1]
-    assert gate2.decision == "match"
-    assert gate2.score == pytest.approx(0.0, abs=1e-12)
+    (gate2,) = [a for a in run.audits if a["gate"] == "gate2" and a["event_id"] == "host-4"]
+    assert gate2["matched"] is True
+    assert gate2["record_id"] == "host-0"
+    assert gate2["nearest_distance"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_each_escalated_event_is_embedded_once(monkeypatch):
@@ -245,6 +246,42 @@ def test_each_escalated_event_is_embedded_once(monkeypatch):
     assert all(r.vector is vector_of[r.id] for r in store.records)
 
 
+def test_gate_trace_is_built_for_review_rows_only(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(GateRecord(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "GateRecord", counting)
+    cfg = PipelineConfig(llm_parallelism=2)
+    attack_raw = "sshd pid=1003 auth_fail user=root attempts=30 src=10.0.3.7"
+    rows = [(0.60, 1, 1, attack_raw), (0.55, 0, 0), (0.95, 1, 1), (0.60, 1, 1, attack_raw)]
+    rows += [(0.62, 0, 0), (0.91, 0, 0), (0.58, 1, 0)]
+    stream = host_stream(rows)
+    run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
+    s = run.summary
+    # known, memory-matched, promoted and reviewed events all occur
+    assert (s.known, s.memory_matched, s.llm_promoted, s.bucket) == (2, 1, 1, 3)
+    # three records per review row, and none for any other event
+    assert [r.gate for r in built] == ["gate1", "gate2", "gate3"] * s.bucket
+    nearest = {
+        a["event_id"]: a["nearest_distance"]
+        if a["nearest_distance"] is not None
+        else pipeline.NO_NEIGHBOR_DISTANCE
+        for a in run.audits
+        if a["gate"] == "gate2"
+    }
+    assert [r.gate_trace for r in run.reviews] == [
+        (
+            GateRecord("gate1", "uncertain", se.confidence),
+            GateRecord("gate2", "no_match", nearest[se.event.id]),
+            GateRecord("gate3", "review", 0.9),
+        )
+        for se in (stream[1], stream[4], stream[6])
+    ]
+
+
 def test_same_batch_duplicates_both_reach_the_llm():
     cfg = PipelineConfig(llm_parallelism=4)
     attack_raw = "apache2 pid=1007 syscall=execve path=/var/www/u3.sh parent=apache2"
@@ -273,7 +310,7 @@ def test_llm_failure_downgrades_to_review():
     assert s.bucket == 1
     assert s.known == 1
     by_id = {r.se.event.id: r for r in run.routed}
-    assert by_id["host-0"].outcome.sink is Sink.REVIEW_BUCKET
+    assert by_id["host-0"].sink is Sink.REVIEW_BUCKET
     assert run.reviews[0].llm_label == "UNSURE"
     assert run.reviews[0].llm_confidence == 0.0
 
@@ -287,7 +324,7 @@ def test_dead_endpoint_sends_every_escalation_to_review():
     assert (s.known, s.uncertain, s.llm_unsure, s.bucket) == (1, 4, 4, 4)
     assert run.llm_calls == 4
     escalated = [r for r in run.routed if r.se.confidence < 0.85]
-    assert all(r.outcome.sink is Sink.REVIEW_BUCKET for r in escalated)
+    assert all(r.sink is Sink.REVIEW_BUCKET for r in escalated)
     assert [r.llm_label for r in run.reviews] == ["UNSURE"] * 4
     assert [a["llm_label"] for a in run.audits if a["gate"] == "gate3"] == ["UNSURE"] * 4
 
@@ -304,7 +341,7 @@ def test_fusion_rejected_lands_in_bucket():
     assert s.llm_promoted == 0
     assert s.fusion_rejected == 1
     assert s.bucket == 1
-    assert run.routed[0].outcome.sink is Sink.REVIEW_BUCKET
+    assert run.routed[0].sink is Sink.REVIEW_BUCKET
     assert run.reviews[0].fused_score == pytest.approx(0.54)
 
 
@@ -316,9 +353,9 @@ def test_fusion_promotion_records_provenance():
     run = route_stream(LayerId.HOST, stream, 0.95, cfg, fresh_store(cfg), client)
     assert run.summary.llm_promoted == 1
     assert run.summary.fusion_rejected == 0
-    gate3 = run.routed[0].outcome.trace[2]
-    assert gate3.decision == "attack_fusion"
-    assert gate3.score == pytest.approx(0.644)
+    (gate3,) = [a for a in run.audits if a["gate"] == "gate3"]
+    assert (gate3["sink"], gate3["provenance"]) == ("llm_attack", "fusion")
+    assert gate3["fused_score"] == pytest.approx(0.644)
 
 
 def test_route_stream_audit_trail_shape():
@@ -342,7 +379,7 @@ def test_parallelism_does_not_change_results():
         cfg = PipelineConfig(llm_parallelism=workers)
         stream = host_stream(rows)
         run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
-        sinks = [r.outcome.sink for r in run.routed]
+        sinks = [r.sink for r in run.routed]
         if base is None:
             base = (run.summary, sinks)
         else:
