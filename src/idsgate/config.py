@@ -22,7 +22,7 @@ class ConfigError(ValueError):
     """Bad config file contents or values."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Pipeline config plus corpus, scorer, and LLM-client selection."""
 
@@ -53,6 +53,9 @@ class ExperimentConfig:
         for name in ("net_count", "host_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("net_attack_fraction", "host_attack_fraction", "host_ambiguity"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.llm_retries < 0:
             raise ValueError(f"llm_retries must be >= 0, got {self.llm_retries}")
         if not self.llm_timeout > 0:  # NaN fails too

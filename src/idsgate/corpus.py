@@ -17,10 +17,13 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
 from .events import Event, LayerId, make_event_id
+
+T = TypeVar("T")
 
 HYP_TYPES = ("VMware ESXi", "KVM", "Xen", "Hyper-V")
 
@@ -582,10 +585,9 @@ def load_host_jsonl(path: str) -> list[Event]:
     return events
 
 
-def split_train_test(
-    events: list[Event], ratio: float, seed: int
-) -> tuple[list[Event], list[Event]]:
-    """Seeded shuffle split; train gets round(n * ratio) events.
+def split_train_test(events: list[T], ratio: float, seed: int) -> tuple[list[T], list[T]]:
+    """Seeded shuffle split of events or scored events; train gets
+    round(n * ratio) of them.
 
     The two halves are disjoint and exhaustive.
 

@@ -59,14 +59,11 @@ from .pipeline import (
 )
 from .scoring import (
     FeatureExtractor,
-    ReplayRow,
     Scorer,
     TrainConfig,
-    events_from_replay,
     extract_features,
     fit_tfidf,
     load_replay_csv,
-    make_replay_scorer,
     score_stream,
     train_baseline,
 )
@@ -86,12 +83,13 @@ HYPERVISOR_FILE = "hypervisor.csv"
 @dataclasses.dataclass
 class LayerBundle:
     """One layer, ready to run: its corpus, the evaluation events with
-    their features, the fitted scorer and the scores of both splits."""
+    their features, the fitted scorer (``None`` for replayed scores) and
+    the scores of both splits."""
 
     layer: LayerId
     events: list[Event]
     eval_events: list[Event]
-    scorer: Scorer
+    scorer: Scorer | None
     train_scored: list[ScoredEvent]
     eval_scored: list[ScoredEvent]
 
@@ -127,50 +125,39 @@ def load_events(layer: LayerId, data_dir: str) -> list[Event]:
     return load_hypervisor_csv(os.path.join(data_dir, HYPERVISOR_FILE))
 
 
-def layer_input(
-    layer: LayerId, xcfg: ExperimentConfig
-) -> tuple[list[Event], dict[str, ReplayRow] | None]:
-    """A layer's events, plus the replay table when its scorer replays one.
+def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
+    """Read or generate the layer's input, split it, and score both splits.
 
-    Every event is checked against the stream contract (``validate_event``),
-    so a loaded corpus with a truth label outside {0, 1} fails here.
-    """
-    spec = xcfg.scorers[layer]
-    table = None
-    if spec.startswith("replay:"):
-        table = load_replay_csv(spec.removeprefix("replay:"))
-        events = events_from_replay(table, layer)
-    elif xcfg.data_dir:
-        events = load_events(layer, xcfg.data_dir)
-    else:
-        events = generate_events(layer, xcfg)
-    for event in events:
-        validate_event(event)
-    return events, table
-
-
-def prepare_layer(
-    layer: LayerId,
-    events: list[Event],
-    xcfg: ExperimentConfig,
-    replay: dict[str, ReplayRow] | None = None,
-) -> LayerBundle:
-    """Split, fit the text extractor if needed, train/score the base model.
-
-    tf-idf for the host layer is fitted on the training split only, so
-    evaluation text never leaks into the fit.  The training rows exist
-    only while the model is trained and scored: the host ``train_scored``
-    holds the split's own events, and the evaluation events get their own
-    block.  A replay scorer needs ``replay``, the table ``layer_input`` read.
+    A ``replay:<csv>`` layer's file is its scored stream, split as events
+    are.  Otherwise every event is checked against the stream contract
+    (``validate_event``), so a loaded corpus with a truth label outside
+    {0, 1} fails here, and the base model is trained on the training
+    split.  tf-idf for the host layer is fitted on the training split
+    only, so evaluation text never leaks into the fit.  The training rows
+    exist only while the model is trained and scored: the host
+    ``train_scored`` holds the split's own events, and the evaluation
+    events get their own block.
     """
     cfg = xcfg.pipeline
-    train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
-    eval_events = test[: cfg.eval_count]
     spec = xcfg.scorers[layer]
     if spec.startswith("replay:"):
-        scorer = make_replay_scorer(replay)
-        train_scored = score_stream(train, scorer)
-    elif layer is LayerId.HOST:
+        stream = load_replay_csv(spec.removeprefix("replay:"), layer)
+        train_scored, test = split_train_test(stream, cfg.train_ratio, cfg.seed)
+        eval_scored = test[: cfg.eval_count]
+        return LayerBundle(
+            layer=layer,
+            events=[se.event for se in stream],
+            eval_events=[se.event for se in eval_scored],
+            scorer=None,
+            train_scored=train_scored,
+            eval_scored=eval_scored,
+        )
+    events = load_events(layer, xcfg.data_dir) if xcfg.data_dir else generate_events(layer, xcfg)
+    for event in events:
+        validate_event(event)
+    train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
+    eval_events = test[: cfg.eval_count]
+    if layer is LayerId.HOST:
         extractor = fit_tfidf([e.raw for e in train])
         scorer, train_scored = _train_on_tfidf(train, extractor, TrainConfig(seed=cfg.seed))
         eval_events = _with_rows(
@@ -221,12 +208,7 @@ def _with_rows(events: list[Event], block: np.ndarray) -> list[Event]:
 
 
 def prepare_bundles(xcfg: ExperimentConfig) -> dict[LayerId, LayerBundle]:
-    bundles: dict[LayerId, LayerBundle] = {}
-    for layer in LAYER_ORDER:
-        if layer in xcfg.layers:
-            events, replay = layer_input(layer, xcfg)
-            bundles[layer] = prepare_layer(layer, events, xcfg, replay)
-    return bundles
+    return {layer: prepare_layer(layer, xcfg) for layer in LAYER_ORDER if layer in xcfg.layers}
 
 
 def truth_maps(

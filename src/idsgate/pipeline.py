@@ -76,7 +76,7 @@ class ZeroStaticBaseline(ValueError):
     """Cost comparison against zero static escalations."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     mode: Mode = Mode.ADAPTIVE
     static_threshold: float = 0.85

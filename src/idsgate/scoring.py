@@ -2,10 +2,11 @@
 
 The host layer's log text becomes a tf-idf vector here; the network and
 hypervisor corpora build their own vectors as they are generated or
-loaded.  Scoring is either a replay of stored (label, confidence) pairs
-or a small built-in logistic model trained on labeled events.
-Confidence is always ``max(p, 1 - p)`` of the attack probability, so it
-lives in [0.5, 1.0] for a binary model.
+loaded.  The built-in base model is a small logistic model trained on
+labeled events (``Scorer``); its confidence is ``max(p, 1 - p)`` of the
+attack probability, so it lives in [0.5, 1.0].  Scores stored by
+another model need no scorer: ``load_replay_csv`` reads them as the
+layer's scored stream.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from .corpus import MalformedCorpus
 from .events import Event, LayerId, ScoredEvent
 
 TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
@@ -30,10 +31,6 @@ REPLAY_CSV_HEADER = ["event_id", "layer", "pred_label", "confidence", "truth"]
 
 class EmptyCorpus(ValueError):
     """tf-idf fit was handed an empty corpus."""
-
-
-class MissingReplayEntry(KeyError):
-    """Replay table has no row for the scored event id."""
 
 
 class SingleClassData(ValueError):
@@ -124,27 +121,13 @@ def extract_features(texts: list[str], extractor: FeatureExtractor) -> np.ndarra
     return block
 
 
-class ScorerKind(str, Enum):
-    REPLAY = "replay"
-    BASELINE_LOGISTIC = "baseline_logistic"
-
-
 @dataclass(frozen=True)
-class ReplayRow:
-    pred_label: int
-    confidence: float
-    truth: int | None = None
-
-
-@dataclass
 class Scorer:
-    """Base model: either a replay table keyed by event id or logistic
-    weights over the event's feature vector."""
+    """The trained logistic base model: weights over the event's raw
+    feature vector, plus a bias."""
 
-    kind: ScorerKind
-    replay: dict[str, ReplayRow] | None = None
-    weights: np.ndarray | None = None
-    bias: float = 0.0
+    weights: np.ndarray
+    bias: float
 
 
 @dataclass(frozen=True)
@@ -235,36 +218,17 @@ def train_baseline(events: list[Event], x: np.ndarray, cfg: TrainConfig) -> Scor
     # Fold standardization into raw-space weights: w.((x-mu)/sigma)+b.
     w_raw = w / sigma
     b_raw = b - float((w * (mu / sigma)).sum())
-    return Scorer(kind=ScorerKind.BASELINE_LOGISTIC, weights=w_raw, bias=b_raw)
-
-
-def make_replay_scorer(table: dict[str, ReplayRow]) -> Scorer:
-    return Scorer(kind=ScorerKind.REPLAY, replay=table)
+    return Scorer(weights=w_raw, bias=b_raw)
 
 
 def score_stream(events: list[Event], scorer: Scorer) -> list[ScoredEvent]:
-    """Score a stream of events.
+    """Score a stream of events with the logistic model.
 
-    Logistic: p = sigmoid(w.x + b); pred_label is 1 when p > 0.5 (the
-    exact tie predicts benign) and confidence is max(p, 1 - p).  w.x is
-    one dot product per event, because a matrix product over the stream
-    rounds differently in the last bit.  Replay returns the stored pairs
-    verbatim.
-
-    Raises:
-        MissingReplayEntry: replay scorer has no row for an event id.
+    p = sigmoid(w.x + b); pred_label is 1 when p > 0.5 (the exact tie
+    predicts benign) and confidence is max(p, 1 - p).  w.x is one dot
+    product per event, because a matrix product over the stream rounds
+    differently in the last bit.
     """
-    if scorer.kind is ScorerKind.REPLAY:
-        assert scorer.replay is not None
-        scored = []
-        for e in events:
-            row = scorer.replay.get(e.id)
-            if row is None:
-                raise MissingReplayEntry(e.id)
-            scored.append(ScoredEvent(e, row.pred_label, row.confidence))
-        return scored
-
-    assert scorer.weights is not None
     z = np.array([float(np.dot(scorer.weights, e.features)) for e in events]) + scorer.bias
     p = _sigmoid(z)
     pred = (p > 0.5).tolist()
@@ -275,38 +239,54 @@ def score_stream(events: list[Event], scorer: Scorer) -> list[ScoredEvent]:
     ]
 
 
-def load_replay_csv(path: str) -> dict[str, ReplayRow]:
-    """Load a replay table.
+def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
+    """A layer's stored (label, confidence) pairs as its scored stream.
 
     Expected header: ``event_id,layer,pred_label,confidence,truth``; the
-    truth cell may be empty for unlabeled rows.
-    """
-    table: dict[str, ReplayRow] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(REPLAY_CSV_HEADER) - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"replay csv {path} missing columns: {sorted(missing)}")
-        for row in reader:
-            truth = row["truth"].strip()
-            table[row["event_id"]] = ReplayRow(
-                pred_label=int(row["pred_label"]),
-                confidence=float(row["confidence"]),
-                truth=int(truth) if truth else None,
-            )
-    return table
+    truth cell may be empty for unlabeled rows.  Events come in file
+    order; an id given twice keeps its first position and its last row.
+    Replay rows carry no payload, so every event has an empty raw record
+    and one shared zero feature.
 
-
-def events_from_replay(
-    table: dict[str, ReplayRow], layer: LayerId, raw: str = ""
-) -> list[Event]:
-    """Build placeholder events for replayed scores.
-
-    Replay rows carry no payload, so events get a single zero feature and
-    an empty raw record unless the caller supplies one.
+    Raises:
+        MalformedCorpus: ``<path>:<line>: ...`` for a missing column, a
+            ``pred_label`` or ``truth`` that is not 0 or 1, a confidence
+            that is not a number in [0, 1], a row of another layer, or a
+            file without rows.
     """
     placeholder = np.zeros(1, dtype=np.float64)
-    return [
-        Event(id=eid, layer=layer, raw=raw, features=placeholder, truth=row.truth)
-        for eid, row in table.items()
-    ]
+    stream: dict[str, ScoredEvent] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, restval="")
+        missing = set(REPLAY_CSV_HEADER) - set(reader.fieldnames or [])
+        if missing:
+            raise MalformedCorpus(f"{path}:1: missing columns: {sorted(missing)}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if row["layer"] != layer.value:
+                raise MalformedCorpus(f"{where}: layer {row['layer']!r} is not {layer.value}")
+            pred_label = _binary(row["pred_label"], "pred_label", where)
+            truth = _binary(row["truth"], "truth", where) if row["truth"].strip() else None
+            try:
+                confidence = float(row["confidence"])
+            except ValueError:
+                confidence = math.nan
+            if not 0.0 <= confidence <= 1.0:  # NaN fails too
+                raise MalformedCorpus(
+                    f"{where}: confidence {row['confidence']!r} is not a number in [0, 1]"
+                )
+            event = Event(row["event_id"], layer, "", placeholder, truth)
+            stream[event.id] = ScoredEvent(event, pred_label, confidence)
+    if not stream:
+        raise MalformedCorpus(f"{path}:1: header without rows")
+    return list(stream.values())
+
+
+def _binary(cell: str, name: str, where: str) -> int:
+    try:
+        value = int(cell)
+    except ValueError:
+        value = None
+    if value not in (0, 1):
+        raise MalformedCorpus(f"{where}: {name} {cell!r} is not 0 or 1")
+    return value

@@ -163,6 +163,9 @@ def test_bad_llm_spec_is_usage_error(tmp_path, capsys, monkeypatch, flags, line)
         ("train_ratio = 1.5", "train_ratio"),
         ("net_count = 0", "net_count"),
         ("host_count = -3", "host_count"),
+        ("net_attack_fraction = -0.5", "net_attack_fraction"),
+        ("host_attack_fraction = 2", "host_attack_fraction"),
+        ("host_ambiguity = 7", "host_ambiguity"),
     ],
 )
 def test_out_of_range_run_size_key_is_usage_error(tmp_path, capsys, monkeypatch, line, key):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -12,7 +13,7 @@ from idsgate.config import (
 )
 from idsgate.events import LayerId, Sink, Verdict
 from idsgate.llm import LlmVerdict, Provenance, gate3_decide
-from idsgate.pipeline import Mode
+from idsgate.pipeline import Mode, PipelineConfig
 
 
 def write_cfg(tmp_path, text):
@@ -122,6 +123,10 @@ def test_build_rejects_bad_values():
         ({"scorer_host": "replay:"}, "scorer_host"),
         ({"scorer_hypervisor": "replay"}, "scorer_hypervisor"),
         ({"scorer_network": "baseline:x"}, "scorer_network"),
+        # generator fractions
+        ({"net_attack_fraction": "-0.5"}, "net_attack_fraction"),
+        ({"host_attack_fraction": "2"}, "host_attack_fraction"),
+        ({"host_ambiguity": "7"}, "host_ambiguity"),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}:"):
             build_experiment_config(kv)
@@ -245,6 +250,18 @@ def test_experiment_config_rejects_bad_llm_spec(spec):
     # checked where the config is made, so no client factory sees it
     with pytest.raises(ValueError):
         ExperimentConfig(llm_spec=spec)
+
+
+def test_configs_are_frozen_so_every_change_is_checked():
+    xcfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        xcfg.llm_spec = "oracle"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        xcfg.pipeline.eval_count = 0
+    with pytest.raises(ValueError):
+        dataclasses.replace(xcfg, llm_spec="oracle")
+    with pytest.raises(ValueError):
+        dataclasses.replace(PipelineConfig(), eval_count=0)
 
 
 def test_fusion_weights():

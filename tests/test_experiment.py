@@ -21,7 +21,7 @@ from idsgate.experiment import (
     do_gen,
     do_report,
     do_run,
-    layer_input,
+    generate_events,
     load_calibration,
     prepare_bundles,
     prepare_layer,
@@ -57,7 +57,7 @@ def small_cfg(tmp_path, **extra):
 
 def test_get_events_generates_when_no_data_dir(tmp_path):
     xcfg = small_cfg(tmp_path)
-    events = layer_input(LayerId.NETWORK, xcfg)[0]
+    events = prepare_layer(LayerId.NETWORK, xcfg).events
     assert len(events) == 200
     assert all(e.layer is LayerId.NETWORK for e in events)
 
@@ -69,23 +69,43 @@ def test_get_events_prefers_replay_spec(tmp_path):
         fh.write("network-0,network,1,0.9,1\n")
         fh.write("network-1,network,0,0.6,0\n")
     xcfg = small_cfg(tmp_path, scorer_network=f"replay:{replay}")
-    events = layer_input(LayerId.NETWORK, xcfg)[0]
+    events = prepare_layer(LayerId.NETWORK, xcfg).events
     assert [e.id for e in events] == ["network-0", "network-1"]
     assert [e.truth for e in events] == [1, 0]
+
+
+def test_replay_bundle_splits_the_csv_rows(tmp_path):
+    replay = os.path.join(tmp_path, "scores.csv")
+    rows = [(f"host-{i}", i % 2, 0.5 + i / 200, (i // 3) % 2) for i in range(90)]
+    with open(replay, "w") as fh:
+        fh.write("event_id,layer,pred_label,confidence,truth\n")
+        for eid, pred, conf, truth in rows:
+            fh.write(f"{eid},host,{pred},{conf},{truth}\n")
+    xcfg = small_cfg(tmp_path, layers="host", scorer_host=f"replay:{replay}")
+    bundle = prepare_layer(LayerId.HOST, xcfg)
+    assert bundle.scorer is None
+    train, test = split_train_test(rows, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
+
+    def pairs(scored):
+        return [(se.event.id, se.pred_label, se.confidence, se.event.truth) for se in scored]
+
+    assert pairs(bundle.train_scored) == train
+    assert pairs(bundle.eval_scored) == test[: xcfg.pipeline.eval_count]
+    assert [e.id for e in bundle.eval_events] == [r[0] for r in test[: xcfg.pipeline.eval_count]]
 
 
 def test_get_events_loads_from_data_dir(tmp_path):
     gen_cfg = small_cfg(tmp_path, layers="host")
     do_gen(gen_cfg)
     xcfg = small_cfg(tmp_path, data_dir=gen_cfg.out_dir, layers="host")
-    events = layer_input(LayerId.HOST, xcfg)[0]
+    events = prepare_layer(LayerId.HOST, xcfg).events
     assert len(events) == 240
     assert events[0].id == "host-0"
 
 
 def test_prepare_layer_fits_host_tfidf_on_train_only(tmp_path, monkeypatch):
     xcfg = small_cfg(tmp_path)
-    events = layer_input(LayerId.HOST, xcfg)[0]
+    events = generate_events(LayerId.HOST, xcfg)
     assert all(len(e.features) == 1 for e in events)  # placeholder until fit
     train, test = split_train_test(events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
     assert (len(train), len(test)) == (192, 48)
@@ -94,7 +114,7 @@ def test_prepare_layer_fits_host_tfidf_on_train_only(tmp_path, monkeypatch):
     monkeypatch.setattr(
         experiment, "fit_tfidf", lambda texts: corpora.append(texts) or original(texts)
     )
-    bundle = prepare_layer(LayerId.HOST, events, xcfg)
+    bundle = prepare_layer(LayerId.HOST, xcfg)
     assert corpora == [[e.raw for e in train]]
     assert [e.id for e in bundle.eval_events] == [e.id for e in test[:40]]
     dims = len(bundle.eval_events[0].features)
@@ -110,8 +130,7 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
     # Only the evaluation rows outlive prepare_layer: the training split is
     # featurized, trained on and scored, and its block is then let go.
     xcfg = small_cfg(tmp_path)
-    events = layer_input(LayerId.HOST, xcfg)[0]
-    bundle = prepare_layer(LayerId.HOST, events, xcfg)
+    bundle = prepare_layer(LayerId.HOST, xcfg)
     assert all(se.event.features.shape == (1,) for se in bundle.train_scored)
     n_eval = len(bundle.eval_events)
     assert all(
@@ -119,7 +138,7 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
         for e in bundle.eval_events
     )
     # each pair is the one the featurized training event scores
-    train, _ = split_train_test(events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
+    train, _ = split_train_test(bundle.events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
     texts = [e.raw for e in train]
     block = extract_features(texts, fit_tfidf(texts))
     z = np.array([float(np.dot(bundle.scorer.weights, x)) for x in block]) + bundle.scorer.bias
@@ -134,7 +153,6 @@ def test_host_prepare_layer_restores_its_block_bit_for_bit(tmp_path, monkeypatch
     # scored from the raw rows, exactly as the old path did: featurize, copy,
     # train on the copy, score the untouched block.
     xcfg = small_cfg(tmp_path, host_count=600)
-    events = layer_input(LayerId.HOST, xcfg)[0]
     scored_rows = []
     original = experiment.score_stream
 
@@ -143,9 +161,9 @@ def test_host_prepare_layer_restores_its_block_bit_for_bit(tmp_path, monkeypatch
         return original(stream, scorer)
 
     monkeypatch.setattr(experiment, "score_stream", recording)
-    bundle = prepare_layer(LayerId.HOST, events, xcfg)
+    bundle = prepare_layer(LayerId.HOST, xcfg)
 
-    train, _ = split_train_test(events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
+    train, _ = split_train_test(bundle.events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
     texts = [e.raw for e in train]
     block = extract_features(texts, fit_tfidf(texts))
     scorer = train_baseline(train, block.copy(), TrainConfig(seed=xcfg.pipeline.seed))
@@ -161,7 +179,7 @@ def test_host_prepare_layer_restores_its_block_bit_for_bit(tmp_path, monkeypatch
 
 def test_prepare_layer_baseline_learns_separable_network(tmp_path):
     xcfg = small_cfg(tmp_path, net_count=600, net_separation=4.0, eval_count=120)
-    bundle = prepare_layer(LayerId.NETWORK, layer_input(LayerId.NETWORK, xcfg)[0], xcfg)
+    bundle = prepare_layer(LayerId.NETWORK, xcfg)
     correct = sum(
         1 for se in bundle.eval_scored if se.pred_label == se.event.truth
     )
@@ -185,7 +203,9 @@ def test_prepare_bundles_reads_each_replay_csv_once(tmp_path, monkeypatch):
     calls = []
     original = experiment.load_replay_csv
     monkeypatch.setattr(
-        experiment, "load_replay_csv", lambda path: calls.append(path) or original(path)
+        experiment,
+        "load_replay_csv",
+        lambda path, layer: calls.append(path) or original(path, layer),
     )
     bundles = prepare_bundles(xcfg)
     assert sorted(calls) == sorted(paths.values())
@@ -209,11 +229,11 @@ def test_client_factory_echo_specs(tmp_path):
     assert isinstance(client, EchoLlmClient)
     assert client.confidence == 0.9
 
-    xcfg.llm_spec = "echo:0.75"
+    xcfg = dataclasses.replace(xcfg, llm_spec="echo:0.75")
     low = client_factory(xcfg, bundles)(LayerId.NETWORK, Mode.STATIC)
     assert low.confidence == 0.75
 
-    xcfg.llm_spec = "echo"
+    xcfg = dataclasses.replace(xcfg, llm_spec="echo")
     bare = client_factory(xcfg, bundles)(LayerId.NETWORK, Mode.STATIC)
     assert bare.confidence == 0.9
 
@@ -222,8 +242,7 @@ def test_client_factory_table_spec(tmp_path):
     table = os.path.join(tmp_path, "mock.jsonl")
     with open(table, "w") as fh:
         fh.write(json.dumps({"prompt_sha256": prompt_sha256("p"), "response": "r"}) + "\n")
-    xcfg = small_cfg(tmp_path, layers="network")
-    xcfg.llm_spec = f"table:{table}"
+    xcfg = dataclasses.replace(small_cfg(tmp_path, layers="network"), llm_spec=f"table:{table}")
     make = client_factory(xcfg, {})
     client = make(LayerId.NETWORK, Mode.STATIC)
     assert isinstance(client, MockLlmClient)
@@ -233,12 +252,14 @@ def test_client_factory_table_spec(tmp_path):
 
 
 def test_client_factory_http_spec(tmp_path):
-    xcfg = small_cfg(tmp_path)
-    xcfg.llm_spec = "http"
-    xcfg.llm_url = "http://10.1.2.3:11434/"
-    xcfg.llm_model = "mistral"
-    xcfg.llm_timeout = 7.5
-    xcfg.llm_retries = 1
+    xcfg = dataclasses.replace(
+        small_cfg(tmp_path),
+        llm_spec="http",
+        llm_url="http://10.1.2.3:11434/",
+        llm_model="mistral",
+        llm_timeout=7.5,
+        llm_retries=1,
+    )
     client = client_factory(xcfg, {})(LayerId.HOST, Mode.STATIC)
     assert isinstance(client, HttpLlmClient)
     assert client.base_url == "http://10.1.2.3:11434"

@@ -15,6 +15,7 @@ from idsgate.corpus import (
     HYP_TYPES,
     HostGenConfig,
     HypGenConfig,
+    MalformedCorpus,
     NetGenConfig,
     gen_hostlogs,
     gen_hypervisor,
@@ -25,17 +26,12 @@ from idsgate.corpus import (
 from idsgate.events import Event, LayerId
 from idsgate.scoring import (
     EmptyCorpus,
-    MissingReplayEntry,
-    ReplayRow,
     Scorer,
-    ScorerKind,
     SingleClassData,
     TrainConfig,
-    events_from_replay,
     extract_features,
     fit_tfidf,
     load_replay_csv,
-    make_replay_scorer,
     score_stream,
     tokenize,
     train_baseline,
@@ -351,28 +347,21 @@ def test_logistic_single_class_raises():
 
 
 def test_logistic_tie_predicts_benign():
-    scorer = Scorer(
-        kind=ScorerKind.BASELINE_LOGISTIC, weights=np.zeros(4), bias=0.0
-    )
+    scorer = Scorer(weights=np.zeros(4), bias=0.0)
     se = score_stream([make_event()], scorer)[0]
     # p is exactly 0.5: the tie stays benign at confidence 0.5.
     assert se.pred_label == 0
     assert se.confidence == 0.5
 
 
-def test_replay_scorer_returns_stored_pair():
-    scorer = make_replay_scorer(
-        {"network-0": ReplayRow(pred_label=1, confidence=0.5807, truth=1)}
-    )
-    se = score_stream([make_event(event_id="network-0")], scorer)[0]
-    assert se.pred_label == 1
-    assert se.confidence == 0.5807
+REPLAY_HEADER = "event_id,layer,pred_label,confidence,truth\n"
 
 
-def test_replay_scorer_missing_id_raises():
-    scorer = make_replay_scorer({})
-    with pytest.raises(MissingReplayEntry):
-        score_stream([make_event(event_id="network-404")], scorer)
+def test_replay_scorer_returns_stored_pair(tmp_path):
+    path = tmp_path / "replay.csv"
+    path.write_text(REPLAY_HEADER + "network-0,network,1,0.5807,1\n")
+    [se] = load_replay_csv(str(path), LayerId.NETWORK)
+    assert (se.event.id, se.pred_label, se.confidence) == ("network-0", 1, 0.5807)
 
 
 @pytest.mark.parametrize(
@@ -402,20 +391,66 @@ def test_score_stream_matches_per_event_formula(generate):
 def test_replay_csv_round_trip(tmp_path):
     path = tmp_path / "replay.csv"
     path.write_text(
-        "event_id,layer,pred_label,confidence,truth\n"
-        "network-0,network,1,0.5807,1\n"
-        "network-1,network,0,0.9990,\n"
+        REPLAY_HEADER
+        + "host-7,host,1,0.5807,1\n"
+        + "host-2,host,0,0.9990,\n"
+        + "host-5,host,1,1,0\n"
     )
-    table = load_replay_csv(str(path))
-    assert table["network-0"] == ReplayRow(pred_label=1, confidence=0.5807, truth=1)
-    assert table["network-1"].truth is None
-    events = events_from_replay(table, LayerId.NETWORK)
-    assert [e.id for e in events] == ["network-0", "network-1"]
-    assert events[0].truth == 1
+    stream = load_replay_csv(str(path), LayerId.HOST)
+    assert [se.event.id for se in stream] == ["host-7", "host-2", "host-5"]
+    assert [(se.pred_label, se.confidence) for se in stream] == [(1, 0.5807), (0, 0.999), (1, 1.0)]
+    assert [se.event.truth for se in stream] == [1, None, 0]
+    assert all(se.event.layer is LayerId.HOST and se.event.raw == "" for se in stream)
+    # one shared zero feature stands in for the payload replay rows lack
+    assert all(se.event.features is stream[0].event.features for se in stream)
+    assert stream[0].event.features.tolist() == [0.0]
+
+
+def test_replay_csv_repeated_id_keeps_first_position_and_last_row(tmp_path):
+    path = tmp_path / "replay.csv"
+    path.write_text(
+        REPLAY_HEADER
+        + "network-0,network,1,0.6,1\n"
+        + "network-1,network,0,0.7,0\n"
+        + "network-0,network,0,0.8,\n"
+    )
+    stream = load_replay_csv(str(path), LayerId.NETWORK)
+    assert [se.event.id for se in stream] == ["network-0", "network-1"]
+    assert (stream[0].pred_label, stream[0].confidence, stream[0].event.truth) == (0, 0.8, None)
 
 
 def test_replay_csv_rejects_missing_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("event_id,confidence\nnetwork-0,0.5\n")
-    with pytest.raises(ValueError):
-        load_replay_csv(str(path))
+    with pytest.raises(MalformedCorpus, match=r"bad\.csv:1: missing columns"):
+        load_replay_csv(str(path), LayerId.NETWORK)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("", ":1: missing columns"),
+        (REPLAY_HEADER, ":1: header without rows"),
+        (REPLAY_HEADER + "network-0,network,x,0.6,1\n", ":2: pred_label 'x'"),
+        (REPLAY_HEADER + "network-0,network,1,0.6,1\nnetwork-1,network,2,0.6,1\n", ":3: pred_label '2'"),
+        (REPLAY_HEADER + "network-0,network,1,0.6,1\nnetwork-1,network,1,0.6,-1\n", ":3: truth '-1'"),
+        (REPLAY_HEADER + "network-0,network,1,0.6,yes\n", ":2: truth 'yes'"),
+        (REPLAY_HEADER + "network-0,network,1,high,1\n", ":2: confidence 'high'"),
+        (REPLAY_HEADER + "network-0,network,1,1.5,1\n", ":2: confidence '1.5'"),
+        (REPLAY_HEADER + "network-0,network,1,nan,1\n", ":2: confidence 'nan'"),
+        (REPLAY_HEADER + "network-0,network,1,-0.1,1\n", ":2: confidence '-0.1'"),
+        (REPLAY_HEADER + "network-0,network,1,0.6,1\nhost-0,host,1,0.6,1\n", ":3: layer 'host'"),
+        (REPLAY_HEADER + "network-0,network,1\n", ":2: confidence ''"),
+    ],
+    ids=[
+        "empty-file", "no-rows", "label-not-int", "label-not-binary", "truth-not-binary",
+        "truth-not-int", "confidence-not-number", "confidence-above-1", "confidence-nan",
+        "confidence-below-0", "other-layer", "short-row",
+    ],
+)
+def test_replay_csv_malformed_names_path_and_line(tmp_path, text, where):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedCorpus) as exc:
+        load_replay_csv(str(path), LayerId.NETWORK)
+    assert str(exc.value).startswith(f"{path}{where}")
