@@ -8,9 +8,10 @@ ignored.  Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
+from types import MappingProxyType
 
 from .events import LayerId
 from .llm import BadFusionWeights, fuse
@@ -24,12 +25,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Pipeline config plus corpus, scorer, and LLM-client selection."""
+    """Pipeline config plus corpus, scorer, and LLM-client selection.
+
+    Per-layer mappings (``scorers`` here, the LLM and fusion thresholds
+    in ``pipeline``) are kept as read-only copies, so a frozen config
+    cannot change past its checks.
+    """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     layers: tuple[LayerId, ...] = (LayerId.NETWORK, LayerId.HOST, LayerId.HYPERVISOR)
     # "baseline" or "replay:<csv path>" per layer
-    scorers: dict[LayerId, str] = field(
+    scorers: Mapping[LayerId, str] = field(
         default_factory=lambda: {layer: "baseline" for layer in LayerId}
     )
     # LLM client: "echo[:confidence]", "table:<jsonl path>", or "http"
@@ -50,6 +56,7 @@ class ExperimentConfig:
     host_ambiguity: float = 0.5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scorers", MappingProxyType(dict(self.scorers)))
         for name in ("net_count", "host_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -15,6 +15,7 @@ approximation.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import http.client
 import json
@@ -22,12 +23,15 @@ import logging
 import math
 import re
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from enum import Enum
+from types import MappingProxyType
 
 from .events import LayerId, ScoredEvent, Sink, Verdict
 from .memory import MatchResult
@@ -83,12 +87,15 @@ class LlmVerdict:
 @dataclass(frozen=True)
 class LlmThresholds:
     """Per-layer LLM acceptance thresholds plus the precision floor used
-    to calibrate them."""
+    to calibrate them.  ``tau`` is kept as a read-only copy."""
 
-    tau: dict[LayerId, float] = field(
+    tau: Mapping[LayerId, float] = field(
         default_factory=lambda: dict(DEFAULT_LLM_THRESHOLDS)
     )
     p_min: float = DEFAULT_PRECISION_FLOOR
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tau", MappingProxyType(dict(self.tau)))
 
 
 @dataclass(frozen=True)
@@ -97,12 +104,15 @@ class FusionConfig:
 
     The fused score is w_model * c_model + w_llm * c_llm.  ``fusion_tau``
     holds only the layers whose fusion threshold is pinned; any other
-    layer fuses at its LLM threshold.
+    layer fuses at its LLM threshold.  It is kept as a read-only copy.
     """
 
     w_model: float = 0.20
     w_llm: float = 0.80
-    fusion_tau: dict[LayerId, float] = field(default_factory=dict)
+    fusion_tau: Mapping[LayerId, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fusion_tau", MappingProxyType(dict(self.fusion_tau)))
 
 
 class Provenance(str, Enum):
@@ -154,8 +164,22 @@ class HttpLlmClient:
     ``<base_url>/api/generate`` and reads the ``response`` field of the
     JSON body.  Timeouts, connection failures and 5xx responses are
     retried with exponential backoff before giving up; any other
-    non-200 status, or a body without a string ``response``, fails at
-    once with LlmHttpError.
+    non-200 status (a 3xx too: redirects are not followed), or a body
+    without a string ``response``, fails at once with LlmHttpError.
+
+    Connections are HTTP/1.1 and kept alive: after a complete reply that
+    leaves it open, a connection goes back to an idle list, and a call
+    takes one from there before it opens a new one, so a client holds at
+    most as many connections as it has concurrent callers.  A request on
+    a reused connection that the server has closed meanwhile is sent
+    once more, at once, on a fresh connection; that resend is not a
+    retry.  Idle connections are closed by ``close`` or when the client
+    is collected.
+
+    The ``http_proxy`` / ``https_proxy`` / ``no_proxy`` environment is
+    read once, here, as ``urllib`` reads it: a plain-HTTP endpoint is
+    reached through its proxy with the absolute URL as the request
+    target, an HTTPS one through a ``CONNECT`` tunnel.
     """
 
     def __init__(
@@ -171,50 +195,109 @@ class HttpLlmClient:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        self.url = f"{self.base_url}/api/generate"
+        target = urllib.parse.urlsplit(self.url)
+        host = target.netloc.rpartition("@")[2]
+        self._target = target.path
+        self._headers = {"Content-Type": "application/json"}
+        self._tunnel: tuple[str, dict[str, str]] | None = None
+        endpoint = target
+        proxy = urllib.request.getproxies().get(target.scheme)
+        if proxy and not urllib.request.proxy_bypass(host):
+            endpoint = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            auth = {}
+            if endpoint.username is not None:
+                unquote = urllib.parse.unquote
+                user_pass = f"{unquote(endpoint.username)}:{unquote(endpoint.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    user_pass.encode("utf-8")
+                ).decode("ascii")
+            if target.scheme == "https":
+                self._tunnel = (host, auth)
+            else:
+                self._target = self.url
+                self._headers.update(auth)
+        https = endpoint.scheme == "https" or self._tunnel is not None
+        self._connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._endpoint = endpoint.netloc.rpartition("@")[2]
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        _close_all(self._idle)
 
     def generate(self, prompt: str) -> str:
-        url = f"{self.base_url}/api/generate"
         payload = {"model": self.model, "prompt": prompt, "stream": False}
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
+        body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    status, body = resp.status, resp.read()
-            except urllib.error.HTTPError as exc:
-                exc.close()
-                if exc.code < 500:
-                    raise LlmHttpError(f"unexpected status {exc.code}") from None
-                last_error = LlmHttpError(f"server error {exc.code}")
-                logger.warning("llm server error %d (attempt %d)", exc.code, attempt + 1)
-                continue
+                status, data = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 logger.warning("llm request failed (attempt %d): %s", attempt + 1, exc)
                 continue
+            if status >= 500:
+                last_error = LlmHttpError(f"server error {status}")
+                logger.warning("llm server error %d (attempt %d)", status, attempt + 1)
+                continue
             if status != 200:
                 raise LlmHttpError(f"unexpected status {status}")
             try:
-                obj = json.loads(body)
+                obj = json.loads(data)
             except ValueError as exc:
                 raise LlmHttpError(f"malformed response body: {exc}") from exc
             reply = obj.get("response") if isinstance(obj, dict) else None
             if not isinstance(reply, str):
                 raise LlmHttpError("malformed response body: no string 'response'")
             return reply
-        # A read timeout surfaces as TimeoutError, a connect timeout as a
-        # URLError whose reason is one.
-        if isinstance(last_error, TimeoutError) or isinstance(
-            getattr(last_error, "reason", None), TimeoutError
-        ):
-            raise LlmTimeout(f"no answer from {url} after {self.retries + 1} attempts")
+        # A connect or read timeout surfaces as TimeoutError.
+        if isinstance(last_error, TimeoutError):
+            raise LlmTimeout(f"no answer from {self.url} after {self.retries + 1} attempts")
         raise LlmHttpError(str(last_error))
+
+    def _connect(self) -> http.client.HTTPConnection:
+        conn = self._connection(self._endpoint, timeout=self.timeout)
+        if self._tunnel is not None:
+            host, auth = self._tunnel
+            conn.set_tunnel(host, headers=auth)
+        return conn
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One exchange: the status and the whole body of the reply."""
+        try:
+            conn, reused = self._idle.pop(), True
+        except IndexError:
+            conn, reused = self._connect(), False
+        try:
+            try:
+                conn.request("POST", self._target, body, self._headers)
+                response = conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError):
+                if not reused:
+                    raise
+                # The server closed the kept-alive connection while it sat idle.
+                conn.close()
+                conn = self._connect()
+                conn.request("POST", self._target, body, self._headers)
+                response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return response.status, data
+
+
+def _close_all(conns: list[http.client.HTTPConnection]) -> None:
+    while conns:
+        conns.pop().close()
 
 
 class MockLlmClient:

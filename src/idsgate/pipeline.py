@@ -3,11 +3,14 @@ every event.
 
 The router walks a scored stream in order.  Confident events exit at
 Gate-1.  The rest consult the attack-vector memory; matches exit at
-Gate-2.  Survivors are batched (up to the configured parallelism),
-analyzed by the LLM client, and re-serialized by ordinal before sinks
-are assigned, so promotions enter the memory store in stream order and
-a run is deterministic for a fixed configuration.  Promotions made by a
-batch become visible to Gate-2 from the next batch on.
+Gate-2.  Survivors are batched (up to the configured parallelism) and
+analyzed by the LLM client: the routing thread asks the first prompt of
+a batch itself, and one worker pool per stream, of ``llm_parallelism -
+1`` threads, asks the rest.  Verdicts are collected in batch order
+before sinks are assigned, so promotions enter the memory store in
+stream order and a run is deterministic for a fixed configuration.
+Promotions made by a batch become visible to Gate-2 from the next batch
+on.
 
 A failed LLM call downgrades only its own event (to UNSURE, confidence
 0); the stream keeps flowing.
@@ -280,8 +283,9 @@ def route_stream(
     def flush() -> None:
         if not pending:
             return
-        with ThreadPoolExecutor(max_workers=cfg.llm_parallelism) as pool:
-            verdicts = list(pool.map(lambda p: ask_llm(client, p[1], p[4]), pending))
+        futures = [pool.submit(ask_llm, client, se, prompt) for _, se, _, _, prompt in pending[1:]]
+        _, first, _, _, prompt = pending[0]
+        verdicts = [ask_llm(client, first, prompt)] + [f.result() for f in futures]
         for (i, se, vector, match, prompt), verdict in zip(pending, verdicts):
             decision = gate3_decide(se, verdict, layer, cfg.llm_thresholds, cfg.fusion)
             tallies[f"llm_{verdict.decision.value.lower()}"] += 1
@@ -345,37 +349,40 @@ def route_stream(
             )
         pending.clear()
 
-    for i, se in enumerate(scored):
-        if route_gate1(se, threshold) is Gate1Route.KNOWN:
-            tallies["known"] += 1
-            routed[i] = RoutedEvent(se, Sink.KNOWN_ACCEPT)
-            continue
-        tallies["uncertain"] += 1
-        vector = embed(se.event.raw, cfg.embedding)
-        match = match_decision(store, vector, cfg.match)
-        audits.append(
-            {
-                "event_id": se.event.id,
-                "layer": layer.value,
-                "gate": "gate2",
-                "nearest_distance": None
-                if not math.isfinite(match.nearest_distance)
-                else match.nearest_distance,
-                "support": match.support,
-                "meta_confidence": match.meta_confidence,
-                "matched": match.matched,
-                "record_id": match.record_id,
-                "created_at": clock.tick(),
-            }
-        )
-        if match.matched:
-            tallies["memory_matched"] += 1
-            routed[i] = RoutedEvent(se, Sink.MEMORY_ATTACK)
-            continue
-        pending.append((i, se, vector, match, build_prompt(se, match)))
-        if len(pending) >= cfg.llm_parallelism:
-            flush()
-    flush()
+    # The routing thread asks the first prompt of a batch and the pool's
+    # workers the rest; with llm_parallelism 1 no worker ever starts.
+    with ThreadPoolExecutor(max_workers=max(1, cfg.llm_parallelism - 1)) as pool:
+        for i, se in enumerate(scored):
+            if route_gate1(se, threshold) is Gate1Route.KNOWN:
+                tallies["known"] += 1
+                routed[i] = RoutedEvent(se, Sink.KNOWN_ACCEPT)
+                continue
+            tallies["uncertain"] += 1
+            vector = embed(se.event.raw, cfg.embedding)
+            match = match_decision(store, vector, cfg.match)
+            audits.append(
+                {
+                    "event_id": se.event.id,
+                    "layer": layer.value,
+                    "gate": "gate2",
+                    "nearest_distance": None
+                    if not math.isfinite(match.nearest_distance)
+                    else match.nearest_distance,
+                    "support": match.support,
+                    "meta_confidence": match.meta_confidence,
+                    "matched": match.matched,
+                    "record_id": match.record_id,
+                    "created_at": clock.tick(),
+                }
+            )
+            if match.matched:
+                tallies["memory_matched"] += 1
+                routed[i] = RoutedEvent(se, Sink.MEMORY_ATTACK)
+                continue
+            pending.append((i, se, vector, match, build_prompt(se, match)))
+            if len(pending) >= cfg.llm_parallelism:
+                flush()
+        flush()
 
     assert all(r is not None for r in routed)
     done: list[RoutedEvent] = routed  # type: ignore[assignment]

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 import socket
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -20,6 +24,53 @@ def dead_endpoint_url() -> str:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     return f"http://127.0.0.1:{port}"
+
+
+@contextmanager
+def serve(handler):
+    """Serve ``handler`` on a loopback port; yields the base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    # A short poll keeps shutdown() from waiting out the default half second.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=2)
+    assert not thread.is_alive()
+
+
+@contextmanager
+def generate_server(answer):
+    """An HTTP/1.1 generate endpoint that keeps connections open and
+    replies ``answer(prompt)``; yields the base URL and the list of the
+    connections it accepted."""
+    accepted: list = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True  # no delayed-ACK stall on reused connections
+
+        def setup(self):
+            super().setup()
+            accepted.append(self.client_address)
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            payload = json.dumps({"response": answer(json.loads(body)["prompt"])}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    with serve(Handler) as url:
+        yield url, accepted
 
 
 def make_event(

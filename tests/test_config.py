@@ -12,7 +12,7 @@ from idsgate.config import (
     read_config_file,
 )
 from idsgate.events import LayerId, Sink, Verdict
-from idsgate.llm import LlmVerdict, Provenance, gate3_decide
+from idsgate.llm import LlmThresholds, LlmVerdict, Provenance, gate3_decide
 from idsgate.pipeline import Mode, PipelineConfig
 
 
@@ -262,6 +262,40 @@ def test_configs_are_frozen_so_every_change_is_checked():
         dataclasses.replace(xcfg, llm_spec="oracle")
     with pytest.raises(ValueError):
         dataclasses.replace(PipelineConfig(), eval_count=0)
+
+
+def test_per_layer_mappings_are_read_only():
+    xcfg = build_experiment_config({"fusion_tau_host": "0.6"})
+    for per_layer, value in (
+        (xcfg.scorers, "bogus"),
+        (xcfg.pipeline.llm_thresholds.tau, 7.0),
+        (xcfg.pipeline.fusion.fusion_tau, 7.0),
+    ):
+        with pytest.raises(TypeError):
+            per_layer[LayerId.HOST] = value
+    assert xcfg.scorers[LayerId.HOST] == "baseline"
+    assert xcfg.pipeline.llm_thresholds.tau[LayerId.HOST] == 0.61
+    assert xcfg.pipeline.fusion.fusion_tau[LayerId.HOST] == 0.6
+
+
+def test_per_layer_mappings_copy_what_they_are_given():
+    tau = {LayerId.HOST: 0.7}
+    thresholds = LlmThresholds(tau=tau)
+    tau[LayerId.HOST] = 7.0
+    assert thresholds.tau == {LayerId.HOST: 0.7}
+
+
+def test_per_layer_overrides_still_apply():
+    xcfg = build_experiment_config(
+        {"llm_tau_host": "0.7", "fusion_tau_network": "0.6", "scorer_hypervisor": "replay:s.csv"}
+    )
+    assert xcfg.pipeline.llm_thresholds.tau == {
+        LayerId.NETWORK: 0.69, LayerId.HOST: 0.7, LayerId.HYPERVISOR: 0.89
+    }
+    assert xcfg.pipeline.fusion.fusion_tau == {LayerId.NETWORK: 0.6}
+    assert xcfg.scorers == {
+        LayerId.NETWORK: "baseline", LayerId.HOST: "baseline", LayerId.HYPERVISOR: "replay:s.csv"
+    }
 
 
 def test_fusion_weights():

@@ -1,16 +1,18 @@
+import base64
 import hashlib
 import json
 import math
+import os
 import random
+import sys
 import threading
 import time
-import urllib.error
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from conftest import dead_endpoint_url, make_scored
+from conftest import dead_endpoint_url, generate_server, make_scored, serve
 from idsgate.events import LayerId, Sink, Verdict
 from idsgate.llm import (
     DEFAULT_MOCK_RESPONSE,
@@ -371,12 +373,12 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     script = []
     seen = []
-    content_types = []
+    requests = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         type(self).seen.append(json.loads(self.rfile.read(length)))
-        type(self).content_types.append(self.headers.get("Content-Type"))
+        type(self).requests.append((self.requestline, dict(self.headers)))
         status, body = self.script.pop(0) if self.script else (200, "{}")
         if status is None:
             return  # close the connection without a reply
@@ -390,6 +392,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def do_CONNECT(self):
+        type(self).requests.append((self.requestline, dict(self.headers)))
+        self.send_error(403)
+
     def log_message(self, *args):
         pass
 
@@ -399,17 +405,10 @@ def scripted_server(script):
     handler = type(
         "Handler",
         (_ScriptedHandler,),
-        {"script": list(script), "seen": [], "content_types": []},
+        {"script": list(script), "seen": [], "requests": []},
     )
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", handler
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=2)
+    with serve(handler) as url:
+        yield url, handler
 
 
 def test_http_client_posts_generate_request():
@@ -419,7 +418,9 @@ def test_http_client_posts_generate_request():
         reply = client.generate("classify this")
         assert reply == '{"label": "BENIGN", "confidence": 0.8}'
         assert handler.seen == [{"model": "llama3", "prompt": "classify this", "stream": False}]
-        assert handler.content_types == ["application/json"]
+        ((line, headers),) = handler.requests
+        assert line == "POST /api/generate HTTP/1.1"
+        assert headers["Content-Type"] == "application/json"
 
 
 def test_http_client_retries_server_errors():
@@ -444,11 +445,11 @@ def test_http_client_dead_endpoint_is_http_error():
 
 
 def test_http_client_connect_timeout_is_timeout(monkeypatch):
-    # urllib reports a connect timeout as a URLError wrapping TimeoutError.
-    def no_connect(request, timeout):
-        raise urllib.error.URLError(TimeoutError("timed out"))
+    # A connect timeout surfaces from socket.create_connection as TimeoutError.
+    def no_connect(*args, **kwargs):
+        raise TimeoutError("timed out")
 
-    monkeypatch.setattr("idsgate.llm.urllib.request.urlopen", no_connect)
+    monkeypatch.setattr("socket.create_connection", no_connect)
     client = HttpLlmClient("http://127.0.0.1:9", model="m", retries=1, backoff=0.01)
     with pytest.raises(LlmTimeout):
         client.generate("p")
@@ -490,3 +491,124 @@ def test_http_client_rejects_malformed_body():
             with pytest.raises(LlmHttpError, match="malformed response body"):
                 HttpLlmClient(url, model="m").generate("p")
             assert len(handler.seen) == 1  # no retry on a bad body
+
+
+def test_http_client_does_not_follow_redirects():
+    with scripted_server([(302, "elsewhere")]) as (url, handler):
+        client = HttpLlmClient(url, model="m", retries=2, backoff=0.01)
+        with pytest.raises(LlmHttpError, match="unexpected status 302"):
+            client.generate("p")
+        assert len(handler.seen) == 1
+
+
+def test_http_client_reuses_its_connection():
+    with generate_server(str.upper) as (url, accepted):
+        client = HttpLlmClient(url, model="m")
+        assert [client.generate(p) for p in ("a", "b", "c")] == ["A", "B", "C"]
+        client.close()
+    assert len(accepted) == 1
+
+
+class _CloseAfterReplyHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 replies that leave the connection open, as far as the
+    client can tell, and then a silent close."""
+
+    protocol_version = "HTTP/1.1"
+    served = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        payload = json.dumps({"response": "ok"}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        type(self).served += 1
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_client_resends_once_on_a_stale_connection():
+    handler = type("Handler", (_CloseAfterReplyHandler,), {"served": 0})
+    with serve(handler) as url:
+        client = HttpLlmClient(url, model="m", retries=0, backoff=60.0)
+        start = time.perf_counter()
+        assert [client.generate("p") for _ in range(3)] == ["ok"] * 3
+        assert time.perf_counter() - start < 30.0  # no backoff sleep
+        client.close()
+    assert handler.served == 3
+
+
+def test_http_client_does_not_resend_on_a_fresh_connection():
+    with scripted_server([(None, None)]) as (url, handler):
+        client = HttpLlmClient(url, model="m", retries=0)
+        with pytest.raises(LlmHttpError):
+            client.generate("p")
+        assert len(handler.seen) == 1
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """No proxy variable of the surrounding environment leaks into a test."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+def test_http_client_posts_through_the_environment_proxy(proxy_env):
+    body = json.dumps({"response": "ok"})
+    with scripted_server([(200, body)]) as (proxy_url, proxy):
+        proxy_env.setenv("http_proxy", proxy_url.replace("http://", "http://user:p%40ss@"))
+        client = HttpLlmClient("http://llm.test:11434", model="m", retries=0)
+        assert client.generate("p") == "ok"
+    ((line, headers),) = proxy.requests
+    assert line == "POST http://llm.test:11434/api/generate HTTP/1.1"
+    assert headers["Host"] == "llm.test:11434"
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_http_client_tunnels_https_through_the_proxy(proxy_env):
+    with scripted_server([]) as (proxy_url, proxy):
+        proxy_env.setenv("https_proxy", proxy_url)
+        client = HttpLlmClient("https://llm.test", model="m", retries=0)
+        with pytest.raises(LlmHttpError, match="403"):
+            client.generate("p")
+    assert [line for line, _ in proxy.requests] == ["CONNECT llm.test:443 HTTP/1.0"]
+
+
+def test_http_client_no_proxy_bypasses_the_proxy(proxy_env):
+    body = json.dumps({"response": "ok"})
+    with scripted_server([]) as (proxy_url, proxy), scripted_server([(200, body)]) as (url, target):
+        proxy_env.setenv("http_proxy", proxy_url)
+        proxy_env.setenv("no_proxy", "127.0.0.1")
+        assert HttpLlmClient(url, model="m", retries=0).generate("p") == "ok"
+    assert proxy.requests == []
+    assert [line for line, _ in target.requests] == ["POST /api/generate HTTP/1.1"]
+
+
+def test_http_client_shares_connections_between_threads():
+    threads, calls = 8, 25
+    with generate_server(lambda prompt: prompt) as (url, accepted):
+        client = HttpLlmClient(url, model="m")
+        replies: dict[int, list[str]] = {}
+
+        def work(t):
+            replies[t] = [client.generate(f"{t}-{i}") for i in range(calls)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        client.close()
+    assert replies == {t: [f"{t}-{i}" for i in range(calls)] for t in range(threads)}
+    assert len(accepted) <= threads

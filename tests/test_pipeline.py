@@ -1,10 +1,11 @@
 import json
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 
-from conftest import dead_endpoint_url, make_scored
+from conftest import dead_endpoint_url, generate_server, make_scored
 from idsgate.config import build_experiment_config
 from idsgate.events import GateRecord, LayerId, Sink
 from idsgate.llm import (
@@ -375,7 +376,7 @@ def test_route_stream_audit_trail_shape():
 def test_parallelism_does_not_change_results():
     rows = [(0.5 + (i % 40) * 0.01, i % 2, (i * 3) % 2) for i in range(60)]
     base = None
-    for workers in (1, 4):
+    for workers in (1, 2, 3, 4):
         cfg = PipelineConfig(llm_parallelism=workers)
         stream = host_stream(rows)
         run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
@@ -385,6 +386,43 @@ def test_parallelism_does_not_change_results():
         else:
             assert run.summary == base[0]
             assert sinks == base[1]
+
+
+def test_http_batches_hold_at_most_llm_parallelism_connections():
+    rows = [(0.5 + (i % 30) * 0.01, i % 2, (i * 7) % 2) for i in range(40)]
+    stream = host_stream(rows)
+    cfg = PipelineConfig(llm_parallelism=3)
+    with generate_server(echo_for(stream).generate) as (url, accepted):
+        client = HttpLlmClient(url, model="m", retries=0)
+        run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), client)
+        client.close()
+    reference = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
+    assert run.llm_calls >= 3 * cfg.llm_parallelism
+    assert len(accepted) <= cfg.llm_parallelism
+    assert [r.sink for r in run.routed] == [r.sink for r in reference.routed]
+    assert run.summary == reference.summary
+
+
+def test_one_worker_pool_per_stream():
+    class ThreadRecorder(EchoLlmClient):
+        def generate(self, prompt):
+            threads.append(threading.current_thread())
+            return super().generate(prompt)
+
+    stream = host_stream([(0.6, 1, 1)] * 20)
+    for workers in (1, 4):
+        threads = []
+        cfg = PipelineConfig(llm_parallelism=workers)
+        client = ThreadRecorder({se.event.id: se.event.truth for se in stream})
+        route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), client)
+        assert client.calls >= 3 * workers
+        pool = {t for t in threads if t is not threading.current_thread()}
+        # The routing thread asks the first prompt of every batch; the
+        # other asks share at most llm_parallelism - 1 threads across
+        # all batches, which have stopped once the stream is routed.
+        assert threading.current_thread() in threads
+        assert len(pool) <= workers - 1
+        assert not any(t.is_alive() for t in pool)
 
 
 def run_host(stream, thresholds, mode, cfg):
