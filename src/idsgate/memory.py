@@ -144,9 +144,11 @@ class MemoryStore:
         self._records: list[MemoryRecord] = []
         self._index: dict[str, int] = {}
         # Row i of the block (and of the norms) is _records[i]'s vector;
-        # rows past len(self) are spare capacity.
+        # rows past len(self) are spare capacity, and the norms from row
+        # _stale on wait for the next query.
         self._rows = np.zeros((16, dims), dtype=np.float64)
         self._norms = np.zeros(16, dtype=np.float64)
+        self._stale = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -173,9 +175,7 @@ class MemoryStore:
             self._index[record.id] = pos
             self._records.append(record)
         self._rows[pos] = record.vector
-        # The 2-D row-wise norm: a 1-D norm takes another summation path,
-        # and a last-bit change would move the recorded distances.
-        self._norms[pos] = np.linalg.norm(self._rows[pos : pos + 1], axis=1)[0]
+        self._stale = min(self._stale, pos)
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(_record_to_dict(record)) + "\n")
@@ -191,6 +191,11 @@ class MemoryStore:
         n = len(self._records)
         if n == 0:
             return []
+        if self._stale < n:
+            # The 2-D row-wise norm: a 1-D norm takes another summation
+            # path, and a last-bit change would move the recorded distances.
+            self._norms[self._stale : n] = np.linalg.norm(self._rows[self._stale : n], axis=1)
+            self._stale = n
         vnorm = float(np.linalg.norm(vector))
         if vnorm == 0.0:
             dists = np.ones(n)
@@ -258,6 +263,14 @@ _TEXT_FIELDS = ("id", "attack_type", "created_at")
 _NUMBER_TYPES = frozenset((int, float))
 
 
+class _FloatMemo(dict):
+    """JSON float token -> float, parsing each token on first sight."""
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
+
+
 def _finite_vector(values) -> np.ndarray | None:
     """``values`` as a float64 vector; None unless a list of finite numbers."""
     if type(values) is not list or not _NUMBER_TYPES.issuperset(map(type, values)):
@@ -270,10 +283,10 @@ def _finite_vector(values) -> np.ndarray | None:
     return vector if np.isfinite(vector).all() else None
 
 
-def _record_from_line(line: str) -> MemoryRecord:
+def _record_from_line(line: str, parse_float) -> MemoryRecord:
     """One store file line as a record; ValueError says what is wrong."""
     try:
-        data = json.loads(line)
+        data = json.loads(line, parse_float=parse_float)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not JSON ({exc})") from None
     if not isinstance(data, dict):
@@ -312,6 +325,8 @@ def load_store(path: str, dims: int, bind: bool = True) -> MemoryStore:
         DimMismatch: a record's vector length is not ``dims``.
     """
     store = MemoryStore(dims=dims, path=None)
+    # A store repeats few distinct float tokens, so each is parsed once.
+    parse_float = _FloatMemo().__getitem__
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -319,7 +334,7 @@ def load_store(path: str, dims: int, bind: bool = True) -> MemoryStore:
                 if not line:
                     continue
                 try:
-                    record = _record_from_line(line)
+                    record = _record_from_line(line, parse_float)
                 except ValueError as exc:
                     raise MalformedStore(f"{path}:{lineno}: {exc}") from None
                 if len(record.vector) != dims:

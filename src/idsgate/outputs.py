@@ -84,12 +84,13 @@ class AccountingError(ValueError):
 
 @dataclass(frozen=True)
 class LayerSummary:
-    """Per-layer routing tallies.
+    """Per-layer routing tallies, counted after routing from two records.
 
-    ``llm_attack`` / ``llm_benign`` / ``llm_unsure`` count the parsed LLM
-    labels of every LLM-processed event; ``llm_promoted`` counts the
-    subset of attacks actually accepted (directly or via fusion) and
-    ``fusion_rejected`` the attack verdicts fusion declined.
+    The sinks give ``known``, ``memory_matched``, ``llm_promoted`` (the
+    attacks accepted, directly or via fusion) and ``bucket``.  The audit
+    log gives ``uncertain`` (its gate-2 rows), ``llm_attack`` /
+    ``llm_benign`` / ``llm_unsure`` (the LLM labels of its gate-3 rows)
+    and ``fusion_rejected`` (its ATTACK rows that went to review).
     """
 
     layer: str
@@ -113,7 +114,8 @@ class LayerSummary:
         known + uncertain = total; the uncertain side splits into memory
         matches plus LLM-processed events; attacks split into promoted
         plus fusion-rejected; the bucket collects benign, unsure, and
-        fusion-rejected; the four sinks partition the stream.
+        fusion-rejected; the four sinks partition the stream.  All but
+        the last check the sinks against the audit log.
         """
         checks = [
             ("known + uncertain == total", self.known + self.uncertain == self.total),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -258,8 +259,9 @@ def route_stream(
 
     Each routed event carries only the sink it reached; the gate trace is
     built for the review rows, the one record that keeps it.  The
-    returned LayerRun's summary is validated (the four sinks must
-    partition the stream) before it is handed back.
+    returned LayerRun's summary is counted after routing, from the sinks
+    and the audit rows, and validated (the two must agree, and the four
+    sinks must partition the stream) before it is handed back.
     """
     clock = clock if clock is not None else make_clock(cfg.wall_clock)
     mode = mode if mode is not None else cfg.mode
@@ -267,17 +269,6 @@ def route_stream(
     routed: list[RoutedEvent | None] = [None] * len(scored)
     audits: list[dict] = []
     reviews: list[ReviewRecord] = []
-    tallies = {
-        "known": 0,
-        "uncertain": 0,
-        "memory_matched": 0,
-        "llm_attack": 0,
-        "llm_benign": 0,
-        "llm_unsure": 0,
-        "llm_promoted": 0,
-        "fusion_rejected": 0,
-        "bucket": 0,
-    }
     pending: list[tuple[int, ScoredEvent, np.ndarray, MatchResult, str]] = []
 
     def flush() -> None:
@@ -288,10 +279,8 @@ def route_stream(
         verdicts = [ask_llm(client, first, prompt)] + [f.result() for f in futures]
         for (i, se, vector, match, prompt), verdict in zip(pending, verdicts):
             decision = gate3_decide(se, verdict, layer, cfg.llm_thresholds, cfg.fusion)
-            tallies[f"llm_{verdict.decision.value.lower()}"] += 1
             promoted = decision.sink is Sink.LLM_ATTACK
             if promoted:
-                tallies["llm_promoted"] += 1
                 store.insert(
                     MemoryRecord(
                         id=se.event.id,
@@ -302,10 +291,6 @@ def route_stream(
                         created_at=clock.tick(),
                     )
                 )
-            else:
-                tallies["bucket"] += 1
-                if verdict.decision is Verdict.ATTACK:
-                    tallies["fusion_rejected"] += 1
             routed[i] = RoutedEvent(se, decision.sink)
             audits.append(
                 {
@@ -354,10 +339,8 @@ def route_stream(
     with ThreadPoolExecutor(max_workers=max(1, cfg.llm_parallelism - 1)) as pool:
         for i, se in enumerate(scored):
             if route_gate1(se, threshold) is Gate1Route.KNOWN:
-                tallies["known"] += 1
                 routed[i] = RoutedEvent(se, Sink.KNOWN_ACCEPT)
                 continue
-            tallies["uncertain"] += 1
             vector = embed(se.event.raw, cfg.embedding)
             match = match_decision(store, vector, cfg.match)
             audits.append(
@@ -376,7 +359,6 @@ def route_stream(
                 }
             )
             if match.matched:
-                tallies["memory_matched"] += 1
                 routed[i] = RoutedEvent(se, Sink.MEMORY_ATTACK)
                 continue
             pending.append((i, se, vector, match, build_prompt(se, match)))
@@ -386,18 +368,22 @@ def route_stream(
 
     assert all(r is not None for r in routed)
     done: list[RoutedEvent] = routed  # type: ignore[assignment]
+    sinks = Counter(r.sink for r in done)
+    gate3 = [a for a in audits if a["gate"] == "gate3"]
+    labels = Counter(a["llm_label"] for a in gate3)
+    attack, review = Verdict.ATTACK.value, Sink.REVIEW_BUCKET.value
     summary = LayerSummary(
         layer=layer.value,
         total=len(scored),
-        known=tallies["known"],
-        uncertain=tallies["uncertain"],
-        memory_matched=tallies["memory_matched"],
-        llm_attack=tallies["llm_attack"],
-        llm_benign=tallies["llm_benign"],
-        llm_unsure=tallies["llm_unsure"],
-        llm_promoted=tallies["llm_promoted"],
-        fusion_rejected=tallies["fusion_rejected"],
-        bucket=tallies["bucket"],
+        known=sinks[Sink.KNOWN_ACCEPT],
+        uncertain=sum(a["gate"] == "gate2" for a in audits),
+        memory_matched=sinks[Sink.MEMORY_ATTACK],
+        llm_attack=labels[attack],
+        llm_benign=labels[Verdict.BENIGN.value],
+        llm_unsure=labels[Verdict.UNSURE.value],
+        llm_promoted=sinks[Sink.LLM_ATTACK],
+        fusion_rejected=sum(a["llm_label"] == attack and a["sink"] == review for a in gate3),
+        bucket=sinks[Sink.REVIEW_BUCKET],
         learned_threshold=threshold,
         llm_threshold=llm_tau,
         metrics=_metrics_dict(done),

@@ -21,10 +21,9 @@ import numpy as np
 from .corpus import MalformedCorpus
 from .events import Event, LayerId, ScoredEvent
 
-TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+TOKEN = re.compile(r"[a-z0-9]+")
 
 DEFAULT_MAX_VOCAB = 4096
-DEFAULT_MIN_DF = 1
 
 REPLAY_CSV_HEADER = ["event_id", "layer", "pred_label", "confidence", "truth"]
 
@@ -38,8 +37,8 @@ class SingleClassData(ValueError):
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on any non-alphanumeric run; drops empties."""
-    return [t for t in TOKEN_SPLIT.split(text.lower()) if t]
+    """The alphanumeric runs of the lowercased text."""
+    return TOKEN.findall(text.lower())
 
 
 @dataclass
@@ -47,7 +46,6 @@ class FeatureExtractor:
     """Fitted tf-idf transform: a term's column in ``vocab`` and its idf
     weight in ``idf``.  :func:`fit_tfidf` builds it."""
 
-    layer: LayerId
     vocab: dict[str, int]
     idf: np.ndarray
 
@@ -56,12 +54,7 @@ class FeatureExtractor:
         return len(self.vocab)
 
 
-def fit_tfidf(
-    corpus: list[str],
-    layer: LayerId = LayerId.HOST,
-    min_df: int = DEFAULT_MIN_DF,
-    max_vocab: int = DEFAULT_MAX_VOCAB,
-) -> FeatureExtractor:
+def fit_tfidf(corpus: list[str], max_vocab: int = DEFAULT_MAX_VOCAB) -> FeatureExtractor:
     """Fit a tf-idf vocabulary over a text corpus.
 
     idf(term) = ln((1 + N) / (1 + df)) + 1 with N the corpus size.  The
@@ -78,15 +71,14 @@ def fit_tfidf(
     for doc in corpus:
         for term in set(tokenize(doc)):
             df[term] = df.get(term, 0) + 1
-    kept = [t for t, n in df.items() if n >= min_df]
-    kept.sort(key=lambda t: (-df[t], t))
+    kept = sorted(df, key=lambda t: (-df[t], t))
     kept = sorted(kept[:max_vocab])
     vocab = {term: i for i, term in enumerate(kept)}
     n_docs = len(corpus)
     idf = np.array(
         [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in kept], dtype=np.float64
     )
-    return FeatureExtractor(layer=layer, vocab=vocab, idf=idf)
+    return FeatureExtractor(vocab=vocab, idf=idf)
 
 
 # Rows at a time in the block kernels below: extract_features counts the

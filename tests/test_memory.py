@@ -444,6 +444,7 @@ def test_load_store_rejects_dim_mismatch(tmp_path):
 
 
 def _store_state(store):
+    store.query(np.ones(store.dims), 1)  # brings the norms up to date
     n = len(store)
     return (
         [(r.id, r.layer, r.attack_type, r.source, r.created_at) for r in store.records],
@@ -461,6 +462,23 @@ def _assert_same_store(got, want):
     assert np.array_equal(g[3], w[3])
     for a, b in zip(got.records, want.records):
         assert np.array_equal(a.vector, b.vector)
+
+
+def test_query_norms_equal_the_row_by_row_norms():
+    # Inserts leave the norms to the next query, which computes every
+    # row from the first stale one on in one block; an overwrite makes
+    # its row stale again.
+    rng = np.random.default_rng(11)
+    store = MemoryStore(dims=8)
+    for _ in range(4):
+        for _ in range(60):
+            rid = f"r{rng.integers(150)}"
+            store.insert(make_record(rid, rng.normal(size=8) * rng.choice([1e-3, 1.0, 1e3])))
+        store.query(rng.normal(size=8), 3)
+        n = len(store)
+        want = [np.linalg.norm(r.vector[None, :], axis=1)[0] for r in store.records]
+        assert store._norms[:n].tobytes() == np.array(want).tobytes()
+    assert n < 240  # some inserts overwrote
 
 
 def test_load_store_matches_insert_by_insert(tmp_path, caplog):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import threading
 from fractions import Fraction
 
@@ -371,6 +372,70 @@ def test_route_stream_audit_trail_shape():
     assert len(g3["prompt_sha256"]) == 64
     assert g3["provenance"] == "direct"
     assert g2["created_at"] < g3["created_at"]
+
+
+class ByEventClient:
+    """Answers each prompt with the reply scripted for its event id; a
+    missing reply is a timeout."""
+
+    def __init__(self, replies):
+        self.replies = replies
+
+    def generate(self, prompt):
+        event_id = re.search(r"^event_id: (\S+)$", prompt, re.M).group(1)
+        if self.replies[event_id] is None:
+            raise LlmTimeout("no analyst available")
+        label, confidence = self.replies[event_id]
+        return json.dumps({"label": label, "confidence": confidence})
+
+
+def test_summary_counts_every_outcome_of_one_stream():
+    cfg = PipelineConfig()
+    attack_raw = "sshd pid=1003 auth_fail user=root attempts=30 src=10.0.3.7"
+    stream = host_stream(
+        [
+            (0.97, 1, 1),  # Gate-1 known
+            (0.98, 0, 0),  # Gate-1 known
+            (0.60, 1, 1, attack_raw),  # memory match
+            (0.60, 1, 1),  # direct ATTACK
+            (0.90, 1, 1),  # ATTACK fused to 0.644, promoted
+            (0.50, 1, 1),  # ATTACK fused to 0.54, rejected
+            (0.70, 0, 0),  # BENIGN
+            (0.70, 0, 0),  # UNSURE
+            (0.70, 0, 1),  # failed LLM call
+        ]
+    )
+    client = ByEventClient(
+        {
+            "host-3": ("ATTACK", 0.9),
+            "host-4": ("ATTACK", 0.58),
+            "host-5": ("ATTACK", 0.55),
+            "host-6": ("BENIGN", 0.9),
+            "host-7": ("UNSURE", 0.5),
+            "host-8": None,
+        }
+    )
+    store = fresh_store(cfg)
+    store.insert(
+        memory.MemoryRecord(
+            id="seeded",
+            layer=LayerId.HOST,
+            vector=memory.embed(attack_raw, cfg.embedding),
+            attack_type="brute_force",
+            source=memory.MemorySource.MEMORY_SEEDED,
+            created_at="2000-01-01T00:00:00Z",
+        )
+    )
+    run = route_stream(LayerId.HOST, stream, 0.95, cfg, store, client)
+    s = run.summary
+    assert (s.total, s.known, s.uncertain, s.memory_matched) == (9, 2, 7, 1)
+    assert (s.llm_attack, s.llm_benign, s.llm_unsure) == (3, 1, 2)
+    assert (s.llm_promoted, s.fusion_rejected, s.bucket) == (2, 1, 4)
+    assert run.llm_calls == 6
+    assert [r.sink for r in run.routed] == [Sink.KNOWN_ACCEPT] * 2 + [
+        Sink.MEMORY_ATTACK, Sink.LLM_ATTACK, Sink.LLM_ATTACK
+    ] + [Sink.REVIEW_BUCKET] * 4
+    assert [r.event_id for r in run.reviews] == [f"host-{i}" for i in range(5, 9)]
 
 
 def test_parallelism_does_not_change_results():
