@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from typing import TypeVar
 
@@ -140,10 +141,6 @@ _HYP_CLASS_POISSON = {
 _FRACTION_FIELDS = {"cpu_util", "mem_util"}
 
 
-class CountSumMismatch(ValueError):
-    """Per-class counts do not add up to the configured total."""
-
-
 class InvalidSplitRatio(ValueError):
     """Train fraction must lie strictly between 0 and 1."""
 
@@ -152,20 +149,54 @@ class MalformedCorpus(ValueError):
     """A loaded corpus file has a header or row its layer cannot read."""
 
 
+# The feature of every replayed event, and of a host event until its tf-idf row is built.
+PLACEHOLDER_FEATURES = np.zeros(1)
+PLACEHOLDER_FEATURES.flags.writeable = False
+
+
+def binary_label(cell: str, name: str, where: str) -> int:
+    """A 0/1 label cell as ``int`` reads it, else ``MalformedCorpus``."""
+    try:
+        label = int(cell)
+    except ValueError:
+        label = None
+    if label not in (0, 1):
+        raise MalformedCorpus(f"{where}: {name} {cell!r} is not 0 or 1")
+    return label
+
+
+def truth_label(cell: str | None, where: str) -> int | None:
+    """The truth rule of every reader: ``None`` or a blank cell is absent,
+    anything else a :func:`binary_label`.  A JSON value's cell is its JSON
+    text, so ``true``, ``1.0`` and ``"1"`` are not truths."""
+    if cell is None or not cell.strip():
+        return None
+    return binary_label(cell, "truth", where)
+
+
+_ID_FORBIDDEN = re.compile(r"[\s,]")
+
+
+def check_event_id(value: object, path: str, lineno: int, seen: dict | None = None) -> str:
+    """``value`` as an event id: a non-empty string without whitespace or
+    a comma, so it stays whole in a CSV cell and a prompt line.  With
+    ``seen`` (id -> line), it must also be new there, and joins it."""
+    where = f"{path}:{lineno}"
+    if not isinstance(value, str) or not value or _ID_FORBIDDEN.search(value):
+        raise MalformedCorpus(
+            f"{where}: event_id {value!r} is not a non-empty string without whitespace or commas"
+        )
+    if seen is not None and seen.setdefault(value, lineno) != lineno:
+        raise MalformedCorpus(f"{where}: event_id {value!r} repeats line {seen[value]}")
+    return value
+
+
 @dataclass(frozen=True)
 class HypGenConfig:
-    total: int = 25000
-    class_counts: dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_HYP_COUNTS)
-    )
-    seed: int = 0
+    """Rows per class (their sum is the corpus size) and the seed."""
 
-    def __post_init__(self) -> None:
-        if sum(self.class_counts.values()) != self.total:
-            raise CountSumMismatch(
-                f"class counts sum to {sum(self.class_counts.values())}, "
-                f"config says {self.total}"
-            )
+    class_counts: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_HYP_COUNTS))
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -262,8 +293,9 @@ def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
     block.  The same config always yields the same events.
     """
     rng = np.random.default_rng(cfg.seed)
+    total = sum(cfg.class_counts.values())
     n_types = len(HYP_TYPES)
-    block = np.zeros((cfg.total, n_types + len(HYP_NUMERIC_FIELDS)))
+    block = np.zeros((total, n_types + len(HYP_NUMERIC_FIELDS)))
     types: list[int] = []
     classes: list[str] = []
     for cls in sorted(cfg.class_counts):
@@ -284,7 +316,7 @@ def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
             row[n_types:] = cells
             types.append(hv)
             classes.append(cls)
-    order = rng.permutation(cfg.total).tolist()
+    order = rng.permutation(total).tolist()
     block = block[order]
     hv_tokens = [_kv_token(t) for t in HYP_TYPES]
     return [
@@ -412,36 +444,35 @@ def load_network_csv(path: str) -> list[Event]:
     """Rebuild events from a network CSV written by ``write_network_csv``.
 
     Raises:
-        MalformedCorpus: a row is ragged, a cell is not a finite number,
-            or the file holds no events.
+        MalformedCorpus: the header has no feature column, a row is
+            ragged, breaks :func:`check_event_id` or :func:`truth_label`,
+            or has a feature cell that is not a finite number, or the file
+            holds no events.
     """
     events: list[Event] = []
+    seen: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise MalformedCorpus(f"{path}:1: empty file")
+        if len(header) < 4:
+            raise MalformedCorpus(f"{path}:1: no feature column after event_id,truth,truth_class")
         for row in reader:
             where = f"{path}:{reader.line_num}"
             if len(row) != len(header):
                 raise MalformedCorpus(f"{where}: {len(row)} cells, header has {len(header)}")
+            event_id = check_event_id(row[0], path, reader.line_num, seen)
+            truth = truth_label(row[1], where)
             cells = row[3:]
             try:
-                truth = int(row[1]) if row[1] else None
                 features = np.array([float(c) for c in cells])
             except ValueError as exc:
                 raise MalformedCorpus(f"{where}: {exc}") from None
             if not np.isfinite(features).all():
                 raise MalformedCorpus(f"{where}: feature cells must be finite numbers")
             events.append(
-                Event(
-                    id=row[0],
-                    layer=LayerId.NETWORK,
-                    raw=",".join(cells),
-                    features=features,
-                    truth=truth,
-                    truth_class=row[2] or None,
-                )
+                Event(event_id, LayerId.NETWORK, ",".join(cells), features, truth, row[2] or None)
             )
     if not events:
         raise MalformedCorpus(f"{path}: no events")
@@ -525,9 +556,7 @@ def gen_hostlogs(cfg: HostGenConfig) -> list[Event]:
                 id=make_event_id(LayerId.HOST, i),
                 layer=LayerId.HOST,
                 raw=raw,
-                # tf-idf features are fitted on the training split later;
-                # a placeholder keeps the event valid until then.
-                features=np.zeros(1),
+                features=PLACEHOLDER_FEATURES,
                 truth=truth,
                 truth_class=kind,
             )
@@ -538,17 +567,8 @@ def gen_hostlogs(cfg: HostGenConfig) -> list[Event]:
 def write_host_jsonl(events: list[Event], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in events:
-            fh.write(
-                json.dumps(
-                    {
-                        "event_id": e.id,
-                        "truth": e.truth,
-                        "truth_class": e.truth_class,
-                        "raw": e.raw,
-                    }
-                )
-                + "\n"
-            )
+            row = {"event_id": e.id, "truth": e.truth, "truth_class": e.truth_class, "raw": e.raw}
+            fh.write(json.dumps(row) + "\n")
 
 
 def load_host_jsonl(path: str) -> list[Event]:
@@ -556,29 +576,30 @@ def load_host_jsonl(path: str) -> list[Event]:
 
     Raises:
         MalformedCorpus: a line is not a JSON object with ``event_id``,
-            ``raw`` and ``truth``, or the file holds no events.
+            ``raw`` (a string) and ``truth``, breaks :func:`check_event_id`
+            or :func:`truth_label`, or the file holds no events.
     """
     events: list[Event] = []
+    seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedCorpus(f"{path}:{lineno}: {exc.msg} (column {exc.colno})") from None
+                raise MalformedCorpus(f"{where}: {exc.msg} (column {exc.colno})") from None
             if not (isinstance(data, dict) and {"event_id", "raw", "truth"} <= data.keys()):
-                raise MalformedCorpus(f"{path}:{lineno}: not an object with event_id, raw, truth")
+                raise MalformedCorpus(f"{where}: not an object with event_id, raw, truth")
+            event_id = check_event_id(data["event_id"], path, lineno, seen)
+            if not isinstance(data["raw"], str):
+                raise MalformedCorpus(f"{where}: raw {data['raw']!r} is not a string")
+            cell = None if data["truth"] is None else json.dumps(data["truth"])
+            truth, truth_class = truth_label(cell, where), data.get("truth_class")
             events.append(
-                Event(
-                    id=data["event_id"],
-                    layer=LayerId.HOST,
-                    raw=data["raw"],
-                    features=np.zeros(1),
-                    truth=data["truth"],
-                    truth_class=data.get("truth_class"),
-                )
+                Event(event_id, LayerId.HOST, data["raw"], PLACEHOLDER_FEATURES, truth, truth_class)
             )
     if not events:
         raise MalformedCorpus(f"{path}: no events")

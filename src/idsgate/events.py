@@ -50,14 +50,6 @@ class Verdict(str, Enum):
 GATE_ORDER = ("gate1", "gate2", "gate3")
 
 
-class BadTruthLabel(ValueError):
-    """Event truth label is present but not 0 or 1."""
-
-
-class EmptyFeatureVector(ValueError):
-    """Event carries a zero-length feature vector."""
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class Event:
     """One observable unit: a flow record, a log line, or a hypervisor event.
@@ -143,22 +135,6 @@ def validate_trace(trace: tuple[GateRecord, ...]) -> None:
             )
     if len(trace) > len(GATE_ORDER):
         raise ValueError("gate trace longer than the gate sequence")
-
-
-def validate_event(event: Event) -> Event:
-    """Check an event against the stream contract, returning it unchanged.
-
-    Raises:
-        BadTruthLabel: truth present but outside {0, 1}.
-        EmptyFeatureVector: feature vector has zero length.
-    """
-    if event.truth is not None and event.truth not in (0, 1):
-        raise BadTruthLabel(
-            f"event {event.id}: truth must be 0 or 1 when present, got {event.truth!r}"
-        )
-    if len(event.features) == 0:
-        raise EmptyFeatureVector(f"event {event.id}: empty feature vector")
-    return event
 
 
 def make_event_id(layer: LayerId, ordinal: int) -> str:

@@ -32,7 +32,7 @@ from .corpus import (
     write_hypervisor_csv,
     write_network_csv,
 )
-from .events import Event, LayerId, ScoredEvent, validate_event
+from .events import Event, LayerId, ScoredEvent
 from .llm import EchoLlmClient, HttpLlmClient, MockLlmClient, calibrate_llm_threshold
 from .memory import MemoryStore, load_store
 from .outputs import (
@@ -129,12 +129,11 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     """Read or generate the layer's input, split it, and score both splits.
 
     A ``replay:<csv>`` layer's file is its scored stream, split as events
-    are.  Otherwise every event is checked against the stream contract
-    (``validate_event``), so a loaded corpus with a truth label outside
-    {0, 1} fails here, and the base model is trained on the training
-    split.  tf-idf for the host layer is fitted on the training split
-    only, so evaluation text never leaks into the fit.  The training rows
-    exist only while the model is trained and scored: the host
+    are.  Otherwise the base model is trained on the training split: a
+    loaded corpus was checked by its reader, and a generated one is valid
+    as it is made.  tf-idf for the host layer is fitted on the training
+    split only, so evaluation text never leaks into the fit.  The training
+    rows exist only while the model is trained and scored: the host
     ``train_scored`` holds the split's own events, and the evaluation
     events get their own block.
     """
@@ -153,8 +152,6 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
             eval_scored=eval_scored,
         )
     events = load_events(layer, xcfg.data_dir) if xcfg.data_dir else generate_events(layer, xcfg)
-    for event in events:
-        validate_event(event)
     train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
     eval_events = test[: cfg.eval_count]
     if layer is LayerId.HOST:
@@ -230,8 +227,9 @@ def client_factory(xcfg: ExperimentConfig, bundles: dict[LayerId, LayerBundle]):
 
     Specs: ``echo[:confidence]`` answers with ground truth (evaluation
     oracle), ``table:<path>`` replays canned responses keyed by prompt
-    hash, ``http`` talks to the configured endpoint.  ``ExperimentConfig``
-    has checked the spec, so one that is neither echo nor table is http.
+    hash (the file is read once, here), ``http`` talks to the configured
+    endpoint.  ``ExperimentConfig`` has checked the spec, so one that is
+    neither echo nor table is http.
     """
     spec = xcfg.llm_spec
     if spec.startswith("echo"):
@@ -244,10 +242,10 @@ def client_factory(xcfg: ExperimentConfig, bundles: dict[LayerId, LayerBundle]):
 
         return make
     if spec.startswith("table:"):
-        path = spec.removeprefix("table:")
+        table = MockLlmClient.from_jsonl(spec.removeprefix("table:")).table
 
         def make(layer: LayerId, mode: Mode):
-            return MockLlmClient.from_jsonl(path)
+            return MockLlmClient(table)
 
         return make
 

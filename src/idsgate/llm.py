@@ -314,13 +314,25 @@ class MockLlmClient:
 
     @classmethod
     def from_jsonl(cls, path: str, default_response: str = DEFAULT_MOCK_RESPONSE) -> "MockLlmClient":
+        """A client over a JSONL table: each non-blank line is an object with
+        string ``prompt_sha256`` and ``response``; ``ValueError`` names the
+        ``<path>:<line>`` of one that is not."""
         table: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc.msg} (column {exc.colno})") from None
+                if not isinstance(entry, dict) or not all(
+                    isinstance(entry.get(key), str) for key in ("prompt_sha256", "response")
+                ):
+                    raise ValueError(
+                        f"{path}:{lineno}: not an object with string prompt_sha256 and response"
+                    )
                 table[entry["prompt_sha256"]] = entry["response"]
         return cls(table, default_response)
 

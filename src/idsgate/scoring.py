@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import MalformedCorpus
+from .corpus import PLACEHOLDER_FEATURES, MalformedCorpus, binary_label, check_event_id, truth_label
 from .events import Event, LayerId, ScoredEvent
 
 TOKEN = re.compile(r"[a-z0-9]+")
@@ -238,15 +238,15 @@ def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
     truth cell may be empty for unlabeled rows.  Events come in file
     order; an id given twice keeps its first position and its last row.
     Replay rows carry no payload, so every event has an empty raw record
-    and one shared zero feature.
+    and the shared ``PLACEHOLDER_FEATURES``.
 
     Raises:
         MalformedCorpus: ``<path>:<line>: ...`` for a missing column, a
-            ``pred_label`` or ``truth`` that is not 0 or 1, a confidence
-            that is not a number in [0, 1], a row of another layer, or a
-            file without rows.
+            bad id (:func:`check_event_id`), a ``pred_label`` or
+            ``truth`` that is not 0 or 1, a confidence that is not a
+            number in [0, 1], a row of another layer, or a file without
+            rows.
     """
-    placeholder = np.zeros(1, dtype=np.float64)
     stream: dict[str, ScoredEvent] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, restval="")
@@ -257,8 +257,9 @@ def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
             where = f"{path}:{reader.line_num}"
             if row["layer"] != layer.value:
                 raise MalformedCorpus(f"{where}: layer {row['layer']!r} is not {layer.value}")
-            pred_label = _binary(row["pred_label"], "pred_label", where)
-            truth = _binary(row["truth"], "truth", where) if row["truth"].strip() else None
+            event_id = check_event_id(row["event_id"], path, reader.line_num)
+            pred_label = binary_label(row["pred_label"], "pred_label", where)
+            truth = truth_label(row["truth"], where)
             try:
                 confidence = float(row["confidence"])
             except ValueError:
@@ -267,18 +268,9 @@ def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
                 raise MalformedCorpus(
                     f"{where}: confidence {row['confidence']!r} is not a number in [0, 1]"
                 )
-            event = Event(row["event_id"], layer, "", placeholder, truth)
-            stream[event.id] = ScoredEvent(event, pred_label, confidence)
+            event = Event(event_id, layer, "", PLACEHOLDER_FEATURES, truth)
+            stream[event_id] = ScoredEvent(event, pred_label, confidence)
     if not stream:
         raise MalformedCorpus(f"{path}:1: header without rows")
     return list(stream.values())
 
-
-def _binary(cell: str, name: str, where: str) -> int:
-    try:
-        value = int(cell)
-    except ValueError:
-        value = None
-    if value not in (0, 1):
-        raise MalformedCorpus(f"{where}: {name} {cell!r} is not 0 or 1")
-    return value

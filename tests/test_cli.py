@@ -301,25 +301,52 @@ def _set_line(index, text):
     return edit
 
 
+def _keep_columns(n):
+    def edit(rows):
+        rows[:] = [row[:n] for row in rows]
+
+    return edit
+
+
+def _host_line(**fields):
+    return json.dumps({"event_id": "host-x", "truth": 0, "raw": "sshd pid=1", **fields})
+
+
 @pytest.mark.parametrize(
     "layer, edit, message",
     [
-        ("network", _set_cells(1, truth="2"), "truth must be 0 or 1"),
-        ("network", _set_cells(2, truth="x"), "{path}:3: invalid literal for int() with base 10: 'x'"),
+        ("network", _set_cells(1, truth="2"), "{path}:2: truth '2' is not 0 or 1"),
+        ("network", _set_cells(2, truth="x"), "{path}:3: truth 'x' is not 0 or 1"),
         ("network", lambda rows: rows[2].pop(), "{path}:3: 42 cells, header has 43"),
         ("network", lambda rows: rows[2].append("0.5"), "{path}:3: 44 cells, header has 43"),
         ("network", _set_cells(2, f05="nan"), "{path}:3: feature cells must be finite numbers"),
         ("network", _set_cells(2, f05="bogus"), "{path}:3: could not convert string to float: 'bogus'"),
         ("network", lambda rows: rows.clear(), "{path}:1: empty file"),
+        ("network", _keep_columns(3), "{path}:1: no feature column"),
+        ("network", _set_cells(1, event_id="net,50"), "{path}:2: event_id 'net,50' is not a non-empty"),
+        ("network", _set_cells(2, event_id="net 51"), "{path}:3: event_id 'net 51' is not a non-empty"),
+        ("network", _set_cells(2, event_id=""), "{path}:3: event_id '' is not a non-empty"),
+        ("network", _set_cells(3, event_id="network-0"), "{path}:4: event_id 'network-0' repeats line 2"),
         ("hypervisor", _drop_column("uptime_hours"), "{path}:1: missing columns: ['uptime_hours']"),
         ("hypervisor", _set_cells(2, event_class=""), "{path}:3: empty event_class"),
         ("host", _set_line(1, '{"event_id": "host-1", "truth": 0}'), "{path}:2: not an object with"),
         ("host", _set_line(1, '["host-1", 0, "sshd"]'), "{path}:2: not an object with"),
         ("host", _set_line(1, '{"event_id": "host-1" "raw": ""}'), "{path}:2: Expecting ',' delimiter"),
+        ("host", _set_line(1, _host_line(truth=True)), "{path}:2: truth 'true' is not 0 or 1"),
+        ("host", _set_line(1, _host_line(truth=1.0)), "{path}:2: truth '1.0' is not 0 or 1"),
+        ("host", _set_line(1, _host_line(truth=2)), "{path}:2: truth '2' is not 0 or 1"),
+        ("host", _set_line(1, _host_line(truth="1")), "{path}:2: truth '\"1\"' is not 0 or 1"),
+        ("host", _set_line(1, _host_line(raw=None)), "{path}:2: raw None is not a string"),
+        ("host", _set_line(1, _host_line(event_id=7)), "{path}:2: event_id 7 is not a non-empty"),
+        ("host", _set_line(1, _host_line(event_id="host 1")), "{path}:2: event_id 'host 1' is not"),
+        ("host", _set_line(2, _host_line(event_id="host-0")), "{path}:3: event_id 'host-0' repeats line 1"),
     ],
     ids=[
         "truth", "truth-not-int", "short-row", "long-row", "nan-cell", "bogus-cell", "empty-file",
+        "no-feature-column", "id-comma", "id-space", "id-empty", "id-repeated",
         "missing-column", "empty-class", "host-no-raw", "host-not-object", "host-bad-json",
+        "host-truth-bool", "host-truth-float", "host-truth-2", "host-truth-string", "host-raw-null",
+        "host-id-number", "host-id-space", "host-id-repeated",
     ],
 )
 def test_loaded_corpus_with_bad_truth_label_fails(tmp_path, capsys, layer, edit, message):

@@ -4,15 +4,12 @@ import pytest
 from conftest import make_event, make_scored
 from idsgate.events import (
     GATE_ORDER,
-    BadTruthLabel,
-    EmptyFeatureVector,
     GateRecord,
     LayerId,
     RoutedEvent,
     ScoredEvent,
     Sink,
     make_event_id,
-    validate_event,
     validate_trace,
 )
 from idsgate.memory import MemoryRecord, MemorySource
@@ -119,21 +116,6 @@ def test_trace_must_not_be_empty():
             gate_trace=(),
             created_at="2000-01-01T00:00:00Z",
         )
-
-
-def test_validate_event_rejects_bad_truth():
-    with pytest.raises(BadTruthLabel):
-        validate_event(make_event(truth=3))
-
-
-def test_validate_event_rejects_empty_features():
-    with pytest.raises(EmptyFeatureVector):
-        validate_event(make_event(features=np.array([])))
-
-
-def test_validate_event_passes_through():
-    e = make_event(truth=1)
-    assert validate_event(e) is e
 
 
 def test_final_label_promotes_attack_sinks():

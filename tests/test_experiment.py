@@ -244,11 +244,14 @@ def test_client_factory_table_spec(tmp_path):
         fh.write(json.dumps({"prompt_sha256": prompt_sha256("p"), "response": "r"}) + "\n")
     xcfg = dataclasses.replace(small_cfg(tmp_path, layers="network"), llm_spec=f"table:{table}")
     make = client_factory(xcfg, {})
+    # The table is read once, when the factory is built.
+    os.remove(table)
     client = make(LayerId.NETWORK, Mode.STATIC)
     assert isinstance(client, MockLlmClient)
     assert client.generate("p") == "r"
     # Each run gets a fresh client with its own call counter.
-    assert make(LayerId.NETWORK, Mode.ADAPTIVE).calls == 0
+    again = make(LayerId.NETWORK, Mode.ADAPTIVE)
+    assert again.calls == 0 and again.generate("p") == "r"
 
 
 def test_client_factory_http_spec(tmp_path):

@@ -345,6 +345,26 @@ def test_mock_client_from_jsonl(tmp_path):
     assert client.generate("p2") == "r2"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"prompt_sha256": "ab"', "Expecting ',' delimiter"),
+        ("{}", "not an object with string prompt_sha256 and response"),
+        ('["ab", "r"]', "not an object with string prompt_sha256 and response"),
+        ('{"prompt_sha256": "ab", "response": null}', "not an object with string"),
+        ('{"prompt_sha256": 7, "response": "r"}', "not an object with string"),
+    ],
+    ids=["not-json", "no-keys", "not-object", "response-null", "hash-not-string"],
+)
+def test_mock_client_from_jsonl_names_the_bad_line(tmp_path, line, message):
+    path = tmp_path / "table.jsonl"
+    good = json.dumps({"prompt_sha256": prompt_sha256("p1"), "response": "r1"})
+    path.write_text(f"{good}\n\n{line}\n")
+    with pytest.raises(ValueError) as exc:
+        MockLlmClient.from_jsonl(str(path))
+    assert str(exc.value).startswith(f"{path}:3: {message}")
+
+
 def test_echo_client_reads_truth_from_prompt():
     se = make_scored(0.6, pred_label=0, event_id="host-9")
     client = EchoLlmClient({"host-9": 1}, confidence=0.88, attack_types={"host-9": "webshell"})

@@ -88,7 +88,7 @@ def test_embed_matches_sha256_formula():
     raws += [
         e.raw
         for e in gen_hypervisor(
-            HypGenConfig(total=150, class_counts={"normal": 100, "vm_escape": 50}, seed=3)
+            HypGenConfig(class_counts={"normal": 100, "vm_escape": 50}, seed=3)
         )
     ]
     raws += ["", "  -- ;; ", "alpha alpha alpha beta", "Alpha ALPHA alpha"]

@@ -13,6 +13,7 @@ from idsgate.corpus import (
     HYP_COLUMNS,
     HYP_NUMERIC_FIELDS,
     HYP_TYPES,
+    PLACEHOLDER_FEATURES,
     HostGenConfig,
     HypGenConfig,
     MalformedCorpus,
@@ -233,11 +234,7 @@ def _host_train(seed):
         lambda: split_train_test(gen_network(NetGenConfig(count=1500, seed=4)), 0.8, 4)[0],
         lambda: _host_train(4),
         lambda: split_train_test(
-            gen_hypervisor(
-                HypGenConfig(
-                    total=1500, class_counts={"normal": 900, "vm_escape": 600}, seed=4
-                )
-            ),
+            gen_hypervisor(HypGenConfig(class_counts={"normal": 900, "vm_escape": 600}, seed=4)),
             0.8,
             4,
         )[0],
@@ -245,11 +242,7 @@ def _host_train(seed):
         lambda: split_train_test(gen_network(NetGenConfig(count=500, seed=5)), 0.8, 5)[0],
         # 3200 rows: three full chunks and a short one.
         lambda: split_train_test(
-            gen_hypervisor(
-                HypGenConfig(
-                    total=4000, class_counts={"normal": 2400, "hyper_jacking": 1600}, seed=6
-                )
-            ),
+            gen_hypervisor(HypGenConfig(class_counts={"normal": 2400, "hyper_jacking": 1600}, seed=6)),
             0.8,
             6,
         )[0],
@@ -369,7 +362,7 @@ def test_replay_scorer_returns_stored_pair(tmp_path):
     [
         lambda: gen_network(NetGenConfig(count=3000, seed=0)),
         lambda: gen_hypervisor(
-            HypGenConfig(total=3000, class_counts={"normal": 1500, "vm_escape": 1500})
+            HypGenConfig(class_counts={"normal": 1500, "vm_escape": 1500})
         ),
     ],
     ids=["network", "hypervisor"],
@@ -401,9 +394,8 @@ def test_replay_csv_round_trip(tmp_path):
     assert [(se.pred_label, se.confidence) for se in stream] == [(1, 0.5807), (0, 0.999), (1, 1.0)]
     assert [se.event.truth for se in stream] == [1, None, 0]
     assert all(se.event.layer is LayerId.HOST and se.event.raw == "" for se in stream)
-    # one shared zero feature stands in for the payload replay rows lack
-    assert all(se.event.features is stream[0].event.features for se in stream)
-    assert stream[0].event.features.tolist() == [0.0]
+    # the shared zero cell stands in for the payload replay rows lack
+    assert all(se.event.features is PLACEHOLDER_FEATURES for se in stream)
 
 
 def test_replay_csv_repeated_id_keeps_first_position_and_last_row(tmp_path):
@@ -441,11 +433,14 @@ def test_replay_csv_rejects_missing_columns(tmp_path):
         (REPLAY_HEADER + "network-0,network,1,-0.1,1\n", ":2: confidence '-0.1'"),
         (REPLAY_HEADER + "network-0,network,1,0.6,1\nhost-0,host,1,0.6,1\n", ":3: layer 'host'"),
         (REPLAY_HEADER + "network-0,network,1\n", ":2: confidence ''"),
+        (REPLAY_HEADER + "network-0,network,1,0.6,1\nnet 1,network,1,0.6,1\n", ":3: event_id 'net 1'"),
+        (REPLAY_HEADER + '"net,1",network,1,0.6,1\n', ":2: event_id 'net,1'"),
+        (REPLAY_HEADER + ",network,1,0.6,1\n", ":2: event_id ''"),
     ],
     ids=[
         "empty-file", "no-rows", "label-not-int", "label-not-binary", "truth-not-binary",
         "truth-not-int", "confidence-not-number", "confidence-above-1", "confidence-nan",
-        "confidence-below-0", "other-layer", "short-row",
+        "confidence-below-0", "other-layer", "short-row", "id-space", "id-comma", "id-empty",
     ],
 )
 def test_replay_csv_malformed_names_path_and_line(tmp_path, text, where):
