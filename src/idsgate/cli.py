@@ -144,10 +144,11 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "compare":
             comp, files = experiment.do_compare(xcfg, args.calibration)
             cost = comp.cost
+            pct = "n/a" if cost.reduction_pct is None else f"{cost.reduction_pct:.2f}"
             print(
                 f"static_uncertain={cost.n_static} "
                 f"adaptive_uncertain={cost.n_adaptive} "
-                f"reduction_pct={cost.reduction_pct:.2f}"
+                f"reduction_pct={pct}"
             )
             print(f"wrote comparison: {files['compare']}")
         elif args.command == "report":

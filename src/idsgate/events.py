@@ -97,27 +97,29 @@ class GateRecord:
             raise ValueError(f"unknown gate {self.gate!r}")
 
 
+def working_verdict(sink: Sink, pred_label: int) -> tuple[int, bool]:
+    """The working (label, deferred) of an event in ``sink``: memory and LLM
+    promotions are attacks, every other sink keeps the base model's
+    label, and the review bucket defers it to a human."""
+    label = 1 if sink in (Sink.MEMORY_ATTACK, Sink.LLM_ATTACK) else pred_label
+    return label, sink is Sink.REVIEW_BUCKET
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class RoutedEvent:
-    """A scored event together with the sink it reached.
-
-    ``final_label`` is the pipeline's working verdict: memory and LLM
-    promotions are attacks, review-bucket events keep the base model's
-    label while awaiting a human (``deferred`` marks them).
-    """
+    """A scored event together with the sink it reached; ``final_label``
+    and ``deferred`` are its :func:`working_verdict`."""
 
     se: ScoredEvent
     sink: Sink
 
     @property
     def final_label(self) -> int:
-        if self.sink in (Sink.MEMORY_ATTACK, Sink.LLM_ATTACK):
-            return 1
-        return self.se.pred_label
+        return working_verdict(self.sink, self.se.pred_label)[0]
 
     @property
     def deferred(self) -> bool:
-        return self.sink is Sink.REVIEW_BUCKET
+        return working_verdict(self.sink, self.se.pred_label)[1]
 
 
 def validate_trace(trace: tuple[GateRecord, ...]) -> None:

@@ -310,12 +310,12 @@ def _record_from_line(line: str, parse_float) -> MemoryRecord:
     )
 
 
-def load_store(path: str, dims: int, bind: bool = True) -> MemoryStore:
+def load_store(path: str, dims: int) -> MemoryStore:
     """Load a JSONL store file; missing file yields an empty store.
 
     The records are inserted in file order, so a duplicated id keeps the
-    position of its first line and the contents of its last.  With
-    ``bind`` the returned store appends future inserts to the same file.
+    position of its first line and the contents of its last.  The
+    returned store appends future inserts to the same file.
 
     Raises:
         MalformedStore: ``<path>:<line>: ...`` for a line that is not a
@@ -342,8 +342,7 @@ def load_store(path: str, dims: int, bind: bool = True) -> MemoryStore:
                         f"stored record {record.id} has {len(record.vector)} dims, expected {dims}"
                     )
                 store.insert(record)
-    if bind:
-        store.path = path
+    store.path = path
     return store
 
 

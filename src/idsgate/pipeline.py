@@ -34,6 +34,7 @@ from .events import (
     ScoredEvent,
     Sink,
     Verdict,
+    working_verdict,
 )
 from .llm import (
     FusionConfig,
@@ -76,10 +77,6 @@ class NoLabeledEvents(ValueError):
     """Metrics requested over a stream with no ground truth."""
 
 
-class ZeroStaticBaseline(ValueError):
-    """Cost comparison against zero static escalations."""
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: Mode = Mode.ADAPTIVE
@@ -111,11 +108,13 @@ class PipelineConfig:
 
 @dataclass
 class LayerRun:
-    """Everything one layer produced in one mode."""
+    """Everything one layer produced in one mode; ``outcomes`` counts the
+    routed events by (sink, model label, truth)."""
 
     layer: LayerId
     mode: Mode
     routed: list[RoutedEvent]
+    outcomes: Counter
     summary: LayerSummary
     audits: list[dict]
     reviews: list[ReviewRecord]
@@ -167,37 +166,33 @@ class Metrics:
         }
 
 
-def compute_metrics(routed: list[RoutedEvent]) -> Metrics:
+def compute_metrics(outcomes: Counter) -> Metrics:
     """Confusion counts of the working verdicts against ground truth.
 
-    Review-bucket events are scored with the base model's label and
-    counted in ``deferred``; promotions count as attack predictions.
+    ``outcomes`` counts events by (sink, model label, truth), as
+    ``LayerRun.outcomes`` does; each key is scored by its
+    :func:`working_verdict`, and keys without truth are left out.
 
     Raises:
-        NoLabeledEvents: nothing in the stream carries truth.
+        NoLabeledEvents: no key carries truth.
     """
-    labeled = [r for r in routed if r.se.event.truth is not None]
-    if not labeled:
+    cells: Counter = Counter()  # (label, truth) pairs, and "deferred"
+    for (sink, pred_label, truth), n in outcomes.items():
+        if truth is not None:
+            label, deferred = working_verdict(sink, pred_label)
+            cells[label, truth] += n
+            cells["deferred"] += n * deferred
+    if not cells:
         raise NoLabeledEvents("metrics require at least one labeled event")
-    tp = fp = fn = tn = 0
-    for r in labeled:
-        pred, truth = r.final_label, r.se.event.truth
-        if pred == 1 and truth == 1:
-            tp += 1
-        elif pred == 1:
-            fp += 1
-        elif truth == 1:
-            fn += 1
-        else:
-            tn += 1
-    return Metrics(tp=tp, fp=fp, fn=fn, tn=tn, deferred=sum(r.deferred for r in labeled))
+    tp, fp, fn, tn = cells[1, 1], cells[1, 0], cells[0, 1], cells[0, 0]
+    return Metrics(tp=tp, fp=fp, fn=fn, tn=tn, deferred=cells["deferred"])
 
 
-def _metrics_dict(routed: list[RoutedEvent]) -> dict | None:
-    """``compute_metrics`` as a dict, or None when no event carries truth."""
-    if not any(r.se.event.truth is not None for r in routed):
+def _metrics_dict(outcomes: Counter) -> dict | None:
+    """``compute_metrics`` as a dict, or None when no key carries truth."""
+    if all(truth is None for _, _, truth in outcomes):
         return None
-    return compute_metrics(routed).to_dict()
+    return compute_metrics(outcomes).to_dict()
 
 
 @dataclass(frozen=True)
@@ -205,31 +200,30 @@ class CostReport:
     """Escalation volumes and the derived cost delta.
 
     reduction_pct is one correctly rounded int/int division and is
-    rendered at two decimals in serialized form.
+    rendered at two decimals in serialized form; it is None when the
+    static run escalated nothing.
     """
 
     n_static: int
     n_adaptive: int
     delta: int
-    reduction_pct: float
+    reduction_pct: float | None
     c_event: float
     cost_static: float
     cost_adaptive: float
     cost_saving: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "reduction_pct": round(self.reduction_pct, 2)}
+        pct = self.reduction_pct
+        return {**asdict(self), "reduction_pct": None if pct is None else round(pct, 2)}
 
 
 def cost_analysis(n_static: int, n_adaptive: int, c_event: float) -> CostReport:
     """Escalation cost model: total cost is volume times per-event cost.
 
     Raises:
-        ZeroStaticBaseline: the static run escalated nothing.
         ValueError: negative cost per event.
     """
-    if n_static <= 0:
-        raise ZeroStaticBaseline("static escalation count must be positive")
     if c_event < 0:
         raise ValueError(f"c_event must be >= 0, got {c_event}")
     delta = n_static - n_adaptive
@@ -237,7 +231,7 @@ def cost_analysis(n_static: int, n_adaptive: int, c_event: float) -> CostReport:
         n_static=n_static,
         n_adaptive=n_adaptive,
         delta=delta,
-        reduction_pct=100 * delta / n_static,
+        reduction_pct=100 * delta / n_static if n_static else None,
         c_event=c_event,
         cost_static=n_static * c_event,
         cost_adaptive=n_adaptive * c_event,
@@ -259,9 +253,10 @@ def route_stream(
 
     Each routed event carries only the sink it reached; the gate trace is
     built for the review rows, the one record that keeps it.  The
-    returned LayerRun's summary is counted after routing, from the sinks
-    and the audit rows, and validated (the two must agree, and the four
-    sinks must partition the stream) before it is handed back.
+    returned LayerRun's summary is counted after routing, from its
+    outcomes table and the audit rows, and validated (the two must agree,
+    and the four sinks must partition the stream) before it is handed
+    back.
     """
     clock = clock if clock is not None else make_clock(cfg.wall_clock)
     mode = mode if mode is not None else cfg.mode
@@ -368,7 +363,10 @@ def route_stream(
 
     assert all(r is not None for r in routed)
     done: list[RoutedEvent] = routed  # type: ignore[assignment]
-    sinks = Counter(r.sink for r in done)
+    outcomes = Counter((r.sink, r.se.pred_label, r.se.event.truth) for r in done)
+    sinks: Counter = Counter()
+    for (sink, _, _), n in outcomes.items():
+        sinks[sink] += n
     gate3 = [a for a in audits if a["gate"] == "gate3"]
     labels = Counter(a["llm_label"] for a in gate3)
     attack, review = Verdict.ATTACK.value, Sink.REVIEW_BUCKET.value
@@ -386,11 +384,9 @@ def route_stream(
         bucket=sinks[Sink.REVIEW_BUCKET],
         learned_threshold=threshold,
         llm_threshold=llm_tau,
-        metrics=_metrics_dict(done),
+        metrics=_metrics_dict(outcomes),
     ).validate()
-    return LayerRun(
-        layer=layer, mode=mode, routed=done, summary=summary, audits=audits, reviews=reviews
-    )
+    return LayerRun(layer, mode, done, outcomes, summary, audits, reviews)
 
 
 def ask_llm(client, se: ScoredEvent, prompt: str) -> LlmVerdict:
@@ -463,8 +459,9 @@ def run_mode(
     entry of ``thresholds`` (a ValueError names a layer without one).
     One clock spans the whole run, so audit and review timestamps are
     ordered across layers and a seeded run reproduces byte-identical
-    artifacts.  The mode's totals are counted here, into the summary's
-    ``overall``, and read from there.
+    artifacts.  The mode's totals are summed here from the layers, into
+    the summary's ``overall``, and read from there; its metrics are those
+    of the layers' outcome tables added together.
     """
     layers = [layer for layer in LAYER_ORDER if layer in scored_by_layer]
     if mode is Mode.STATIC:
@@ -494,7 +491,7 @@ def run_mode(
         for key in ("total", "known", "uncertain", "memory_matched", "llm_promoted", "bucket")
     }
     overall["llm_calls"] = sum(lr.llm_calls for lr in layer_runs.values())
-    overall["metrics"] = _metrics_dict([r for lr in layer_runs.values() for r in lr.routed])
+    overall["metrics"] = _metrics_dict(sum((lr.outcomes for lr in layer_runs.values()), Counter()))
     summary = RunSummary(
         mode=mode.value,
         seed=cfg.seed,

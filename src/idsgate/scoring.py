@@ -242,19 +242,20 @@ def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
 
     Raises:
         MalformedCorpus: ``<path>:<line>: ...`` for a missing column, a
-            bad id (:func:`check_event_id`), a ``pred_label`` or
-            ``truth`` that is not 0 or 1, a confidence that is not a
-            number in [0, 1], a row of another layer, or a file without
-            rows.
+            ragged row, a bad id (:func:`check_event_id`), a ``pred_label``
+            or ``truth`` that is not 0 or 1, a confidence that is not a
+            number in [0, 1], a row of another layer, or a file without rows.
     """
     stream: dict[str, ScoredEvent] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
+        reader = csv.DictReader(fh)
         missing = set(REPLAY_CSV_HEADER) - set(reader.fieldnames or [])
         if missing:
             raise MalformedCorpus(f"{path}:1: missing columns: {sorted(missing)}")
         for row in reader:
             where = f"{path}:{reader.line_num}"
+            if None in row or None in row.values():
+                raise MalformedCorpus(f"{where}: row length differs from header")
             if row["layer"] != layer.value:
                 raise MalformedCorpus(f"{where}: layer {row['layer']!r} is not {layer.value}")
             event_id = check_event_id(row["event_id"], path, reader.line_num)

@@ -277,6 +277,20 @@ def test_compare_prints_reduction_and_writes_files(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "summary_adaptive_run0.json"))
 
 
+def test_compare_completes_when_static_escalates_nothing(tmp_path, capsys):
+    # At seed 3 no host event of this small config falls below the static
+    # threshold, so there is no baseline to reduce: the run still writes
+    # all ten artifacts and reports the reduction as null.
+    cfg = write_cfg(tmp_path, SMALL)
+    out = os.path.join(tmp_path, "out")
+    args = ["--config", cfg, "--seed", "3", "--out", out, "--layers", "host", "--eval-count", "30"]
+    assert main(["compare", *args]) == 0
+    assert "static_uncertain=0 adaptive_uncertain=0 reduction_pct=n/a" in capsys.readouterr().out
+    assert len(os.listdir(out)) == 10
+    cost = json.loads(Path(out, "compare_run3.json").read_text())["cost"]
+    assert (cost["n_static"], cost["reduction_pct"]) == (0, None)
+
+
 def _set_cells(row_index, **cells):
     def edit(rows):
         for column, value in cells.items():

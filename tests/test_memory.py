@@ -385,15 +385,6 @@ def test_save_store_compacts(tmp_path):
         assert len(fh.readlines()) == 1
 
 
-def test_load_store_unbound_does_not_append(tmp_path):
-    path = os.path.join(tmp_path, "mem.jsonl")
-    bound = load_store(path, dims=4)
-    bound.insert(make_record("a", [1, 0, 0, 0]))
-    free = load_store(path, dims=4, bind=False)
-    free.insert(make_record("b", [0, 1, 0, 0]))
-    assert len(load_store(path, dims=4)) == 1
-
-
 GOOD_LINE = {
     "id": "a",
     "layer": "host",

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from idsgate.pipeline import (
     Mode,
     NoLabeledEvents,
     PipelineConfig,
-    ZeroStaticBaseline,
     calibrate_gate1,
     compare_modes,
     compute_metrics,
@@ -72,7 +72,7 @@ def test_compute_metrics_confusion_counts():
         ]
     )
     run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
-    m = compute_metrics(run.routed)
+    m = compute_metrics(run.outcomes)
     assert (m.tp, m.fp, m.fn, m.tn) == (1, 1, 1, 1)
     assert m.accuracy == 0.5
     assert m.precision == 0.5
@@ -86,7 +86,42 @@ def test_compute_metrics_requires_labels():
     stream = host_stream([(0.9, 0, None)])
     run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
     with pytest.raises(NoLabeledEvents):
-        compute_metrics(run.routed)
+        compute_metrics(run.outcomes)
+
+
+# Every (sink, model label, truth) key and where compute_metrics scores it:
+# promotions are attack verdicts, other sinks keep the model's label, and
+# only the review bucket is deferred; unlabeled keys are left out.
+OUTCOME_CELLS = [
+    (sink, pred, truth, cell, sink is Sink.REVIEW_BUCKET and truth is not None)
+    for sink, promoted in [
+        (Sink.KNOWN_ACCEPT, False),
+        (Sink.MEMORY_ATTACK, True),
+        (Sink.LLM_ATTACK, True),
+        (Sink.REVIEW_BUCKET, False),
+    ]
+    for pred in (0, 1)
+    for truth, cell in zip(
+        (0, 1, None),
+        ("fp", "tp", None) if promoted or pred == 1 else ("tn", "fn", None),
+    )
+]
+
+
+def test_compute_metrics_scores_every_key_of_the_table():
+    # A distinct power of two per key, so each total names its keys.
+    outcomes = Counter({(s, p, t): 1 << i for i, (s, p, t, _, _) in enumerate(OUTCOME_CELLS)})
+    assert len(outcomes) == 24
+    m = compute_metrics(outcomes)
+    for name in ("tp", "fp", "fn", "tn"):
+        want = sum(1 << i for i, row in enumerate(OUTCOME_CELLS) if row[3] == name)
+        assert getattr(m, name) == want, name
+    assert m.deferred == sum(1 << i for i, row in enumerate(OUTCOME_CELLS) if row[4])
+    # Key i is bit i; keys run sink by sink, then model label, then truth.
+    assert (m.tp, m.fp, m.fn, m.tn) == (0x412490, 0x209248, 0x080002, 0x040001)
+    assert m.deferred == 0x6C0000
+    with pytest.raises(NoLabeledEvents):
+        compute_metrics(Counter({key: n for key, n in outcomes.items() if key[2] is None}))
 
 
 def test_metrics_merge_adds_counts():
@@ -142,9 +177,12 @@ def test_cost_analysis_reduction_is_the_exact_ratio_rounded_once(n_static, n_ada
     assert report.reduction_pct == float(Fraction(100 * delta, n_static))
 
 
-def test_cost_analysis_rejects_zero_baseline():
-    with pytest.raises(ZeroStaticBaseline):
-        cost_analysis(0, 0, c_event=1.0)
+@pytest.mark.parametrize("n_adaptive", [0, 3])
+def test_cost_analysis_zero_baseline_has_no_reduction(n_adaptive):
+    report = cost_analysis(0, n_adaptive, c_event=1.0)
+    assert report.reduction_pct is None
+    assert report.to_dict()["reduction_pct"] is None
+    assert (report.delta, report.cost_adaptive) == (-n_adaptive, float(n_adaptive))
 
 
 def test_cost_analysis_rejects_negative_cost():
@@ -436,6 +474,14 @@ def test_summary_counts_every_outcome_of_one_stream():
         Sink.MEMORY_ATTACK, Sink.LLM_ATTACK, Sink.LLM_ATTACK
     ] + [Sink.REVIEW_BUCKET] * 4
     assert [r.event_id for r in run.reviews] == [f"host-{i}" for i in range(5, 9)]
+    assert sum(run.outcomes.values()) == s.total
+    sinks = {sink: sum(n for (k, _, _), n in run.outcomes.items() if k is sink) for sink in Sink}
+    assert sinks == {
+        Sink.KNOWN_ACCEPT: s.known,
+        Sink.MEMORY_ATTACK: s.memory_matched,
+        Sink.LLM_ATTACK: s.llm_promoted,
+        Sink.REVIEW_BUCKET: s.bucket,
+    }
 
 
 def test_parallelism_does_not_change_results():

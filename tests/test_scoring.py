@@ -432,7 +432,9 @@ def test_replay_csv_rejects_missing_columns(tmp_path):
         (REPLAY_HEADER + "network-0,network,1,nan,1\n", ":2: confidence 'nan'"),
         (REPLAY_HEADER + "network-0,network,1,-0.1,1\n", ":2: confidence '-0.1'"),
         (REPLAY_HEADER + "network-0,network,1,0.6,1\nhost-0,host,1,0.6,1\n", ":3: layer 'host'"),
-        (REPLAY_HEADER + "network-0,network,1\n", ":2: confidence ''"),
+        (REPLAY_HEADER + "network-0,network,1\n", ":2: row length differs from header"),
+        (REPLAY_HEADER + "network-0,network,1,0.6,1,surplus,cells\n", ":2: row length differs from header"),
+        (REPLAY_HEADER + "network-0,network,1,0.6,1\nnetwork-1,network,0,0.7\n", ":3: row length differs from header"),
         (REPLAY_HEADER + "network-0,network,1,0.6,1\nnet 1,network,1,0.6,1\n", ":3: event_id 'net 1'"),
         (REPLAY_HEADER + '"net,1",network,1,0.6,1\n', ":2: event_id 'net,1'"),
         (REPLAY_HEADER + ",network,1,0.6,1\n", ":2: event_id ''"),
@@ -440,7 +442,8 @@ def test_replay_csv_rejects_missing_columns(tmp_path):
     ids=[
         "empty-file", "no-rows", "label-not-int", "label-not-binary", "truth-not-binary",
         "truth-not-int", "confidence-not-number", "confidence-above-1", "confidence-nan",
-        "confidence-below-0", "other-layer", "short-row", "id-space", "id-comma", "id-empty",
+        "confidence-below-0", "other-layer", "short-row", "long-row", "short-row-no-truth",
+        "id-space", "id-comma", "id-empty",
     ],
 )
 def test_replay_csv_malformed_names_path_and_line(tmp_path, text, where):
