@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 from .events import (
     Event,
-    GateRecord,
     LayerId,
     RoutedEvent,
     ScoredEvent,
@@ -56,7 +55,6 @@ __all__ = [
     "Event",
     "ScoredEvent",
     "RoutedEvent",
-    "GateRecord",
     "LayerId",
     "Sink",
     "Verdict",

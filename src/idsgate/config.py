@@ -8,6 +8,7 @@ ignored.  Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import math
+import urllib.parse
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
@@ -67,6 +68,10 @@ class ExperimentConfig:
             raise ValueError(f"llm_retries must be >= 0, got {self.llm_retries}")
         if not self.llm_timeout > 0:  # NaN fails too
             raise ValueError(f"llm_timeout must be > 0, got {self.llm_timeout}")
+        url = urllib.parse.urlsplit(self.llm_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError("llm_url must be http:// or https:// and name a host")
+        url.port  # ValueError for a port that is not a number in 0-65535
         for layer, spec in self.scorers.items():
             kind, _, path = spec.partition(":")
             if not (spec == "baseline" or (kind == "replay" and path)):

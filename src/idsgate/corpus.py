@@ -576,8 +576,9 @@ def load_host_jsonl(path: str) -> list[Event]:
 
     Raises:
         MalformedCorpus: a line is not a JSON object with ``event_id``,
-            ``raw`` (a string) and ``truth``, breaks :func:`check_event_id`
-            or :func:`truth_label`, or the file holds no events.
+            ``raw`` (a string) and ``truth``, has a ``truth_class`` that is
+            neither ``null`` nor a string, breaks :func:`check_event_id` or
+            :func:`truth_label`, or the file holds no events.
     """
     events: list[Event] = []
     seen: dict[str, int] = {}
@@ -598,6 +599,8 @@ def load_host_jsonl(path: str) -> list[Event]:
                 raise MalformedCorpus(f"{where}: raw {data['raw']!r} is not a string")
             cell = None if data["truth"] is None else json.dumps(data["truth"])
             truth, truth_class = truth_label(cell, where), data.get("truth_class")
+            if not isinstance(truth_class, (str, type(None))):
+                raise MalformedCorpus(f"{where}: truth_class {truth_class!r} is not a string")
             events.append(
                 Event(event_id, LayerId.HOST, data["raw"], PLACEHOLDER_FEATURES, truth, truth_class)
             )

@@ -3,8 +3,8 @@
 Events flow through three gates per layer.  Gate-1 splits the stream on
 model confidence, Gate-2 checks an embedded attack-vector memory, Gate-3
 escalates to an LLM analyst.  Every event leaves the pipeline through
-exactly one sink; an event parked for review also keeps the gate trace
-of the path it took.
+exactly one sink; :func:`working_verdict` reads a routed event's label
+off its (scored event, sink) pair.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ class Verdict(str, Enum):
     UNSURE = "UNSURE"
 
 
-# Gate names in routing order.  Traces must follow this order and always
-# start at gate1.
-GATE_ORDER = ("gate1", "gate2", "gate3")
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class Event:
     """One observable unit: a flow record, a log line, or a hypervisor event.
@@ -83,20 +78,6 @@ class ScoredEvent:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class GateRecord:
-    """One hop of an event's route: which gate, what it decided, the score
-    the decision was based on (confidence, distance, or fused score)."""
-
-    gate: str
-    decision: str
-    score: float
-
-    def __post_init__(self) -> None:
-        if self.gate not in GATE_ORDER:
-            raise ValueError(f"unknown gate {self.gate!r}")
-
-
 def working_verdict(sink: Sink, pred_label: int) -> tuple[int, bool]:
     """The working (label, deferred) of an event in ``sink``: memory and LLM
     promotions are attacks, every other sink keeps the base model's
@@ -107,36 +88,11 @@ def working_verdict(sink: Sink, pred_label: int) -> tuple[int, bool]:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class RoutedEvent:
-    """A scored event together with the sink it reached; ``final_label``
-    and ``deferred`` are its :func:`working_verdict`."""
+    """A scored event together with the sink it reached; its label is
+    ``working_verdict(sink, se.pred_label)``."""
 
     se: ScoredEvent
     sink: Sink
-
-    @property
-    def final_label(self) -> int:
-        return working_verdict(self.sink, self.se.pred_label)[0]
-
-    @property
-    def deferred(self) -> bool:
-        return working_verdict(self.sink, self.se.pred_label)[1]
-
-
-def validate_trace(trace: tuple[GateRecord, ...]) -> None:
-    """Reject traces that skip gates or run them out of order.
-
-    A valid trace visits a prefix of gate1 -> gate2 -> gate3, one record
-    per gate, always starting at gate1.
-    """
-    if not trace:
-        raise ValueError("gate trace must contain at least the gate1 record")
-    for rec, expected in zip(trace, GATE_ORDER):
-        if rec.gate != expected:
-            raise ValueError(
-                f"gate trace out of order: expected {expected!r}, got {rec.gate!r}"
-            )
-    if len(trace) > len(GATE_ORDER):
-        raise ValueError("gate trace longer than the gate sequence")
 
 
 def make_event_id(layer: LayerId, ordinal: int) -> str:

@@ -294,19 +294,10 @@ def write_mode_artifacts(
 ) -> OutputPaths:
     os.makedirs(xcfg.out_dir, exist_ok=True)
     paths = output_paths(xcfg.out_dir, mode_run.mode.value, run_id_of(xcfg))
-    routed = []
-    audits = []
-    reviews = []
-    for layer in LAYER_ORDER:
-        lr = mode_run.layer_runs.get(layer)
-        if lr is None:
-            continue
-        routed.extend(lr.routed)
-        audits.extend(lr.audits)
-        reviews.extend(lr.reviews)
-    write_confidence_csv(paths.confidence, routed)
-    write_jsonl(paths.audit, audits)
-    write_review_jsonl(paths.review, reviews)
+    runs = [mode_run.layer_runs[layer] for layer in LAYER_ORDER if layer in mode_run.layer_runs]
+    write_confidence_csv(paths.confidence, [r for lr in runs for r in lr.routed])
+    write_jsonl(paths.audit, [row for lr in runs for row in lr.audits])
+    write_review_jsonl(paths.review, [row for lr in runs for row in lr.reviews])
     write_run_summary(paths.summary, summary)
     return paths
 

@@ -84,6 +84,15 @@ class LlmVerdict:
     raw: str = ""
 
 
+def _check_unit_interval(prefix: str, per_layer: Mapping[LayerId, float], **values: float) -> None:
+    """ValueError naming the first value outside [0, 1] by its config key;
+    a per-layer value is ``<prefix><layer>``."""
+    values.update((prefix + layer.value, value) for layer, value in per_layer.items())
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:  # NaN fails too
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class LlmThresholds:
     """Per-layer LLM acceptance thresholds plus the precision floor used
@@ -96,6 +105,7 @@ class LlmThresholds:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", MappingProxyType(dict(self.tau)))
+        _check_unit_interval("llm_tau_", self.tau, p_min=self.p_min)
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,7 @@ class FusionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fusion_tau", MappingProxyType(dict(self.fusion_tau)))
+        _check_unit_interval("fusion_tau_", self.fusion_tau, w_model=self.w_model, w_llm=self.w_llm)
 
 
 class Provenance(str, Enum):

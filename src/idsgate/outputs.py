@@ -1,9 +1,10 @@
 """Run artifacts: confidence CSV, audit and review JSONL, run summary.
 
-Field orders are part of the contract and never depend on dict
-iteration accidents.  Timestamps default to a logical clock (a fixed
-base instant advancing one second per tick) so a re-run with the same
-seed writes byte-identical files; wall-clock time is opt-in.
+Audit and review rows are plain dicts, built by the router with their
+keys in the order they are written; the JSONL writers dump them as they
+are.  Timestamps default to a logical clock (a fixed base instant
+advancing one second per tick) so a re-run with the same seed writes
+byte-identical files; wall-clock time is opt-in.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import datetime
 import json
 from dataclasses import asdict, dataclass, field
 
-from .events import GateRecord, RoutedEvent, validate_trace
+from .events import RoutedEvent
 
 CONFIDENCE_CSV_HEADER = "event_id,layer,pred_label,confidence,truth,route"
 
@@ -49,33 +50,6 @@ class WallClock:
 
 def make_clock(wall: bool = False):
     return WallClock() if wall else LogicalClock()
-
-
-@dataclass(frozen=True)
-class ReviewRecord:
-    """One deferred event, with everything a human analyst needs to triage it.
-
-    ``gate_trace`` is the path the event took through gates 1 to 3; the
-    review row is the only record that keeps one.
-    """
-
-    event_id: str
-    layer: str
-    model_label: int
-    model_confidence: float
-    llm_label: str | None
-    llm_confidence: float | None
-    attack_type: str
-    explanation: str
-    fused_score: float | None
-    gate_trace: tuple[GateRecord, ...]
-    created_at: str
-
-    def __post_init__(self) -> None:
-        validate_trace(self.gate_trace)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class AccountingError(ValueError):
@@ -166,9 +140,6 @@ class RunSummary:
             "overall": self.overall,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
 
 def open_w(path: str):
     """``path`` opened for writing text; IoWriteFailure if it cannot be."""
@@ -196,8 +167,8 @@ def write_jsonl(path: str, rows: list[dict]) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-def write_review_jsonl(path: str, records: list[ReviewRecord]) -> None:
-    write_jsonl(path, [r.to_dict() for r in records])
+def write_review_jsonl(path: str, rows: list[dict]) -> None:
+    write_jsonl(path, rows)
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -13,7 +13,8 @@ Promotions made by a batch become visible to Gate-2 from the next batch
 on.
 
 A failed LLM call downgrades only its own event (to UNSURE, confidence
-0); the stream keeps flowing.
+0); the stream keeps flowing.  A routed event keeps only its sink; the
+audit and review rows are built here as dicts, keys in file order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from enum import Enum
 import numpy as np
 
 from .events import (
-    GateRecord,
     LayerId,
     RoutedEvent,
     ScoredEvent,
@@ -58,7 +58,7 @@ from .memory import (
     embed,
     match_decision,
 )
-from .outputs import LayerSummary, ReviewRecord, RunSummary, make_clock
+from .outputs import LayerSummary, RunSummary, make_clock
 from .qcal import CalibConfig, CalibrationResult, Gate1Route, calibrate, route_gate1
 
 logger = logging.getLogger(__name__)
@@ -117,7 +117,7 @@ class LayerRun:
     outcomes: Counter
     summary: LayerSummary
     audits: list[dict]
-    reviews: list[ReviewRecord]
+    reviews: list[dict]
 
     @property
     def llm_calls(self) -> int:
@@ -263,7 +263,7 @@ def route_stream(
     llm_tau = cfg.llm_thresholds.tau[layer]
     routed: list[RoutedEvent | None] = [None] * len(scored)
     audits: list[dict] = []
-    reviews: list[ReviewRecord] = []
+    reviews: list[dict] = []
     pending: list[tuple[int, ScoredEvent, np.ndarray, MatchResult, str]] = []
 
     def flush() -> None:
@@ -307,25 +307,25 @@ def route_stream(
             if not math.isfinite(nearest):
                 nearest = NO_NEIGHBOR_DISTANCE
             fused = decision.fused_score
-            trace = (
-                GateRecord("gate1", Gate1Route.UNCERTAIN.value, se.confidence),
-                GateRecord("gate2", "no_match", nearest),
-                GateRecord("gate3", "review", verdict.confidence if fused is None else fused),
-            )
+            gate3_score = verdict.confidence if fused is None else fused
             reviews.append(
-                ReviewRecord(
-                    event_id=se.event.id,
-                    layer=layer.value,
-                    model_label=se.pred_label,
-                    model_confidence=se.confidence,
-                    llm_label=verdict.decision.value,
-                    llm_confidence=verdict.confidence,
-                    attack_type=verdict.attack_type,
-                    explanation=verdict.explanation,
-                    fused_score=fused,
-                    gate_trace=trace,
-                    created_at=clock.tick(),
-                )
+                {
+                    "event_id": se.event.id,
+                    "layer": layer.value,
+                    "model_label": se.pred_label,
+                    "model_confidence": se.confidence,
+                    "llm_label": verdict.decision.value,
+                    "llm_confidence": verdict.confidence,
+                    "attack_type": verdict.attack_type,
+                    "explanation": verdict.explanation,
+                    "fused_score": fused,
+                    "gate_trace": [
+                        {"gate": "gate1", "decision": "uncertain", "score": se.confidence},
+                        {"gate": "gate2", "decision": "no_match", "score": nearest},
+                        {"gate": "gate3", "decision": "review", "score": gate3_score},
+                    ],
+                    "created_at": clock.tick(),
+                }
             )
         pending.clear()
 

@@ -402,7 +402,7 @@ def test_compare_determinism(tmp_path):
 
     # The canned table must actually replay the recorded analyst: the CLI
     # summary matches the recording run byte for byte.
-    recorded = comp.static_summary.to_json().encode("utf-8")
+    recorded = (json.dumps(comp.static_summary.to_dict(), indent=2) + "\n").encode("utf-8")
     assert (out_dirs[0] / "summary_static_run5.json").read_bytes() == recorded
 
 

@@ -351,6 +351,8 @@ def _host_line(**fields):
         ("host", _set_line(1, _host_line(truth=2)), "{path}:2: truth '2' is not 0 or 1"),
         ("host", _set_line(1, _host_line(truth="1")), "{path}:2: truth '\"1\"' is not 0 or 1"),
         ("host", _set_line(1, _host_line(raw=None)), "{path}:2: raw None is not a string"),
+        ("host", _set_line(1, _host_line(truth_class=5)), "{path}:2: truth_class 5 is not a string"),
+        ("host", _set_line(1, _host_line(truth_class=["x"])), "{path}:2: truth_class ['x'] is not"),
         ("host", _set_line(1, _host_line(event_id=7)), "{path}:2: event_id 7 is not a non-empty"),
         ("host", _set_line(1, _host_line(event_id="host 1")), "{path}:2: event_id 'host 1' is not"),
         ("host", _set_line(2, _host_line(event_id="host-0")), "{path}:3: event_id 'host-0' repeats line 1"),
@@ -360,6 +362,7 @@ def _host_line(**fields):
         "no-feature-column", "id-comma", "id-space", "id-empty", "id-repeated",
         "missing-column", "empty-class", "host-no-raw", "host-not-object", "host-bad-json",
         "host-truth-bool", "host-truth-float", "host-truth-2", "host-truth-string", "host-raw-null",
+        "host-truth-class-number", "host-truth-class-list",
         "host-id-number", "host-id-space", "host-id-repeated",
     ],
 )

@@ -127,6 +127,23 @@ def test_build_rejects_bad_values():
         ({"net_attack_fraction": "-0.5"}, "net_attack_fraction"),
         ({"host_attack_fraction": "2"}, "host_attack_fraction"),
         ({"host_ambiguity": "7"}, "host_ambiguity"),
+        # an endpoint without an http(s) scheme or a host
+        ({"llm_url": "localhost:11434"}, "llm_url"),
+        ({"llm_url": "ftp://box:11434"}, "llm_url"),
+        ({"llm_url": "http://:11434"}, "llm_url"),
+        ({"llm_url": "http://"}, "llm_url"),
+        ({"llm_url": "http://box:abc"}, "llm_url"),
+        ({"llm_url": "http://box:70000"}, "llm_url"),
+        # LLM-gate thresholds and weights outside [0, 1]
+        ({"llm_tau_host": "7"}, "llm_tau_host"),
+        ({"llm_tau_network": "-0.1"}, "llm_tau_network"),
+        ({"p_min": "2"}, "p_min"),
+        ({"p_min": "-0.5"}, "p_min"),
+        ({"fusion_tau_network": "-3"}, "fusion_tau_network"),
+        ({"fusion_tau_hypervisor": "1.5"}, "fusion_tau_hypervisor"),
+        # these weights sum to exactly 1, so only the range check catches them
+        ({"w_model": "-1", "w_llm": "2"}, "w_model"),
+        ({"w_llm": "2", "w_model": "-1"}, "w_llm"),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}:"):
             build_experiment_config(kv)

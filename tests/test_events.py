@@ -3,17 +3,14 @@ import pytest
 
 from conftest import make_event, make_scored
 from idsgate.events import (
-    GATE_ORDER,
-    GateRecord,
     LayerId,
     RoutedEvent,
     ScoredEvent,
     Sink,
     make_event_id,
-    validate_trace,
+    working_verdict,
 )
 from idsgate.memory import MemoryRecord, MemorySource
-from idsgate.outputs import ReviewRecord
 
 
 def test_layer_and_sink_values_round_trip():
@@ -32,13 +29,12 @@ def test_layer_and_sink_values_round_trip():
     [
         lambda: make_event(),
         lambda: make_scored(0.9),
-        lambda: GateRecord("gate1", "uncertain", 0.6),
         lambda: RoutedEvent(make_scored(0.9), Sink.KNOWN_ACCEPT),
         lambda: MemoryRecord(
             "m-0", LayerId.NETWORK, np.zeros(4), "dos", MemorySource.MEMORY_SEEDED, "2024-01-01"
         ),
     ],
-    ids=["Event", "ScoredEvent", "GateRecord", "RoutedEvent", "MemoryRecord"],
+    ids=["Event", "ScoredEvent", "RoutedEvent", "MemoryRecord"],
 )
 def test_per_event_records_are_slotted(build):
     # One of each is made per event; a per-instance dict would double its size.
@@ -64,77 +60,20 @@ def test_scored_event_accepts_boundaries():
     assert ScoredEvent(event=make_event(), pred_label=0, confidence=1.0).confidence == 1.0
 
 
-def test_gate_record_rejects_unknown_gate():
-    with pytest.raises(ValueError):
-        GateRecord(gate="gate9", decision="known", score=0.9)
-
-
-def test_trace_must_start_at_gate1():
-    with pytest.raises(ValueError):
-        validate_trace((GateRecord("gate2", "match", 0.1),))
-
-
-def test_trace_must_not_skip_gates():
-    with pytest.raises(ValueError):
-        validate_trace(
-            (GateRecord("gate1", "uncertain", 0.6), GateRecord("gate3", "attack", 0.9))
-        )
-
-
-def test_trace_prefixes_are_valid():
-    g1 = GateRecord("gate1", "uncertain", 0.6)
-    g2 = GateRecord("gate2", "no_match", 0.8)
-    g3 = GateRecord("gate3", "attack_direct", 0.9)
-    for trace in ((g1,), (g1, g2), (g1, g2, g3)):
-        validate_trace(trace)
-
-
-def test_trace_cannot_exceed_gate_order():
-    g1 = GateRecord("gate1", "uncertain", 0.6)
-    g2 = GateRecord("gate2", "no_match", 0.8)
-    g3 = GateRecord("gate3", "review", 0.9)
-    with pytest.raises(ValueError):
-        validate_trace((g1, g2, g3, g3))
-    assert GATE_ORDER == ("gate1", "gate2", "gate3")
-
-
-def test_trace_must_not_be_empty():
-    with pytest.raises(ValueError, match="at least the gate1 record"):
-        validate_trace(())
-    # the review row, which keeps the trace, checks it
-    with pytest.raises(ValueError, match="at least the gate1 record"):
-        ReviewRecord(
-            event_id="host-2",
-            layer="host",
-            model_label=0,
-            model_confidence=0.55,
-            llm_label="UNSURE",
-            llm_confidence=0.0,
-            attack_type="",
-            explanation="",
-            fused_score=None,
-            gate_trace=(),
-            created_at="2000-01-01T00:00:00Z",
-        )
-
-
 def test_final_label_promotes_attack_sinks():
     for sink in (Sink.MEMORY_ATTACK, Sink.LLM_ATTACK):
-        routed = RoutedEvent(se=make_scored(0.6, pred_label=0), sink=sink)
-        assert routed.final_label == 1
-        assert not routed.deferred
+        assert working_verdict(sink, 0) == (1, False)
+        assert working_verdict(sink, 1) == (1, False)
 
 
 def test_review_bucket_defers_and_keeps_model_label():
-    routed = RoutedEvent(se=make_scored(0.6, pred_label=0), sink=Sink.REVIEW_BUCKET)
-    assert routed.final_label == 0
-    assert routed.deferred
+    assert working_verdict(Sink.REVIEW_BUCKET, 0) == (0, True)
+    assert working_verdict(Sink.REVIEW_BUCKET, 1) == (1, True)
 
 
 def test_known_accept_keeps_model_label():
-    routed = RoutedEvent(se=make_scored(0.99, pred_label=1), sink=Sink.KNOWN_ACCEPT)
-    assert routed.final_label == 1
-    assert not routed.deferred
+    assert working_verdict(Sink.KNOWN_ACCEPT, 0) == (0, False)
+    assert working_verdict(Sink.KNOWN_ACCEPT, 1) == (1, False)
 
 
 def test_routed_event_is_a_scored_event_and_its_sink():

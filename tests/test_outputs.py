@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from conftest import make_scored
-from idsgate.events import GateRecord, LayerId, RoutedEvent, Sink
+from idsgate.events import LayerId, RoutedEvent, Sink
+from idsgate.llm import MockLlmClient
+from idsgate.memory import MemoryStore
 from idsgate.outputs import (
     CONFIDENCE_CSV_HEADER,
     AccountingError,
@@ -13,7 +15,6 @@ from idsgate.outputs import (
     LayerSummary,
     LogicalClock,
     OutputPaths,
-    ReviewRecord,
     RunSummary,
     WallClock,
     make_clock,
@@ -25,6 +26,7 @@ from idsgate.outputs import (
     write_review_jsonl,
     write_run_summary,
 )
+from idsgate.pipeline import PipelineConfig, route_stream
 
 
 def good_summary(**overrides):
@@ -133,24 +135,13 @@ def test_confidence_csv_blank_truth(tmp_path):
 
 
 def test_review_jsonl_field_order(tmp_path):
-    record = ReviewRecord(
-        event_id="host-2",
-        layer="host",
-        model_label=0,
-        model_confidence=0.55,
-        llm_label="UNSURE",
-        llm_confidence=0.0,
-        attack_type="",
-        explanation="no signal",
-        fused_score=None,
-        gate_trace=(
-            GateRecord("gate1", "uncertain", 0.55),
-            GateRecord("gate2", "no_match", 0.4),
-        ),
-        created_at="2000-01-01T00:00:00Z",
-    )
+    # the router builds the row; the writer keeps its key order
+    cfg = PipelineConfig()
+    se = make_scored(0.55, event_id="host-2", layer=LayerId.HOST)
+    unsure = MockLlmClient({}, default_response='{"label": "UNSURE", "confidence": 0.0}')
+    run = route_stream(LayerId.HOST, [se], 0.85, cfg, MemoryStore(dims=cfg.embedding.dims), unsure)
     path = os.path.join(tmp_path, "review.jsonl")
-    write_review_jsonl(path, [record])
+    write_review_jsonl(path, run.reviews)
     line = Path(path).read_text().strip()
     data = json.loads(line)
     assert list(data) == [
@@ -166,7 +157,11 @@ def test_review_jsonl_field_order(tmp_path):
         "gate_trace",
         "created_at",
     ]
-    assert data["gate_trace"][1] == {"gate": "gate2", "decision": "no_match", "score": 0.4}
+    assert data["gate_trace"] == [
+        {"gate": "gate1", "decision": "uncertain", "score": 0.55},
+        {"gate": "gate2", "decision": "no_match", "score": 2.0},  # the store is empty
+        {"gate": "gate3", "decision": "review", "score": 0.0},
+    ]
 
 
 def test_run_summary_file_roundtrip(tmp_path):
@@ -179,8 +174,7 @@ def test_run_summary_file_roundtrip(tmp_path):
     )
     path = os.path.join(tmp_path, "summary.json")
     write_run_summary(path, summary)
-    assert json.loads(Path(path).read_text()) == summary.to_dict()
-    assert Path(path).read_text() == summary.to_json()
+    assert Path(path).read_text() == json.dumps(summary.to_dict(), indent=2) + "\n"
 
 
 def test_histogram_top_bin_includes_one(tmp_path):

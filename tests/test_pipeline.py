@@ -9,7 +9,7 @@ import pytest
 
 from conftest import dead_endpoint_url, generate_server, make_scored
 from idsgate.config import build_experiment_config
-from idsgate.events import GateRecord, LayerId, Sink
+from idsgate.events import LayerId, Sink, working_verdict
 from idsgate.llm import (
     EchoLlmClient,
     HttpLlmClient,
@@ -228,12 +228,13 @@ def test_escalated_attacks_promoted_and_benigns_reviewed():
     assert s.bucket == 2
     assert run.llm_calls == 4
     # Promotion overrides the model's label; review keeps it.
+    verdict = {r.se.event.id: working_verdict(r.sink, r.se.pred_label) for r in run.routed}
     by_id = {r.se.event.id: r for r in run.routed}
-    assert by_id["host-1"].final_label == 1  # model said benign, echo knew better
+    assert verdict["host-1"] == (1, False)  # model said benign, echo knew better
     assert by_id["host-1"].sink is Sink.LLM_ATTACK
     assert by_id["host-2"].sink is Sink.REVIEW_BUCKET
-    assert by_id["host-2"].deferred is True
-    assert by_id["host-4"].final_label == 1  # deferred keeps the model label
+    assert verdict["host-2"][1] is True
+    assert verdict["host-4"] == (1, True)  # deferred keeps the model label
 
 
 def test_promotions_match_from_the_next_batch_on():
@@ -249,7 +250,7 @@ def test_promotions_match_from_the_next_batch_on():
     by_id = {r.se.event.id: r for r in run.routed}
     assert by_id["host-0"].sink is Sink.LLM_ATTACK
     assert by_id["host-4"].sink is Sink.MEMORY_ATTACK
-    assert by_id["host-4"].final_label == 1
+    assert working_verdict(by_id["host-4"].sink, by_id["host-4"].se.pred_label)[0] == 1
     (gate2,) = [a for a in run.audits if a["gate"] == "gate2" and a["event_id"] == "host-4"]
     assert gate2["matched"] is True
     assert gate2["record_id"] == "host-0"
@@ -286,14 +287,7 @@ def test_each_escalated_event_is_embedded_once(monkeypatch):
     assert all(r.vector is vector_of[r.id] for r in store.records)
 
 
-def test_gate_trace_is_built_for_review_rows_only(monkeypatch):
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append(GateRecord(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(pipeline, "GateRecord", counting)
+def test_gate_trace_is_built_for_review_rows_only():
     cfg = PipelineConfig(llm_parallelism=2)
     attack_raw = "sshd pid=1003 auth_fail user=root attempts=30 src=10.0.3.7"
     rows = [(0.60, 1, 1, attack_raw), (0.55, 0, 0), (0.95, 1, 1), (0.60, 1, 1, attack_raw)]
@@ -303,8 +297,8 @@ def test_gate_trace_is_built_for_review_rows_only(monkeypatch):
     s = run.summary
     # known, memory-matched, promoted and reviewed events all occur
     assert (s.known, s.memory_matched, s.llm_promoted, s.bucket) == (2, 1, 1, 3)
-    # three records per review row, and none for any other event
-    assert [r.gate for r in built] == ["gate1", "gate2", "gate3"] * s.bucket
+    # a trace in each review row, and in no audit row
+    assert not any("gate_trace" in a for a in run.audits)
     nearest = {
         a["event_id"]: a["nearest_distance"]
         if a["nearest_distance"] is not None
@@ -312,12 +306,12 @@ def test_gate_trace_is_built_for_review_rows_only(monkeypatch):
         for a in run.audits
         if a["gate"] == "gate2"
     }
-    assert [r.gate_trace for r in run.reviews] == [
-        (
-            GateRecord("gate1", "uncertain", se.confidence),
-            GateRecord("gate2", "no_match", nearest[se.event.id]),
-            GateRecord("gate3", "review", 0.9),
-        )
+    assert [r["gate_trace"] for r in run.reviews] == [
+        [
+            {"gate": "gate1", "decision": "uncertain", "score": se.confidence},
+            {"gate": "gate2", "decision": "no_match", "score": nearest[se.event.id]},
+            {"gate": "gate3", "decision": "review", "score": 0.9},
+        ]
         for se in (stream[1], stream[4], stream[6])
     ]
 
@@ -351,8 +345,8 @@ def test_llm_failure_downgrades_to_review():
     assert s.known == 1
     by_id = {r.se.event.id: r for r in run.routed}
     assert by_id["host-0"].sink is Sink.REVIEW_BUCKET
-    assert run.reviews[0].llm_label == "UNSURE"
-    assert run.reviews[0].llm_confidence == 0.0
+    assert run.reviews[0]["llm_label"] == "UNSURE"
+    assert run.reviews[0]["llm_confidence"] == 0.0
 
 
 def test_dead_endpoint_sends_every_escalation_to_review():
@@ -365,7 +359,7 @@ def test_dead_endpoint_sends_every_escalation_to_review():
     assert run.llm_calls == 4
     escalated = [r for r in run.routed if r.se.confidence < 0.85]
     assert all(r.sink is Sink.REVIEW_BUCKET for r in escalated)
-    assert [r.llm_label for r in run.reviews] == ["UNSURE"] * 4
+    assert [r["llm_label"] for r in run.reviews] == ["UNSURE"] * 4
     assert [a["llm_label"] for a in run.audits if a["gate"] == "gate3"] == ["UNSURE"] * 4
 
 
@@ -382,7 +376,7 @@ def test_fusion_rejected_lands_in_bucket():
     assert s.fusion_rejected == 1
     assert s.bucket == 1
     assert run.routed[0].sink is Sink.REVIEW_BUCKET
-    assert run.reviews[0].fused_score == pytest.approx(0.54)
+    assert run.reviews[0]["fused_score"] == pytest.approx(0.54)
 
 
 def test_fusion_promotion_records_provenance():
@@ -473,7 +467,7 @@ def test_summary_counts_every_outcome_of_one_stream():
     assert [r.sink for r in run.routed] == [Sink.KNOWN_ACCEPT] * 2 + [
         Sink.MEMORY_ATTACK, Sink.LLM_ATTACK, Sink.LLM_ATTACK
     ] + [Sink.REVIEW_BUCKET] * 4
-    assert [r.event_id for r in run.reviews] == [f"host-{i}" for i in range(5, 9)]
+    assert [r["event_id"] for r in run.reviews] == [f"host-{i}" for i in range(5, 9)]
     assert sum(run.outcomes.values()) == s.total
     sinks = {sink: sum(n for (k, _, _), n in run.outcomes.items() if k is sink) for sink in Sink}
     assert sinks == {
