@@ -58,7 +58,6 @@ from .pipeline import (
     run_mode,
 )
 from .scoring import (
-    FeatureExtractor,
     Scorer,
     TrainConfig,
     extract_features,
@@ -132,10 +131,11 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     are.  Otherwise the base model is trained on the training split: a
     loaded corpus was checked by its reader, and a generated one is valid
     as it is made.  tf-idf for the host layer is fitted on the training
-    split only, so evaluation text never leaks into the fit.  The training
-    rows exist only while the model is trained and scored: the host
-    ``train_scored`` holds the split's own events, and the evaluation
-    events get their own block.
+    split only, so evaluation text never leaks into the fit.  The host
+    model trains on, and scores, the sparse tf-idf rows of the training
+    split, which die on return: the host ``train_scored`` holds the
+    split's own events.  The evaluation events get the dense rows of
+    their own block.
     """
     cfg = xcfg.pipeline
     spec = xcfg.scorers[layer]
@@ -154,16 +154,21 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     events = load_events(layer, xcfg.data_dir) if xcfg.data_dir else generate_events(layer, xcfg)
     train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
     eval_events = test[: cfg.eval_count]
+    tcfg = TrainConfig(seed=cfg.seed)
     if layer is LayerId.HOST:
-        extractor = fit_tfidf([e.raw for e in train])
-        scorer, train_scored = _train_on_tfidf(train, extractor, TrainConfig(seed=cfg.seed))
-        eval_events = _with_rows(
-            eval_events, extract_features([e.raw for e in eval_events], extractor)
-        )
+        texts = [e.raw for e in train]
+        extractor = fit_tfidf(texts)
+        rows = extract_features(texts, extractor)
+        scorer = train_baseline(train, rows, tcfg)
+        train_scored = score_stream(train, scorer, rows)
+        eval_rows = extract_features([e.raw for e in eval_events], extractor)
+        eval_events = [
+            dataclasses.replace(e, features=x) for e, x in zip(eval_events, eval_rows.dense())
+        ]
     else:
         # train_baseline standardizes this stacked copy in place.
         x = np.array([e.features for e in train], dtype=np.float64)
-        scorer = train_baseline(train, x, TrainConfig(seed=cfg.seed))
+        scorer = train_baseline(train, x, tcfg)
         train_scored = score_stream(train, scorer)
     return LayerBundle(
         layer=layer,
@@ -173,35 +178,6 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
         train_scored=train_scored,
         eval_scored=score_stream(eval_events, scorer),
     )
-
-
-def _train_on_tfidf(
-    train: list[Event], extractor: FeatureExtractor, tcfg: TrainConfig
-) -> tuple[Scorer, list[ScoredEvent]]:
-    """Train the host model on the tf-idf block of ``train`` and score it.
-
-    Training standardizes the block in place.  tf-idf cells are >= 0 and
-    its zeros are +0.0, so writing the non-zero cells back into the zeroed
-    block restores the raw rows bit for bit, and the split is scored from
-    the same buffer.  The scored events are the split's own, and the block
-    dies on return.
-    """
-    block = extract_features([e.raw for e in train], extractor)
-    cells = np.flatnonzero(block)
-    values = block.ravel()[cells]
-    scorer = train_baseline(train, block, tcfg)
-    block.fill(0.0)
-    block.ravel()[cells] = values
-    train_scored = [
-        ScoredEvent(e, se.pred_label, se.confidence)
-        for e, se in zip(train, score_stream(_with_rows(train, block), scorer))
-    ]
-    return scorer, train_scored
-
-
-def _with_rows(events: list[Event], block: np.ndarray) -> list[Event]:
-    """Copies of ``events`` whose features are the rows of ``block``."""
-    return [dataclasses.replace(e, features=x) for e, x in zip(events, block)]
 
 
 def prepare_bundles(xcfg: ExperimentConfig) -> dict[LayerId, LayerBundle]:

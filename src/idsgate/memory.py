@@ -135,7 +135,9 @@ class MemoryStore:
     """In-process vector store with optional JSONL persistence.
 
     When bound to a path, every insert appends one line; reloading keeps
-    the last occurrence of a duplicated id.
+    the last occurrence of a duplicated id.  The row block is the only
+    copy of the vectors: a stored record's ``vector`` is a read-only view
+    of its row, so an overwrite of its id changes it in place.
     """
 
     def __init__(self, dims: int, path: str | None = None):
@@ -157,6 +159,24 @@ class MemoryStore:
     def records(self) -> list[MemoryRecord]:
         return list(self._records)
 
+    def _on_row(self, record: MemoryRecord, pos: int) -> MemoryRecord:
+        """``record`` with its vector read from row ``pos`` of the block."""
+        row = self._rows[pos]
+        row.flags.writeable = False
+        return MemoryRecord(
+            record.id, record.layer, row, record.attack_type, record.source, record.created_at
+        )
+
+    def _reserve(self, capacity: int) -> None:
+        """Move the rows to a block of ``capacity`` rows, if that is more."""
+        if capacity <= len(self._rows):
+            return
+        n = len(self._records)
+        rows, norms = np.zeros((capacity, self.dims)), np.zeros(capacity)
+        rows[:n], norms[:n] = self._rows[:n], self._norms[:n]
+        self._rows, self._norms = rows, norms
+        self._records = [self._on_row(r, i) for i, r in enumerate(self._records)]
+
     def insert(self, record: MemoryRecord) -> None:
         if len(record.vector) != self.dims:
             raise DimMismatch(
@@ -165,16 +185,14 @@ class MemoryStore:
         pos = self._index.get(record.id)
         if pos is not None:
             logger.warning("memory record %s overwritten", record.id)
-            self._records[pos] = record
         else:
             pos = len(self._records)
             if pos == len(self._rows):  # full: double the capacity
-                rows, norms = np.zeros((2 * pos, self.dims)), np.zeros(2 * pos)
-                rows[:pos], norms[:pos] = self._rows, self._norms
-                self._rows, self._norms = rows, norms
+                self._reserve(2 * pos)
             self._index[record.id] = pos
             self._records.append(record)
         self._rows[pos] = record.vector
+        self._records[pos] = self._on_row(record, pos)
         self._stale = min(self._stale, pos)
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
@@ -329,6 +347,10 @@ def load_store(path: str, dims: int) -> MemoryStore:
     parse_float = _FloatMemo().__getitem__
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
+            # One block for the whole file, not a chain of doublings whose
+            # freed blocks would stay in the heap.
+            store._reserve(sum(1 for line in fh if line.strip()))
+            fh.seek(0)
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

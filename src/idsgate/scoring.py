@@ -1,6 +1,6 @@
 """Feature extraction and base-model scoring.
 
-The host layer's log text becomes a tf-idf vector here; the network and
+The host layer's log text becomes sparse tf-idf rows here; the network and
 hypervisor corpora build their own vectors as they are generated or
 loaded.  The built-in base model is a small logistic model trained on
 labeled events (``Scorer``); its confidence is ``max(p, 1 - p)`` of the
@@ -86,31 +86,111 @@ def fit_tfidf(corpus: list[str], max_vocab: int = DEFAULT_MAX_VOCAB) -> FeatureE
 _CHUNK_ROWS = 1024
 
 
-def extract_features(texts: list[str], extractor: FeatureExtractor) -> np.ndarray:
-    """The unit-norm tf-idf vectors of texts, one row each.
+def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """``values[ptr[k]:ptr[k + 1]].sum()`` for every k, 0.0 for an empty
+    segment, each summed by ``np.add.reduceat`` in one fixed order."""
+    starts = ptr[:-1]
+    full = ptr[1:] > starts
+    if full.all():
+        return np.add.reduceat(values, starts)
+    out = np.zeros(len(starts))
+    if full.any():
+        # The segments between two full starts are empty, so each full
+        # segment runs to the next full start.
+        out[full] = np.add.reduceat(values, starts[full])
+    return out
 
-    Text without any vocabulary term gives the zero row.  The result has
-    shape ``(len(texts), extractor.dims)``.  Each row is divided by its
-    own 1-D norm, so it equals the vector of its text alone.
+
+@dataclass(frozen=True, eq=False)
+class TfidfRows:
+    """tf-idf rows in compressed sparse row form.
+
+    Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending; every other cell of
+    the ``dims`` columns is zero.  :func:`extract_features` builds it.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dims: int
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row_of_cells(self) -> np.ndarray:
+        """The row of every stored cell."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def take(self, keep: list[int]) -> TfidfRows:
+        """The rows ``keep``, in that order."""
+        starts = self.indptr[keep]
+        lengths = self.indptr[np.add(keep, 1)] - starts
+        indptr = np.zeros(len(keep) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        # Cell j of new row k is cell starts[k] + (j - indptr[k]) of this.
+        cells = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return TfidfRows(indptr, self.indices[cells], self.data[cells], self.dims)
+
+    def dense(self) -> np.ndarray:
+        """The rows as one ``(len(self), dims)`` float64 block."""
+        block = np.zeros((len(self), self.dims))
+        block[self.row_of_cells(), self.indices] = self.data
+        return block
+
+    def dot(self, v: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+        """Each row's dot product with ``v``, its cells summed in column
+        order; ``cells``, if given, is the scratch space of one float per
+        stored cell."""
+        # The indices are in range, so "clip" changes none of them; unlike
+        # "raise", it writes into ``cells`` without a buffer.
+        cells = np.take(v, self.indices, out=cells, mode="clip")
+        cells *= self.data
+        return _segment_sums(cells, self.indptr)
+
+
+def extract_features(texts: list[str], extractor: FeatureExtractor) -> TfidfRows:
+    """The unit-norm tf-idf rows of texts, one row each.
+
+    Text without any vocabulary term gives an empty row.  Each row is
+    divided by the 1-D norm of its own dense vector, so ``dense()`` of
+    the result holds, bit for bit, the vector of each text alone.  Only
+    ``_CHUNK_ROWS`` dense rows exist at a time.
     """
     n, dims = len(texts), extractor.dims
-    block = np.zeros((n, dims), dtype=np.float64)
-    cells = block.reshape(-1)
     vocab = extractor.vocab
+    # One array each for the cells, filled in row order, in place of
+    # per-chunk pieces joined at the end: freed in the middle of the heap,
+    # the pieces and the join would keep it that much larger.  Terms are
+    # runs of characters with a character between two runs, so a text of
+    # k characters (lowercased) has at most (k + 1) // 2 of them.
+    room = sum(min(dims, (len(text.lower()) + 1) // 2) for text in texts)
+    indices, data = np.empty(room, dtype=np.intp), np.empty(room)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    chunk = np.zeros((min(n, _CHUNK_ROWS), dims))
     for start in range(0, n, _CHUNK_ROWS):
+        block = chunk[: min(n - start, _CHUNK_ROWS)]
+        block.fill(0.0)
         # Flat cell index of every vocabulary term; repeats count up.
         hits = [
             i * dims + vocab[term]
-            for i in range(start, min(n, start + _CHUNK_ROWS))
-            for term in tokenize(texts[i])
+            for i in range(len(block))
+            for term in tokenize(texts[start + i])
             if term in vocab
         ]
-        np.add.at(cells, hits, 1.0)
-    block *= extractor.idf
-    for row in block:
-        if row.any():
-            row /= np.linalg.norm(row)
-    return block
+        np.add.at(block.reshape(-1), hits, 1.0)
+        block *= extractor.idf
+        # np.linalg.norm of a row is sqrt(row . row); a zero row stays zero.
+        norms = np.sqrt([row.dot(row) for row in block])
+        block /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        # idf > 0, so a row's non-zero cells are its terms.
+        rows, cols = np.nonzero(block)
+        ptr = indptr[start : start + len(block) + 1]
+        np.cumsum(np.bincount(rows, minlength=len(block)), out=ptr[1:])
+        ptr[1:] += ptr[0]
+        indices[ptr[0] : ptr[-1]] = cols
+        data[ptr[0] : ptr[-1]] = block[rows, cols]
+    return TfidfRows(indptr, indices[: indptr[-1]], data[: indptr[-1]], dims)
 
 
 @dataclass(frozen=True)
@@ -157,26 +237,63 @@ def _sum_of_squares(z: np.ndarray) -> np.ndarray:
     return buf[0]
 
 
-def train_baseline(events: list[Event], x: np.ndarray, cfg: TrainConfig) -> Scorer:
+def _by_column(rows: TfidfRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of ``rows`` in column order, each column's rows ascending:
+    the column pointer (column j's cells are ``col_ptr[j]:col_ptr[j + 1]``),
+    and each cell's row and value."""
+    order = np.argsort(rows.indices, kind="stable")
+    col_ptr = np.zeros(rows.dims + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows.indices, minlength=rows.dims), out=col_ptr[1:])
+    return col_ptr, rows.row_of_cells()[order], rows.data[order]
+
+
+def _column_moments(
+    col_data: np.ndarray, col_ptr: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std of each column of an ``n``-row sparse matrix.
+
+    Column j's stored cells are ``col_data[col_ptr[j]:col_ptr[j + 1]]``;
+    its other cells are zero.  Two passes: the mean first, then the
+    squared deviations of the stored cells plus those of the zero cells.
+    A constant column has sigma 1.
+    """
+    stored = np.diff(col_ptr)
+    mu = _segment_sums(col_data, col_ptr) / n
+    dev = col_data - np.repeat(mu, stored)
+    sigma = np.sqrt((_segment_sums(dev * dev, col_ptr) + (n - stored) * (mu * mu)) / n)
+    sigma[sigma == 0.0] = 1.0
+    return mu, sigma
+
+
+def train_baseline(events: list[Event], x: np.ndarray | TfidfRows, cfg: TrainConfig) -> Scorer:
     """Train the built-in logistic stand-in on labeled events.
 
-    ``x`` is the float64 feature matrix of ``events``, one row per event.
-    Training standardizes it in place, so the caller's matrix is consumed:
-    its values afterwards are the standardized ones.  When some events
-    have no truth label, only the labeled rows are taken (``x[keep]``, a
-    copy) and ``x`` is left as it was.
+    ``x`` holds the features of ``events``, one row per event: a float64
+    matrix, or the tf-idf rows of :func:`extract_features`.  When some
+    events have no truth label, only the labeled rows are taken.
 
-    Full-batch gradient descent with a fixed schedule.  The affine
-    standardization is folded back into the returned weights, so the
-    scorer applies directly to raw vectors.  The same (events, x, cfg)
-    always yields identical weights.
+    Full-batch gradient descent with a fixed schedule on the standardized
+    features.  A matrix is standardized in place, so the caller's matrix
+    is consumed (``x[keep]``, a copy, when rows are left out, and ``x``
+    is left as it was).  tf-idf rows stay as they are: the
+    standardization is folded into the two products of each epoch,
+    ``z @ w = x @ (w / sigma) - mu . (w / sigma)`` and
+    ``z.T @ err = (x.T @ err - mu * sum(err)) / sigma``, so no dense row
+    is built.  Neither kind calls a BLAS product: each sum runs in one
+    fixed order (``np.einsum`` over a matrix, ``np.add.reduceat`` over
+    the rows' cells in row and in column order), so the weights do not
+    depend on the number of threads.
+
+    The affine standardization is folded back into the returned weights,
+    so the scorer applies directly to raw vectors.  The same (events, x,
+    cfg) always yields identical weights.
 
     Raises:
         ValueError: ``x`` does not have one row per event.
         SingleClassData: fewer than two truth classes present.
     """
-    if x.shape[0] != len(events):
-        raise ValueError(f"{len(events)} events but {x.shape[0]} feature rows")
+    if len(x) != len(events):
+        raise ValueError(f"{len(events)} events but {len(x)} feature rows")
     keep = [i for i, e in enumerate(events) if e.truth is not None]
     classes = {events[i].truth for i in keep}
     if len(classes) < 2:
@@ -186,23 +303,45 @@ def train_baseline(events: list[Event], x: np.ndarray, cfg: TrainConfig) -> Scor
     y = np.array([events[i].truth for i in keep], dtype=np.float64)
     n = len(y)
 
-    # Standardize in place: the steps np.std takes on the centred matrix,
-    # so mu and sigma (and z) are bit-equal to x.mean, x.std and
-    # (x - mu) / sigma with no full-size temporary.
-    z = x if n == len(events) else x[keep]
-    mu = z.mean(axis=0)
-    z -= mu
-    sigma = np.sqrt(_sum_of_squares(z) / n)
-    sigma[sigma == 0.0] = 1.0
-    z /= sigma
+    if isinstance(x, TfidfRows):
+        rows = x if n == len(events) else x.take(keep)
+        col_ptr, col_rows, col_data = _by_column(rows)
+        mu, sigma = _column_moments(col_data, col_ptr, n)
+        cells = np.empty(len(rows.data))
+
+        def forward(w: np.ndarray) -> np.ndarray:
+            v = w / sigma
+            return rows.dot(v, cells) - float((mu * v).sum())
+
+        def backward(err: np.ndarray) -> np.ndarray:
+            np.take(err, col_rows, out=cells, mode="clip")
+            np.multiply(cells, col_data, out=cells)
+            return (_segment_sums(cells, col_ptr) - mu * float(err.sum())) / sigma
+
+    else:
+        # Standardize in place: the steps np.std takes on the centred matrix,
+        # so mu and sigma (and z) are bit-equal to x.mean, x.std and
+        # (x - mu) / sigma with no full-size temporary.
+        z = x if n == len(events) else x[keep]
+        mu = z.mean(axis=0)
+        z -= mu
+        sigma = np.sqrt(_sum_of_squares(z) / n)
+        sigma[sigma == 0.0] = 1.0
+        z /= sigma
+
+        def forward(w: np.ndarray) -> np.ndarray:
+            return np.einsum("ij,j->i", z, w)
+
+        def backward(err: np.ndarray) -> np.ndarray:
+            return np.einsum("ij,i->j", z, err)
 
     rng = np.random.default_rng(cfg.seed)
-    w = rng.normal(0.0, 0.01, size=z.shape[1])
+    w = rng.normal(0.0, 0.01, size=len(mu))
     b = 0.0
     for _ in range(cfg.epochs):
-        p = _sigmoid(z @ w + b)
+        p = _sigmoid(forward(w) + b)
         err = p - y
-        grad_w = z.T @ err / n + cfg.l2 * w
+        grad_w = backward(err) / n + cfg.l2 * w
         grad_b = float(err.mean())
         w = w - cfg.learning_rate * grad_w
         b = b - cfg.learning_rate * grad_b
@@ -213,16 +352,24 @@ def train_baseline(events: list[Event], x: np.ndarray, cfg: TrainConfig) -> Scor
     return Scorer(weights=w_raw, bias=b_raw)
 
 
-def score_stream(events: list[Event], scorer: Scorer) -> list[ScoredEvent]:
+def score_stream(
+    events: list[Event], scorer: Scorer, rows: TfidfRows | None = None
+) -> list[ScoredEvent]:
     """Score a stream of events with the logistic model.
 
     p = sigmoid(w.x + b); pred_label is 1 when p > 0.5 (the exact tie
-    predicts benign) and confidence is max(p, 1 - p).  w.x is one dot
-    product per event, because a matrix product over the stream rounds
-    differently in the last bit.
+    predicts benign) and confidence is max(p, 1 - p).  x is the event's
+    features, or its row of ``rows`` when given.  On features, w.x is one
+    dot product per event, because a matrix product over the stream
+    rounds differently in the last bit.
     """
-    z = np.array([float(np.dot(scorer.weights, e.features)) for e in events]) + scorer.bias
-    p = _sigmoid(z)
+    if rows is None:
+        z = np.array([float(np.dot(scorer.weights, e.features)) for e in events])
+    else:
+        if len(rows) != len(events):
+            raise ValueError(f"{len(events)} events but {len(rows)} feature rows")
+        z = rows.dot(scorer.weights)
+    p = _sigmoid(z + scorer.bias)
     pred = (p > 0.5).tolist()
     conf = np.maximum(p, 1.0 - p).tolist()
     return [

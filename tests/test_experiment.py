@@ -33,13 +33,7 @@ from idsgate.llm import EchoLlmClient, HttpLlmClient, MockLlmClient, prompt_sha2
 from idsgate.memory import MemoryRecord, MemorySource, embed
 from idsgate.outputs import IoWriteFailure
 from idsgate.pipeline import Mode
-from idsgate.scoring import (
-    TrainConfig,
-    extract_features,
-    fit_tfidf,
-    score_stream,
-    train_baseline,
-)
+from idsgate.scoring import extract_features, fit_tfidf, score_stream
 
 
 def small_cfg(tmp_path, **extra):
@@ -128,7 +122,7 @@ def test_prepare_layer_fits_host_tfidf_on_train_only(tmp_path, monkeypatch):
 
 def test_host_bundle_keeps_no_training_rows(tmp_path):
     # Only the evaluation rows outlive prepare_layer: the training split is
-    # featurized, trained on and scored, and its block is then let go.
+    # featurized, trained on and scored as sparse rows, which are then let go.
     xcfg = small_cfg(tmp_path)
     bundle = prepare_layer(LayerId.HOST, xcfg)
     assert all(se.event.features.shape == (1,) for se in bundle.train_scored)
@@ -137,44 +131,22 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
         e.features.base is None or e.features.base.shape[0] == n_eval
         for e in bundle.eval_events
     )
-    # each pair is the one the featurized training event scores
+    # each pair is the one the training event's tf-idf rows score
     train, _ = split_train_test(bundle.events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
     texts = [e.raw for e in train]
-    block = extract_features(texts, fit_tfidf(texts))
-    z = np.array([float(np.dot(bundle.scorer.weights, x)) for x in block]) + bundle.scorer.bias
-    p = 1.0 / (1.0 + np.exp(-z))
+    rows = extract_features(texts, fit_tfidf(texts))
+    expected = score_stream(train, bundle.scorer, rows)
     assert [se.event.id for se in bundle.train_scored] == [e.id for e in train]
+    assert [(se.pred_label, se.confidence) for se in bundle.train_scored] == [
+        (se.pred_label, se.confidence) for se in expected
+    ]
+    # and, within rounding, the one its dense vector scores
+    z = np.array([float(np.dot(bundle.scorer.weights, x)) for x in rows.dense()])
+    p = 1.0 / (1.0 + np.exp(-(z + bundle.scorer.bias)))
     assert [se.pred_label for se in bundle.train_scored] == (p > 0.5).tolist()
-    assert [se.confidence for se in bundle.train_scored] == np.maximum(p, 1.0 - p).tolist()
-
-
-def test_host_prepare_layer_restores_its_block_bit_for_bit(tmp_path, monkeypatch):
-    # Training standardizes the host block in place; the split must then be
-    # scored from the raw rows, exactly as the old path did: featurize, copy,
-    # train on the copy, score the untouched block.
-    xcfg = small_cfg(tmp_path, host_count=600)
-    scored_rows = []
-    original = experiment.score_stream
-
-    def recording(stream, scorer):
-        scored_rows.append(np.array([e.features for e in stream]))
-        return original(stream, scorer)
-
-    monkeypatch.setattr(experiment, "score_stream", recording)
-    bundle = prepare_layer(LayerId.HOST, xcfg)
-
-    train, _ = split_train_test(bundle.events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
-    texts = [e.raw for e in train]
-    block = extract_features(texts, fit_tfidf(texts))
-    scorer = train_baseline(train, block.copy(), TrainConfig(seed=xcfg.pipeline.seed))
-    featurized = [dataclasses.replace(e, features=x) for e, x in zip(train, block)]
-    expected = score_stream(featurized, scorer)
-
-    assert scored_rows[0].tobytes() == block.tobytes()
-    assert bundle.scorer.weights.tobytes() == scorer.weights.tobytes()
-    assert bundle.scorer.bias == scorer.bias
-    assert [se.pred_label for se in bundle.train_scored] == [se.pred_label for se in expected]
-    assert [se.confidence for se in bundle.train_scored] == [se.confidence for se in expected]
+    assert [se.confidence for se in bundle.train_scored] == pytest.approx(
+        np.maximum(p, 1.0 - p).tolist(), rel=0, abs=1e-12
+    )
 
 
 def test_prepare_layer_baseline_learns_separable_network(tmp_path):

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -235,6 +236,26 @@ def test_query_tracks_interleaved_inserts_across_growth():
             q = int_vector(rng, 8)
             assert scan(store, q, 5) == full_sort(vectors, q, 5)
     assert len(store) == 300
+
+
+def test_store_keeps_its_vectors_only_in_the_row_block():
+    # The store keeps no reference to an inserted vector; its records read
+    # their vectors, read-only, from the block, across growth and overwrites.
+    store = MemoryStore(dims=4)
+    vectors = {f"r{i}": np.array([i, 1.0, 0, -i]) for i in range(40)}  # past two doublings
+    refs = []
+    for rid, v in vectors.items():
+        given = v.copy()
+        refs.append(weakref.ref(given))
+        store.insert(make_record(rid, given))
+        del given
+    vectors["r3"] = np.array([0, 0, 2.0, 0])
+    store.insert(make_record("r3", vectors["r3"].copy()))
+    assert all(ref() is None for ref in refs)
+    assert [r.id for r in store.records] == list(vectors)
+    for r in store.records:
+        assert np.array_equal(r.vector, vectors[r.id])
+        assert not r.vector.flags.writeable
 
 
 def test_query_sees_an_overwrite_at_once():

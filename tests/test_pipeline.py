@@ -5,6 +5,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import dead_endpoint_url, generate_server, make_scored
@@ -281,10 +282,10 @@ def test_each_escalated_event_is_embedded_once(monkeypatch):
     assert len(calls) == s.uncertain
     escalated = [se for se in stream if se.confidence < 0.85]
     assert [text for text, _ in calls] == [se.event.raw for se in escalated]
-    # Each promotion stores the very vector its Gate-2 query used.
+    # Each promotion stores the vector its Gate-2 query used.
     vector_of = {se.event.id: v for se, (_, v) in zip(escalated, calls)}
     assert [r.id for r in store.records] == ["host-0", "host-4", "host-5"]
-    assert all(r.vector is vector_of[r.id] for r in store.records)
+    assert all(np.array_equal(r.vector, vector_of[r.id]) for r in store.records)
 
 
 def test_gate_trace_is_built_for_review_rows_only():

@@ -3,6 +3,8 @@ import dataclasses
 import math
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,7 @@ from idsgate.scoring import (
     EmptyCorpus,
     Scorer,
     SingleClassData,
+    TfidfRows,
     TrainConfig,
     extract_features,
     fit_tfidf,
@@ -45,7 +48,7 @@ def test_tokenize_lowercases_and_splits():
 
 
 def _vec(text, fx):
-    return extract_features([text], fx)[0]
+    return extract_features([text], fx).dense()[0]
 
 
 def test_tfidf_idf_matches_hand_formula():
@@ -117,11 +120,27 @@ def test_tfidf_block_matches_per_event_reference():
     fx = fit_tfidf([e.raw for e in train])
     # 2403 texts: two full chunks of the term count and a short one.
     raws = [e.raw for e in train + test] + ["", "zeta theta", "pid pid pid"]
-    block = extract_features(raws, fx)
+    rows = extract_features(raws, fx)
+    block = rows.dense()
     assert block.shape == (len(raws), fx.dims)
     assert not block[-2].any()
+    # the rows store exactly the non-zero cells, in row-major order
+    cells = np.nonzero(block)
+    per_row = np.count_nonzero(block, axis=1)
+    assert np.array_equal(rows.indptr, np.concatenate(([0], np.cumsum(per_row))))
+    assert np.array_equal(rows.indices, cells[1])
+    assert rows.data.tobytes() == block[cells].tobytes()
     for raw, row in zip(raws, block):
         assert row.tobytes() == _reference_tfidf_vector(raw, fx).tobytes()
+
+
+def test_tfidf_rows_hold_every_term_of_text_that_lowercases_longer():
+    # "İ" lowercases to "i" and a combining dot, so "İa" (2 characters)
+    # holds two terms; the rows make room by the lowercased length.
+    fx = fit_tfidf(["i a", "a"])
+    rows = extract_features(["İa", "İa", "z"], fx)
+    assert rows.indptr.tolist() == [0, 2, 4, 4]
+    assert [sorted(fx.vocab, key=fx.vocab.get)[j] for j in rows.indices] == ["a", "i"] * 2
 
 
 def _load_one_hyp_row(tmp_path, hv: str, cells: list[str]) -> Event:
@@ -200,7 +219,8 @@ def _stack(events):
 
 def _reference_train(events, cfg):
     # The standardization as first written (astype copy, x.std, one
-    # expression for z), then the same schedule and folding.
+    # expression for z), then the same schedule, its two products summed
+    # by np.einsum as train_baseline sums them, and the same folding.
     x = np.stack([e.features for e in events]).astype(np.float64)
     y = np.array([e.truth for e in events], dtype=np.float64)
     mu = x.mean(axis=0)
@@ -212,19 +232,26 @@ def _reference_train(events, cfg):
     b = 0.0
     n = len(y)
     for _ in range(cfg.epochs):
-        p = 1.0 / (1.0 + np.exp(-np.clip(z @ w + b, -500.0, 500.0)))
+        p = 1.0 / (1.0 + np.exp(-np.clip(np.einsum("ij,j->i", z, w) + b, -500.0, 500.0)))
         err = p - y
-        grad_w = z.T @ err / n + cfg.l2 * w
+        grad_w = np.einsum("ij,i->j", z, err) / n + cfg.l2 * w
         grad_b = float(err.mean())
         w = w - cfg.learning_rate * grad_w
         b = b - cfg.learning_rate * grad_b
     return w / sigma, b - float((w * (mu / sigma)).sum())
 
 
+def _rows_of(x):
+    # The non-zero cells of a matrix as tf-idf rows.
+    rows, cols = np.nonzero(x)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1))))
+    return TfidfRows(indptr, cols, x[rows, cols], x.shape[1])
+
+
 def _host_train(seed):
     train, _ = split_train_test(gen_hostlogs(HostGenConfig(count=1500, seed=seed)), 0.8, seed)
     raws = [e.raw for e in train]
-    block = extract_features(raws, fit_tfidf(raws))
+    block = extract_features(raws, fit_tfidf(raws)).dense()
     return [dataclasses.replace(e, features=x) for e, x in zip(train, block)]
 
 
@@ -254,9 +281,16 @@ def test_train_baseline_matches_reference(train):
     events = [dataclasses.replace(e, features=np.append(e.features, 2.5)) for e in train()]
     cfg = TrainConfig(seed=4)
     w_raw, b_raw = _reference_train(events, cfg)
-    scorer = train_baseline(events, _stack(events), cfg)
-    assert np.array_equal(scorer.weights, w_raw)
-    assert scorer.bias == b_raw
+    if events[0].layer is LayerId.HOST:
+        # Host events train on their tf-idf rows, as prepare_layer trains
+        # them: the same math, summed over the rows' cells in another order.
+        scorer = train_baseline(events, _rows_of(_stack(events)), cfg)
+        assert scorer.weights == pytest.approx(w_raw, rel=0, abs=1e-9)
+        assert scorer.bias == pytest.approx(b_raw, rel=0, abs=1e-9)
+    else:
+        scorer = train_baseline(events, _stack(events), cfg)
+        assert np.array_equal(scorer.weights, w_raw)
+        assert scorer.bias == b_raw
 
 
 def test_train_baseline_one_column_matches_reference():
@@ -292,21 +326,34 @@ def test_train_baseline_standardizes_x_in_place():
 
 
 def test_train_baseline_takes_the_labeled_rows_of_x():
-    # Unlabeled rows are left out of training, and x is left as it was.
-    labeled = _labeled_blob(15, 300)
+    # Unlabeled rows are left out of training, and x is left as it was,
+    # given as a matrix or as tf-idf rows.  An all-zero row and an
+    # all-zero column make an empty row and an empty column of the rows.
+    host = _host_train(15)
+    host[5] = dataclasses.replace(host[5], features=np.zeros_like(host[5].features))
     events = [
-        dataclasses.replace(e, truth=None) if i % 7 == 3 else e
-        for i, e in enumerate(labeled)
+        dataclasses.replace(
+            e, features=np.append(e.features, 0.0), truth=None if i % 7 == 3 else e.truth
+        )
+        for i, e in enumerate(host)
     ]
     x = _stack(events)
     raw = x.copy()
+    rows = _rows_of(x)
+    cells = rows.data.copy()
     kept = [e for e in events if e.truth is not None]
     cfg = TrainConfig(seed=3)
     w_raw, b_raw = _reference_train(kept, cfg)
+
     scorer = train_baseline(events, x, cfg)
     assert np.array_equal(scorer.weights, w_raw)
     assert scorer.bias == b_raw
     assert np.array_equal(x, raw)
+
+    scorer = train_baseline(events, rows, cfg)
+    assert scorer.weights == pytest.approx(w_raw, rel=0, abs=1e-9)
+    assert scorer.bias == pytest.approx(b_raw, rel=0, abs=1e-9)
+    assert np.array_equal(rows.data, cells)
 
 
 def test_train_baseline_rejects_a_row_count_mismatch():
@@ -345,6 +392,62 @@ def test_logistic_tie_predicts_benign():
     # p is exactly 0.5: the tie stays benign at confidence 0.5.
     assert se.pred_label == 0
     assert se.confidence == 0.5
+
+
+def test_score_stream_on_tfidf_rows_scores_each_row():
+    raws = ["alpha beta", "beta gamma gamma", "zeta", "alpha"]
+    rows = extract_features(raws, fit_tfidf(raws[:2]))
+    events = [make_event(event_id=f"host-{i}") for i in range(len(raws))]
+    scorer = Scorer(weights=np.array([0.5, -2.0, 1.5]), bias=0.25)
+    scored = score_stream(events, scorer, rows)
+    assert [se.event for se in scored] == events
+    for se, x in zip(scored, rows.dense()):
+        p = 1.0 / (1.0 + np.exp(-(float(np.dot(scorer.weights, x)) + scorer.bias)))
+        assert se.pred_label == (1 if p > 0.5 else 0)
+        assert se.confidence == pytest.approx(max(p, 1.0 - p), rel=0, abs=1e-15)
+    with pytest.raises(ValueError, match="3 events but 4 feature rows"):
+        score_stream(events[:3], scorer, rows)
+
+
+_THREAD_COUNT_CHILD = """
+import sys
+import numpy as np
+from idsgate.corpus import (
+    HostGenConfig, HypGenConfig, gen_hostlogs, gen_hypervisor, split_train_test,
+)
+from idsgate.scoring import TrainConfig, extract_features, fit_tfidf, train_baseline
+
+hyp, _ = split_train_test(gen_hypervisor(HypGenConfig(seed=2)), 0.8, 0)
+x = np.array([e.features for e in hyp], dtype=np.float64)
+host, _ = split_train_test(gen_hostlogs(HostGenConfig(count=5000, seed=1)), 0.8, 0)
+texts = [e.raw for e in host]
+rows = extract_features(texts, fit_tfidf(texts))
+out = []
+for events, features in ((hyp, x), (host, rows)):
+    scorer = train_baseline(events, features, TrainConfig(epochs=50))
+    shape = f"{len(features)}x{len(scorer.weights)}"
+    out.append(f"{shape} {scorer.weights.tobytes().hex()} {scorer.bias.hex()}")
+sys.stdout.write("\\n".join(out))
+"""
+
+
+def test_training_does_not_depend_on_the_blas_thread_count():
+    # A 20 000 x 26 matrix (the hypervisor layer's shape) and host tf-idf
+    # rows train to the same bits on one BLAS thread and on two.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_COUNT_CHILD],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert [line.split("x")[0] for line in outputs[0]] == ["20000", "4000"]
+    assert outputs[0][0].startswith("20000x26 ")
+    assert outputs[0] == outputs[1]
 
 
 REPLAY_HEADER = "event_id,layer,pred_label,confidence,truth\n"
