@@ -18,7 +18,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -163,6 +163,31 @@ def binary_label(cell: str, name: str, where: str) -> int:
     if label not in (0, 1):
         raise MalformedCorpus(f"{where}: {name} {cell!r} is not 0 or 1")
     return label
+
+
+def csv_rows(fh: Iterable[str], path: str, columns: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """The rows of a CSV file as (line number, dict) pairs; ``MalformedCorpus``
+    ``<path>:<line>: ...`` for a header without one of ``columns``, or for
+    a row with more or fewer cells than the header."""
+    reader = csv.DictReader(fh)
+    missing = set(columns) - set(reader.fieldnames or [])
+    if missing:
+        raise MalformedCorpus(f"{path}:1: missing columns: {sorted(missing)}")
+    for row in reader:
+        if None in row or None in row.values():
+            raise MalformedCorpus(f"{path}:{reader.line_num}: row length differs from header")
+        yield reader.line_num, row
+
+
+def confidence_cell(cell: str, where: str) -> float:
+    """A confidence cell as a ``float`` in [0, 1], else ``MalformedCorpus``."""
+    try:
+        confidence = float(cell)
+    except ValueError:
+        confidence = math.nan
+    if not 0.0 <= confidence <= 1.0:  # NaN fails too
+        raise MalformedCorpus(f"{where}: confidence {cell!r} is not a number in [0, 1]")
+    return confidence
 
 
 def truth_label(cell: str | None, where: str) -> int | None:
@@ -355,15 +380,9 @@ def load_hypervisor_csv(path: str) -> list[Event]:
     """
     events: list[Event] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(HYP_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise MalformedCorpus(f"{path}:1: missing columns: {sorted(missing)}")
-        for ordinal, row in enumerate(reader):
-            if None in row or None in row.values():
-                raise MalformedCorpus(f"{path}:{reader.line_num}: row length differs from header")
+        for ordinal, (line, row) in enumerate(csv_rows(fh, path, HYP_COLUMNS)):
             if not row["event_class"].strip():
-                raise MalformedCorpus(f"{path}:{reader.line_num}: empty event_class")
+                raise MalformedCorpus(f"{path}:{line}: empty event_class")
             events.append(_hyp_event(row, ordinal))
     if not events:
         raise MalformedCorpus(f"{path}: no events")

@@ -21,6 +21,8 @@ from .corpus import (
     HostGenConfig,
     HypGenConfig,
     NetGenConfig,
+    confidence_cell,
+    csv_rows,
     gen_hostlogs,
     gen_hypervisor,
     gen_network,
@@ -130,12 +132,13 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     A ``replay:<csv>`` layer's file is its scored stream, split as events
     are.  Otherwise the base model is trained on the training split: a
     loaded corpus was checked by its reader, and a generated one is valid
-    as it is made.  tf-idf for the host layer is fitted on the training
-    split only, so evaluation text never leaks into the fit.  The host
-    model trains on, and scores, the sparse tf-idf rows of the training
-    split, which die on return: the host ``train_scored`` holds the
-    split's own events.  The evaluation events get the dense rows of
-    their own block.
+    as it is made.  One function builds a split's features: its stacked
+    event vectors or, for the host layer, its sparse tf-idf rows, fitted
+    on the training split only, so evaluation text never leaks into the
+    fit.  The model trains on the training split's features, and each
+    split is scored from its own by the same call.  Only the host
+    evaluation events keep their rows, as dense vectors; the host
+    ``train_scored`` holds the split's own events.
     """
     cfg = xcfg.pipeline
     spec = xcfg.scorers[layer]
@@ -154,29 +157,32 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     events = load_events(layer, xcfg.data_dir) if xcfg.data_dir else generate_events(layer, xcfg)
     train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
     eval_events = test[: cfg.eval_count]
-    tcfg = TrainConfig(seed=cfg.seed)
     if layer is LayerId.HOST:
-        texts = [e.raw for e in train]
-        extractor = fit_tfidf(texts)
-        rows = extract_features(texts, extractor)
-        scorer = train_baseline(train, rows, tcfg)
-        train_scored = score_stream(train, scorer, rows)
-        eval_rows = extract_features([e.raw for e in eval_events], extractor)
-        eval_events = [
-            dataclasses.replace(e, features=x) for e, x in zip(eval_events, eval_rows.dense())
-        ]
+        extractor = fit_tfidf([e.raw for e in train])
+        featurize = lambda split: extract_features([e.raw for e in split], extractor)
+        x_train = featurize(train)
+        scorer = train_baseline(train, x_train, TrainConfig(seed=cfg.seed))
     else:
-        # train_baseline standardizes this stacked copy in place.
-        x = np.array([e.features for e in train], dtype=np.float64)
-        scorer = train_baseline(train, x, tcfg)
-        train_scored = score_stream(train, scorer)
+        # A split stacks to (n, d), even when empty.  train_baseline consumes
+        # its matrix, so the training split is stacked again, after, to be
+        # scored: one stack at a time, where a copy would hold two.
+        d = len(events[0].features)
+        featurize = lambda split: np.array([e.features for e in split], np.float64).reshape(-1, d)
+        scorer = train_baseline(train, featurize(train), TrainConfig(seed=cfg.seed))
+        x_train = featurize(train)
+    train_scored = score_stream(train, scorer, x_train)
+    x_eval = featurize(eval_events)
+    if layer is LayerId.HOST:
+        eval_events = [
+            dataclasses.replace(e, features=v) for e, v in zip(eval_events, x_eval.dense())
+        ]
     return LayerBundle(
         layer=layer,
         events=events,
         eval_events=eval_events,
         scorer=scorer,
         train_scored=train_scored,
-        eval_scored=score_stream(eval_events, scorer),
+        eval_scored=score_stream(eval_events, scorer, x_eval),
     )
 
 
@@ -281,19 +287,16 @@ def write_mode_artifacts(
 def do_gen(xcfg: ExperimentConfig) -> dict[str, str]:
     """Generate the selected corpora and write them under the out dir."""
     os.makedirs(xcfg.out_dir, exist_ok=True)
+    files = {
+        LayerId.NETWORK: (NETWORK_FILE, write_network_csv),
+        LayerId.HOST: (HOST_FILE, write_host_jsonl),
+        LayerId.HYPERVISOR: (HYPERVISOR_FILE, write_hypervisor_csv),
+    }
     written: dict[str, str] = {}
     for layer in xcfg.layers:
-        events = generate_events(layer, xcfg)
-        if layer is LayerId.NETWORK:
-            path = os.path.join(xcfg.out_dir, NETWORK_FILE)
-            write_network_csv(events, path)
-        elif layer is LayerId.HOST:
-            path = os.path.join(xcfg.out_dir, HOST_FILE)
-            write_host_jsonl(events, path)
-        else:
-            path = os.path.join(xcfg.out_dir, HYPERVISOR_FILE)
-            write_hypervisor_csv(events, path)
-        written[layer.value] = path
+        name, write = files[layer]
+        written[layer.value] = os.path.join(xcfg.out_dir, name)
+        write(generate_events(layer, xcfg), written[layer.value])
     return written
 
 
@@ -451,11 +454,8 @@ def do_compare(
             "layer,mode,total,known,uncertain,memory_matched,llm_promoted,bucket,threshold\n"
         )
         for mode_run in (comp.static, comp.adaptive):
-            for layer in LAYER_ORDER:
-                lr = mode_run.layer_runs.get(layer)
-                if lr is None:
-                    continue
-                s = lr.summary
+            runs = mode_run.layer_runs
+            for s in (runs[layer].summary for layer in LAYER_ORDER if layer in runs):
                 fh.write(
                     f"{s.layer},{mode_run.mode.value},{s.total},{s.known},"
                     f"{s.uncertain},{s.memory_matched},{s.llm_promoted},{s.bucket},"
@@ -470,9 +470,13 @@ def _mode_digest(summary: RunSummary) -> dict:
 
 
 def do_report(xcfg: ExperimentConfig) -> list[str]:
-    """Re-render histogram CSVs from stored confidence files."""
-    import csv as _csv
+    """Re-render histogram CSVs from stored confidence files.
 
+    Raises:
+        MalformedCorpus: ``<path>:<line>: ...`` for a missing ``layer`` or
+            ``confidence`` column, a ragged row, or a confidence that is
+            not a number in [0, 1].
+    """
     run_id = run_id_of(xcfg)
     written: list[str] = []
     for mode in (Mode.STATIC, Mode.ADAPTIVE):
@@ -481,8 +485,8 @@ def do_report(xcfg: ExperimentConfig) -> list[str]:
             continue
         rows: list[tuple[str, float]] = []
         with open(src, newline="", encoding="utf-8") as fh:
-            for row in _csv.DictReader(fh):
-                rows.append((row["layer"], float(row["confidence"])))
+            for line, row in csv_rows(fh, src, ("layer", "confidence")):
+                rows.append((row["layer"], confidence_cell(row["confidence"], f"{src}:{line}")))
         dest = os.path.join(xcfg.out_dir, f"histogram_{mode.value}_{run_id}.csv")
         write_histogram_csv(dest, rows)
         written.append(dest)

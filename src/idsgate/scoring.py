@@ -11,14 +11,21 @@ layer's scored stream.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PLACEHOLDER_FEATURES, MalformedCorpus, binary_label, check_event_id, truth_label
+from .corpus import (
+    PLACEHOLDER_FEATURES,
+    MalformedCorpus,
+    binary_label,
+    check_event_id,
+    confidence_cell,
+    csv_rows,
+    truth_label,
+)
 from .events import Event, LayerId, ScoredEvent
 
 TOKEN = re.compile(r"[a-z0-9]+")
@@ -79,11 +86,6 @@ def fit_tfidf(corpus: list[str], max_vocab: int = DEFAULT_MAX_VOCAB) -> FeatureE
         [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in kept], dtype=np.float64
     )
     return FeatureExtractor(vocab=vocab, idf=idf)
-
-
-# Rows at a time in the block kernels below: extract_features counts the
-# terms of this many texts at once, _sum_of_squares squares this many rows.
-_CHUNK_ROWS = 1024
 
 
 def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -152,45 +154,27 @@ class TfidfRows:
 def extract_features(texts: list[str], extractor: FeatureExtractor) -> TfidfRows:
     """The unit-norm tf-idf rows of texts, one row each.
 
-    Text without any vocabulary term gives an empty row.  Each row is
-    divided by the 1-D norm of its own dense vector, so ``dense()`` of
-    the result holds, bit for bit, the vector of each text alone.  Only
-    ``_CHUNK_ROWS`` dense rows exist at a time.
+    A cell is a term's count times its idf, divided by the norm of its
+    row: the square root of the row's squared cells summed by
+    ``np.add.reduceat`` in column order.  Text without any vocabulary
+    term gives an empty row.  No dense row is built.
     """
-    n, dims = len(texts), extractor.dims
-    vocab = extractor.vocab
-    # One array each for the cells, filled in row order, in place of
-    # per-chunk pieces joined at the end: freed in the middle of the heap,
-    # the pieces and the join would keep it that much larger.  Terms are
-    # runs of characters with a character between two runs, so a text of
-    # k characters (lowercased) has at most (k + 1) // 2 of them.
-    room = sum(min(dims, (len(text.lower()) + 1) // 2) for text in texts)
-    indices, data = np.empty(room, dtype=np.intp), np.empty(room)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    chunk = np.zeros((min(n, _CHUNK_ROWS), dims))
-    for start in range(0, n, _CHUNK_ROWS):
-        block = chunk[: min(n - start, _CHUNK_ROWS)]
-        block.fill(0.0)
-        # Flat cell index of every vocabulary term; repeats count up.
-        hits = [
-            i * dims + vocab[term]
-            for i in range(len(block))
-            for term in tokenize(texts[start + i])
-            if term in vocab
-        ]
-        np.add.at(block.reshape(-1), hits, 1.0)
-        block *= extractor.idf
-        # np.linalg.norm of a row is sqrt(row . row); a zero row stays zero.
-        norms = np.sqrt([row.dot(row) for row in block])
-        block /= np.where(norms > 0.0, norms, 1.0)[:, None]
-        # idf > 0, so a row's non-zero cells are its terms.
-        rows, cols = np.nonzero(block)
-        ptr = indptr[start : start + len(block) + 1]
-        np.cumsum(np.bincount(rows, minlength=len(block)), out=ptr[1:])
-        ptr[1:] += ptr[0]
-        indices[ptr[0] : ptr[-1]] = cols
-        data[ptr[0] : ptr[-1]] = block[rows, cols]
-    return TfidfRows(indptr, indices[: indptr[-1]], data[: indptr[-1]], dims)
+    n, dims, vocab = len(texts), extractor.dims, extractor.vocab
+    # The flat key row * dims + column of every vocabulary term, repeats and
+    # all; sorted and counted, row i's cells are the keys in [i * dims, (i + 1) * dims).
+    keys = (
+        i * dims + vocab[term]
+        for i, text in enumerate(texts)
+        for term in tokenize(text)
+        if term in vocab
+    )
+    cols, counts = np.unique(np.fromiter(keys, dtype=np.intp), return_counts=True)
+    indptr = np.searchsorted(cols, np.arange(n + 1) * dims)
+    np.remainder(cols, dims, out=cols)
+    data = extractor.idf[cols]
+    data *= counts
+    data /= np.repeat(np.sqrt(_segment_sums(data * data, indptr)), np.diff(indptr))
+    return TfidfRows(indptr, cols, data, dims)
 
 
 @dataclass(frozen=True)
@@ -214,6 +198,10 @@ class TrainConfig:
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+
+
+# Rows at a time that _sum_of_squares squares.
+_CHUNK_ROWS = 1024
 
 
 def _sum_of_squares(z: np.ndarray) -> np.ndarray:
@@ -353,22 +341,23 @@ def train_baseline(events: list[Event], x: np.ndarray | TfidfRows, cfg: TrainCon
 
 
 def score_stream(
-    events: list[Event], scorer: Scorer, rows: TfidfRows | None = None
+    events: list[Event], scorer: Scorer, x: np.ndarray | TfidfRows
 ) -> list[ScoredEvent]:
     """Score a stream of events with the logistic model.
 
-    p = sigmoid(w.x + b); pred_label is 1 when p > 0.5 (the exact tie
-    predicts benign) and confidence is max(p, 1 - p).  x is the event's
-    features, or its row of ``rows`` when given.  On features, w.x is one
-    dot product per event, because a matrix product over the stream
-    rounds differently in the last bit.
+    ``x`` holds the features of ``events``, one row per event, in the
+    form :func:`train_baseline` takes.  p = sigmoid(w.x + b); pred_label
+    is 1 when p > 0.5 (the exact tie predicts benign) and confidence is
+    max(p, 1 - p).  Each w.x is summed in one fixed order, by
+    ``np.einsum`` over a matrix or over the row's cells in column order.
+
+    Raises:
+        ValueError: ``x`` does not have one row per event.
     """
-    if rows is None:
-        z = np.array([float(np.dot(scorer.weights, e.features)) for e in events])
-    else:
-        if len(rows) != len(events):
-            raise ValueError(f"{len(events)} events but {len(rows)} feature rows")
-        z = rows.dot(scorer.weights)
+    if len(x) != len(events):
+        raise ValueError(f"{len(events)} events but {len(x)} feature rows")
+    w = scorer.weights
+    z = x.dot(w) if isinstance(x, TfidfRows) else np.einsum("ij,j->i", x, w)
     p = _sigmoid(z + scorer.bias)
     pred = (p > 0.5).tolist()
     conf = np.maximum(p, 1.0 - p).tolist()
@@ -395,27 +384,14 @@ def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
     """
     stream: dict[str, ScoredEvent] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(REPLAY_CSV_HEADER) - set(reader.fieldnames or [])
-        if missing:
-            raise MalformedCorpus(f"{path}:1: missing columns: {sorted(missing)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row or None in row.values():
-                raise MalformedCorpus(f"{where}: row length differs from header")
+        for line, row in csv_rows(fh, path, REPLAY_CSV_HEADER):
+            where = f"{path}:{line}"
             if row["layer"] != layer.value:
                 raise MalformedCorpus(f"{where}: layer {row['layer']!r} is not {layer.value}")
-            event_id = check_event_id(row["event_id"], path, reader.line_num)
+            event_id = check_event_id(row["event_id"], path, line)
             pred_label = binary_label(row["pred_label"], "pred_label", where)
             truth = truth_label(row["truth"], where)
-            try:
-                confidence = float(row["confidence"])
-            except ValueError:
-                confidence = math.nan
-            if not 0.0 <= confidence <= 1.0:  # NaN fails too
-                raise MalformedCorpus(
-                    f"{where}: confidence {row['confidence']!r} is not a number in [0, 1]"
-                )
+            confidence = confidence_cell(row["confidence"], where)
             event = Event(event_id, layer, "", PLACEHOLDER_FEATURES, truth)
             stream[event_id] = ScoredEvent(event, pred_label, confidence)
     if not stream:

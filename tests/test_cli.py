@@ -413,6 +413,28 @@ def test_loaded_corpus_without_events_fails(tmp_path, capsys, layer, name, keep)
     assert capsys.readouterr().err == f"error: {path}: no events\n"
 
 
+def test_loaded_corpus_of_two_events_routes_an_empty_evaluation_split(tmp_path, capsys):
+    # Both events of a one-attack, one-benign corpus go to training, so
+    # the evaluation split is empty: the run still writes its four files.
+    cfg = write_cfg(tmp_path, SMALL)
+    data = os.path.join(tmp_path, "data")
+    assert main(["gen", "--config", cfg, *base_args(tmp_path), "--out", data]) == 0
+    path = os.path.join(data, "network.csv")
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    truth = header.index("truth")
+    pair = [next(r for r in rows if r[truth] == label) for label in ("1", "0")]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *pair])
+    args = [*base_args(tmp_path), "--mode", "static", "--data", data]
+    assert main(["run", "--config", cfg, *args]) == 0
+    out = os.path.join(tmp_path, "out")
+    assert len(os.listdir(out)) == 4
+    summary = json.loads(Path(out, "summary_static_run0.json").read_text())
+    assert summary["overall"]["total"] == 0
+    assert summary["layers"]["network"]["total"] == 0
+
+
 def _calibration(**layers):
     return {"seed": 0, "episodes": 2, "layers": layers}
 
@@ -505,6 +527,29 @@ def test_calibration_file_is_read_for_its_threshold_only(tmp_path):
 def test_report_without_runs_fails(tmp_path, capsys):
     assert main(["report", "--out", os.path.join(tmp_path, "empty")]) == 1
     assert "no stored confidence files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("event_id,pred_label,confidence\nnetwork-0,1,0.9\n", "{path}:1: missing columns: ['layer']"),
+        ("event_id,layer,confidence\nnetwork-0,network,abc\n", "{path}:2: confidence 'abc' is not"),
+        ("event_id,layer,confidence\nnetwork-0,network,-3\n", "{path}:2: confidence '-3' is not"),
+        ("event_id,layer,confidence\nnetwork-0,network,nan\n", "{path}:2: confidence 'nan' is not"),
+        ("event_id,layer,confidence\nnetwork-0,network,0.9\nnetwork-1,network,7.5\n",
+         "{path}:3: confidence '7.5' is not a number in [0, 1]"),
+    ],
+    ids=["no-layer-column", "not-a-number", "negative", "nan", "above-one"],
+)
+def test_report_names_the_bad_line_of_a_confidence_file(tmp_path, capsys, text, message):
+    out = os.path.join(tmp_path, "out")
+    os.makedirs(out)
+    path = os.path.join(out, "confidence_static_run0.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["report", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message.format(path=path)}")
+    assert os.listdir(out) == ["confidence_static_run0.csv"]
 
 
 def test_run_failure_exits_one(tmp_path, capsys):

@@ -101,8 +101,9 @@ def test_tfidf_empty_corpus_raises():
 
 
 def _reference_tfidf_vector(raw, fx):
-    # One event at a time, as first written: its own zero vector, counts,
-    # idf scaling, then division by its norm.
+    # One event at a time: its own zero vector, counts, idf scaling, then
+    # division by its norm, the square root of its non-zero squares summed
+    # by np.add.reduceat in column order.
     vec = np.zeros(fx.dims, dtype=np.float64)
     for term in tokenize(raw):
         idx = fx.vocab.get(term)
@@ -111,14 +112,14 @@ def _reference_tfidf_vector(raw, fx):
     if not vec.any():
         return vec
     vec *= fx.idf
-    return vec / np.linalg.norm(vec)
+    cells = vec[vec != 0.0]
+    return vec / np.sqrt(np.add.reduceat(cells * cells, [0])[0])
 
 
 def test_tfidf_block_matches_per_event_reference():
     events = gen_hostlogs(HostGenConfig(count=3000, seed=2))
     train, test = split_train_test(events, 0.8, 2)
     fx = fit_tfidf([e.raw for e in train])
-    # 2403 texts: two full chunks of the term count and a short one.
     raws = [e.raw for e in train + test] + ["", "zeta theta", "pid pid pid"]
     rows = extract_features(raws, fx)
     block = rows.dense()
@@ -136,7 +137,7 @@ def test_tfidf_block_matches_per_event_reference():
 
 def test_tfidf_rows_hold_every_term_of_text_that_lowercases_longer():
     # "İ" lowercases to "i" and a combining dot, so "İa" (2 characters)
-    # holds two terms; the rows make room by the lowercased length.
+    # holds two terms, and its row keeps both.
     fx = fit_tfidf(["i a", "a"])
     rows = extract_features(["İa", "İa", "z"], fx)
     assert rows.indptr.tolist() == [0, 2, 4, 4]
@@ -366,7 +367,7 @@ def test_logistic_separates_blobs():
     train = _labeled_blob(5, 400)
     test = _labeled_blob(6, 200)
     scorer = train_baseline(train, _stack(train), TrainConfig())
-    scored = score_stream(test, scorer)
+    scored = score_stream(test, scorer, _stack(test))
     hits = sum(1 for se in scored if se.pred_label == se.event.truth)
     assert hits / len(scored) >= 0.95
     assert all(0.5 <= se.confidence <= 1.0 for se in scored)
@@ -388,7 +389,8 @@ def test_logistic_single_class_raises():
 
 def test_logistic_tie_predicts_benign():
     scorer = Scorer(weights=np.zeros(4), bias=0.0)
-    se = score_stream([make_event()], scorer)[0]
+    events = [make_event()]
+    se = score_stream(events, scorer, _stack(events))[0]
     # p is exactly 0.5: the tie stays benign at confidence 0.5.
     assert se.pred_label == 0
     assert se.confidence == 0.5
@@ -405,49 +407,64 @@ def test_score_stream_on_tfidf_rows_scores_each_row():
         p = 1.0 / (1.0 + np.exp(-(float(np.dot(scorer.weights, x)) + scorer.bias)))
         assert se.pred_label == (1 if p > 0.5 else 0)
         assert se.confidence == pytest.approx(max(p, 1.0 - p), rel=0, abs=1e-15)
-    with pytest.raises(ValueError, match="3 events but 4 feature rows"):
-        score_stream(events[:3], scorer, rows)
+    for x in (rows, rows.dense()):
+        with pytest.raises(ValueError, match="3 events but 4 feature rows"):
+            score_stream(events[:3], scorer, x)
 
 
 _THREAD_COUNT_CHILD = """
+import hashlib
 import sys
 import numpy as np
 from idsgate.corpus import (
     HostGenConfig, HypGenConfig, gen_hostlogs, gen_hypervisor, split_train_test,
 )
-from idsgate.scoring import TrainConfig, extract_features, fit_tfidf, train_baseline
+from idsgate.scoring import TrainConfig, extract_features, fit_tfidf, score_stream, train_baseline
+
+def digest(a):
+    return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
 
 hyp, _ = split_train_test(gen_hypervisor(HypGenConfig(seed=2)), 0.8, 0)
 x = np.array([e.features for e in hyp], dtype=np.float64)
 host, _ = split_train_test(gen_hostlogs(HostGenConfig(count=5000, seed=1)), 0.8, 0)
 texts = [e.raw for e in host]
 rows = extract_features(texts, fit_tfidf(texts))
-out = []
+out = [f"rows {digest(rows.indptr)} {digest(rows.indices)} {digest(rows.data)}"]
 for events, features in ((hyp, x), (host, rows)):
-    scorer = train_baseline(events, features, TrainConfig(epochs=50))
+    # train_baseline standardizes a matrix in place; score the raw one.
+    fit = features.copy() if isinstance(features, np.ndarray) else features
+    scorer = train_baseline(events, fit, TrainConfig(epochs=50))
+    scored = score_stream(events, scorer, features)
     shape = f"{len(features)}x{len(scorer.weights)}"
-    out.append(f"{shape} {scorer.weights.tobytes().hex()} {scorer.bias.hex()}")
+    weights = f"{scorer.weights.tobytes().hex()} {scorer.bias.hex()}"
+    out.append(f"{shape} {weights} {digest([se.confidence for se in scored])}")
 sys.stdout.write("\\n".join(out))
 """
 
 
 def test_training_does_not_depend_on_the_blas_thread_count():
     # A 20 000 x 26 matrix (the hypervisor layer's shape) and host tf-idf
-    # rows train to the same bits on one BLAS thread and on two.
+    # rows: the rows are extracted, and both train and score, to the same
+    # bits on one BLAS thread, on two, and on two forced OpenBLAS kernels.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for setting in (
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+    ):
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_"))}
+        env.update(setting, PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
         proc = subprocess.run(
             [sys.executable, "-c", _THREAD_COUNT_CHILD],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert [line.split("x")[0] for line in outputs[0]] == ["20000", "4000"]
-    assert outputs[0][0].startswith("20000x26 ")
-    assert outputs[0] == outputs[1]
+    assert [line.split(" ")[0].split("x")[0] for line in outputs[0]] == ["rows", "20000", "4000"]
+    assert outputs[0][1].startswith("20000x26 ")
+    assert outputs[1:] == [outputs[0]] * 3
 
 
 REPLAY_HEADER = "event_id,layer,pred_label,confidence,truth\n"
@@ -473,11 +490,11 @@ def test_replay_scorer_returns_stored_pair(tmp_path):
 def test_score_stream_matches_per_event_formula(generate):
     train, _ = split_train_test(generate(), 0.8, seed=0)
     scorer = train_baseline(train, _stack(train), TrainConfig())
-    scored = score_stream(train, scorer)
+    scored = score_stream(train, scorer, _stack(train))
     assert len(scored) == len(train)
     # Oracle: the scalar formula, one event at a time.
     for e, se in zip(train, scored):
-        z = float(np.dot(scorer.weights, e.features)) + scorer.bias
+        z = float(np.einsum("j,j->", scorer.weights, e.features)) + scorer.bias
         p = float(1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))))
         assert se.event is e
         assert se.pred_label == (1 if p > 0.5 else 0)
