@@ -20,6 +20,7 @@ from .config import ExperimentConfig
 from .corpus import (
     HostGenConfig,
     HypGenConfig,
+    MalformedCorpus,
     NetGenConfig,
     confidence_cell,
     csv_rows,
@@ -474,10 +475,11 @@ def do_report(xcfg: ExperimentConfig) -> list[str]:
 
     Raises:
         MalformedCorpus: ``<path>:<line>: ...`` for a missing ``layer`` or
-            ``confidence`` column, a ragged row, or a confidence that is
-            not a number in [0, 1].
+            ``confidence`` column, a ragged row, a layer cell that names
+            no layer, or a confidence that is not a number in [0, 1].
     """
     run_id = run_id_of(xcfg)
+    layer_names = {layer.value for layer in LayerId}
     written: list[str] = []
     for mode in (Mode.STATIC, Mode.ADAPTIVE):
         src = output_paths(xcfg.out_dir, mode.value, run_id).confidence
@@ -486,7 +488,10 @@ def do_report(xcfg: ExperimentConfig) -> list[str]:
         rows: list[tuple[str, float]] = []
         with open(src, newline="", encoding="utf-8") as fh:
             for line, row in csv_rows(fh, src, ("layer", "confidence")):
-                rows.append((row["layer"], confidence_cell(row["confidence"], f"{src}:{line}")))
+                where = f"{src}:{line}"
+                if row["layer"] not in layer_names:
+                    raise MalformedCorpus(f"{where}: layer {row['layer']!r} names no layer")
+                rows.append((row["layer"], confidence_cell(row["confidence"], where)))
         dest = os.path.join(xcfg.out_dir, f"histogram_{mode.value}_{run_id}.csv")
         write_histogram_csv(dest, rows)
         written.append(dest)

@@ -4,8 +4,12 @@ Stores unit-normalized token-hash embeddings of attack payloads and
 answers "have we seen something close to this before" with a linear
 cosine scan.  Only attacks are stored; a strong match short-circuits the
 LLM stage.  The vectors live in one float64 row block that inserts write
-in place, so a query is one matvec plus an O(n) selection of the k
-nearest: exact, deterministic, and with no index to keep in step.
+in place.  A query scans a block of vectors at once: one BLAS product
+ranks every stored row for every query, and only the rows within a
+rounding margin of a query's k-th best cosine get their distance
+recomputed in one fixed summation order.  Those recomputed distances are
+the ones returned, so the k nearest and their distances do not depend on
+the BLAS kernel or thread count, and there is no index to keep in step.
 ``insert`` is the only way in: a store file is loaded by inserting its
 records in order.  Callers embed a payload once and hand the vector to
 both the query and the insert.
@@ -103,13 +107,25 @@ def embed(text: str, cfg: EmbeddingConfig) -> np.ndarray:
     return vec / norm if norm > 0.0 else vec
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity; zero-magnitude vectors get similarity 0."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    sim = float(np.dot(a, b) / (na * nb))
-    return min(max(1.0 - sim, 0.0), 2.0)
+def rank_margin(dims: int) -> float:
+    """How far below a query's k-th best ranking cosine a stored row can
+    rank and still be among its k nearest by recomputed distance.
+
+    A dot product of length ``dims``, summed in any order, is within
+    ``gamma = dims*u / (1 - dims*u)`` of its exact value, relative to the
+    product of the norms (u is the unit roundoff); the divisions by the
+    norms add a few u.  So a cosine, ranked from the BLAS product or
+    recomputed in the fixed order, is within ``e = gamma + 3u`` of the
+    exact one: the two differ by at most 2e, and so do their k-th best.
+    A row among the k nearest thus ranks at most 4e below the k-th best
+    ranking cosine.  The 4u on top cover the rounding of ``1 - cosine``,
+    under which cosines less than 2u apart tie.  A row clipped to
+    distance 0 has a recomputed cosine of at least 1 and no row ranks
+    above 1 + 2e, so the clip needs nothing more.
+    """
+    u = np.finfo(np.float64).eps / 2
+    gamma = dims * u / (1.0 - dims * u)
+    return 4.0 * (gamma + 3.0 * u) + 4.0 * u
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -198,49 +214,74 @@ class MemoryStore:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(_record_to_dict(record)) + "\n")
 
-    def query(self, vector: np.ndarray, k: int) -> list[tuple[MemoryRecord, float]]:
-        """k nearest records by cosine distance, distance then id order."""
-        if len(vector) != self.dims:
+    def query(self, vectors: np.ndarray, k: int) -> list[list[tuple[MemoryRecord, float]]]:
+        """The k nearest records of each row of the ``(m, dims)`` block
+        ``vectors``, by cosine distance, distance then id order.
+
+        A zero-magnitude query or stored row has similarity 0 with
+        everything, so a zero query is at distance 1.0 from every record.
+        """
+        if vectors.ndim != 2 or vectors.shape[1] != self.dims:
             raise DimMismatch(
-                f"query vector has {len(vector)} dims, store expects {self.dims}"
+                f"query block has shape {vectors.shape}, store expects (m, {self.dims})"
             )
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         n = len(self._records)
         if n == 0:
-            return []
+            return [[] for _ in vectors]
         if self._stale < n:
-            # The 2-D row-wise norm: a 1-D norm takes another summation
-            # path, and a last-bit change would move the recorded distances.
+            # The 2-D row-wise norm: one fixed summation order per row,
+            # whatever the block; a 1-D norm is a BLAS dot product.
             self._norms[self._stale : n] = np.linalg.norm(self._rows[self._stale : n], axis=1)
             self._stale = n
-        vnorm = float(np.linalg.norm(vector))
-        if vnorm == 0.0:
-            dists = np.ones(n)
-        else:
-            norms = self._norms[:n]
-            sims = np.divide(
-                self._rows[:n] @ vector, norms * vnorm, out=np.zeros(n), where=norms > 0.0
-            )
-            dists = np.clip(1.0 - sims, 0.0, 2.0)
-        # Every row at or below the k-th smallest distance, so ties at the
-        # boundary reach the (distance, id) ordering.
-        kth = min(k, n) - 1
-        near = np.flatnonzero(dists <= np.partition(dists, kth)[kth])
+        rows, norms = self._rows[:n], self._norms[:n]
+        has_norm = norms > 0.0
+        qnorms = np.linalg.norm(vectors, axis=1)
+        # Rank: one BLAS product gives every stored row's cosine with every
+        # query, times the query's norm; a zero row ranks at 0.
+        ranking = vectors @ rows.T
+        ranking /= np.where(has_norm, norms, 1.0)
+        # The rows within the margin of each query's k-th best, so that
+        # rounding and ties at the boundary reach the fixed-order (distance,
+        # id) ordering.  A zero query takes none: every record is at 1.0.
+        kth = max(n - k, 0)
+        floor = np.array([np.partition(row, kth)[kth] for row in ranking])
+        floor -= rank_margin(self.dims) * qnorms
+        floor[qnorms == 0.0] = np.inf
+        query_of, near = np.divmod(np.flatnonzero(ranking >= floor[:, None]), n)
+        # Decide: the candidates' distances in one fixed summation order.
+        sims = np.divide(
+            np.einsum("ij,ij->i", rows[near], vectors[query_of]),
+            norms[near] * qnorms[query_of],
+            out=np.zeros(len(near)),
+            where=has_norm[near],
+        )
+        dists = np.clip(1.0 - sims, 0.0, 2.0).tolist()
+        bounds = np.searchsorted(query_of, np.arange(len(vectors) + 1)).tolist()
+        near = near.tolist()
         recs = self._records
-        scored = ((d, recs[i].id, i) for d, i in zip(dists[near].tolist(), near.tolist()))
-        return [(recs[i], d) for d, _, i in heapq.nsmallest(k, scored)]
+        found = []
+        for qnorm, start, stop in zip(qnorms.tolist(), bounds, bounds[1:]):
+            if qnorm == 0.0:
+                scored = [(1.0, rec.id, i) for i, rec in enumerate(recs)]
+            else:
+                scored = [(d, recs[i].id, i) for d, i in zip(dists[start:stop], near[start:stop])]
+            found.append([(recs[i], d) for d, _, i in heapq.nsmallest(k, scored)])
+        return found
 
 
-def match_decision(store: MemoryStore, vector: np.ndarray, mcfg: MatchConfig) -> MatchResult:
-    """Decide whether stored attack vectors explain this embedded payload.
+def match_decision(
+    neighbors: list[tuple[MemoryRecord, float]], mcfg: MatchConfig
+) -> MatchResult:
+    """Decide whether stored attack vectors explain an embedded payload,
+    from its ``neighbors`` as :meth:`MemoryStore.query` returns them.
 
     Support counts neighbors within the support radius of the k
     retrieved; meta-confidence is (support / k) times the mean closeness
     (1 - distance) of the supporting neighbors, zero when nothing
-    supports.  An empty store never matches.
+    supports.  No neighbors (an empty store) never matches.
     """
-    neighbors = store.query(vector, mcfg.k)
     if not neighbors:
         return MatchResult(
             matched=False, nearest_distance=math.inf, support=0, meta_confidence=0.0

@@ -3,14 +3,17 @@ every event.
 
 The router walks a scored stream in order.  Confident events exit at
 Gate-1.  The rest consult the attack-vector memory; matches exit at
-Gate-2.  Survivors are batched (up to the configured parallelism) and
+Gate-2.  Gate-2 embeds its events once each and scans them against the
+store in blocks of up to ``GATE2_BLOCK``, one ``MemoryStore.query`` per
+block.  Survivors are batched (up to the configured parallelism) and
 analyzed by the LLM client: the routing thread asks the first prompt of
 a batch itself, and one worker pool per stream, of ``llm_parallelism -
 1`` threads, asks the rest.  Verdicts are collected in batch order
 before sinks are assigned, so promotions enter the memory store in
 stream order and a run is deterministic for a fixed configuration.
-Promotions made by a batch become visible to Gate-2 from the next batch
-on.
+Promotions made by a batch become visible to Gate-2 from the next event
+on: a batch that promotes makes the rest of its Gate-2 block stale, and
+the rest is scanned again.
 
 A failed LLM call downgrades only its own event (to UNSURE, confidence
 0); the stream keeps flowing.  A routed event keeps only its sink; the
@@ -19,6 +22,7 @@ audit and review rows are built here as dicts, keys in file order.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import Counter
@@ -66,6 +70,9 @@ logger = logging.getLogger(__name__)
 # Distance recorded in a gate-2 trace when the store had no neighbors at
 # all; beyond any real cosine distance.
 NO_NEIGHBOR_DISTANCE = 2.0
+
+# Most escalated events that Gate-2 scans against the store in one query.
+GATE2_BLOCK = 32
 
 
 class Mode(str, Enum):
@@ -266,9 +273,11 @@ def route_stream(
     reviews: list[dict] = []
     pending: list[tuple[int, ScoredEvent, np.ndarray, MatchResult, str]] = []
 
-    def flush() -> None:
+    def flush() -> bool:
+        """Decide the pending batch; True if it wrote to the store."""
         if not pending:
-            return
+            return False
+        wrote = False
         futures = [pool.submit(ask_llm, client, se, prompt) for _, se, _, _, prompt in pending[1:]]
         _, first, _, _, prompt = pending[0]
         verdicts = [ask_llm(client, first, prompt)] + [f.result() for f in futures]
@@ -276,6 +285,7 @@ def route_stream(
             decision = gate3_decide(se, verdict, layer, cfg.llm_thresholds, cfg.fusion)
             promoted = decision.sink is Sink.LLM_ATTACK
             if promoted:
+                wrote = True
                 store.insert(
                     MemoryRecord(
                         id=se.event.id,
@@ -328,37 +338,61 @@ def route_stream(
                 }
             )
         pending.clear()
+        return wrote
+
+    def gate2(i: int, vector: np.ndarray, match: MatchResult) -> bool:
+        """Record event ``i``'s Gate-2 decision and match it or queue it
+        for Gate 3; True if that flushed a batch that wrote to the store."""
+        se = scored[i]
+        audits.append(
+            {
+                "event_id": se.event.id,
+                "layer": layer.value,
+                "gate": "gate2",
+                "nearest_distance": None
+                if not math.isfinite(match.nearest_distance)
+                else match.nearest_distance,
+                "support": match.support,
+                "meta_confidence": match.meta_confidence,
+                "matched": match.matched,
+                "record_id": match.record_id,
+                "created_at": clock.tick(),
+            }
+        )
+        if match.matched:
+            routed[i] = RoutedEvent(se, Sink.MEMORY_ATTACK)
+            return False
+        pending.append((i, se, vector, match, build_prompt(se, match)))
+        return len(pending) >= cfg.llm_parallelism and flush()
+
+    uncertain = []
+    for i, se in enumerate(scored):
+        if route_gate1(se, threshold) is Gate1Route.KNOWN:
+            routed[i] = RoutedEvent(se, Sink.KNOWN_ACCEPT)
+        else:
+            uncertain.append(i)
+    todo = iter(uncertain)
+    # (stream index, embedded payload) of the events Gate 2 scans next;
+    # after a store write, the rest of a block is scanned again.
+    block: list[tuple[int, np.ndarray]] = []
 
     # The routing thread asks the first prompt of a batch and the pool's
     # workers the rest; with llm_parallelism 1 no worker ever starts.
     with ThreadPoolExecutor(max_workers=max(1, cfg.llm_parallelism - 1)) as pool:
-        for i, se in enumerate(scored):
-            if route_gate1(se, threshold) is Gate1Route.KNOWN:
-                routed[i] = RoutedEvent(se, Sink.KNOWN_ACCEPT)
-                continue
-            vector = embed(se.event.raw, cfg.embedding)
-            match = match_decision(store, vector, cfg.match)
-            audits.append(
-                {
-                    "event_id": se.event.id,
-                    "layer": layer.value,
-                    "gate": "gate2",
-                    "nearest_distance": None
-                    if not math.isfinite(match.nearest_distance)
-                    else match.nearest_distance,
-                    "support": match.support,
-                    "meta_confidence": match.meta_confidence,
-                    "matched": match.matched,
-                    "record_id": match.record_id,
-                    "created_at": clock.tick(),
-                }
-            )
-            if match.matched:
-                routed[i] = RoutedEvent(se, Sink.MEMORY_ATTACK)
-                continue
-            pending.append((i, se, vector, match, build_prompt(se, match)))
-            if len(pending) >= cfg.llm_parallelism:
-                flush()
+        while True:
+            block = block or [
+                (i, embed(scored[i].event.raw, cfg.embedding))
+                for i in itertools.islice(todo, GATE2_BLOCK)
+            ]
+            if not block:
+                break
+            found = store.query(np.stack([vector for _, vector in block]), cfg.match.k)
+            for j, ((i, vector), neighbors) in enumerate(zip(block, found)):
+                if gate2(i, vector, match_decision(neighbors, cfg.match)):
+                    block = block[j + 1 :]
+                    break
+            else:
+                block = []
         flush()
 
     assert all(r is not None for r in routed)

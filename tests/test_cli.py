@@ -538,8 +538,12 @@ def test_report_without_runs_fails(tmp_path, capsys):
         ("event_id,layer,confidence\nnetwork-0,network,nan\n", "{path}:2: confidence 'nan' is not"),
         ("event_id,layer,confidence\nnetwork-0,network,0.9\nnetwork-1,network,7.5\n",
          "{path}:3: confidence '7.5' is not a number in [0, 1]"),
+        ("event_id,layer,confidence\nx-0,bogus,0.9\n", "{path}:2: layer 'bogus' names no layer"),
+        ("event_id,layer,confidence\nnetwork-0,network,0.9\nhost-0,Host,0.8\n",
+         "{path}:3: layer 'Host' names no layer"),
     ],
-    ids=["no-layer-column", "not-a-number", "negative", "nan", "above-one"],
+    ids=["no-layer-column", "not-a-number", "negative", "nan", "above-one", "unknown-layer",
+         "layer-case"],
 )
 def test_report_names_the_bad_line_of_a_confidence_file(tmp_path, capsys, text, message):
     out = os.path.join(tmp_path, "out")

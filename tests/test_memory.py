@@ -5,6 +5,8 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -27,10 +29,10 @@ from idsgate.memory import (
     MemoryRecord,
     MemorySource,
     MemoryStore,
-    cosine_distance,
     embed,
     load_store,
     match_decision,
+    rank_margin,
     save_store,
 )
 from idsgate.scoring import tokenize
@@ -107,19 +109,35 @@ def test_embedding_config_rejects_tiny_dims():
         EmbeddingConfig(dims=8)
 
 
-def test_cosine_distance_identical_and_orthogonal():
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([0.0, 1.0, 0.0])
-    assert cosine_distance(a, a) == pytest.approx(0.0)
-    assert cosine_distance(a, b) == pytest.approx(1.0)
-    assert cosine_distance(a, -a) == pytest.approx(2.0)
+def fixed_order_distances(rows, q):
+    """Reference: the cosine distance of ``q`` to every row of ``rows`` in
+    the store's fixed order (row-wise norms, an einsum for the products);
+    a zero query or zero row has similarity 0."""
+    norms = np.linalg.norm(rows, axis=1)
+    qnorm = np.linalg.norm(q[None, :], axis=1)[0]
+    if qnorm == 0.0:
+        return np.ones(len(rows))
+    sims = np.divide(
+        np.einsum("ij,j->i", rows, q), norms * qnorm, out=np.zeros(len(rows)), where=norms > 0.0
+    )
+    return np.clip(1.0 - sims, 0.0, 2.0)
 
 
-def test_cosine_distance_zero_vector_is_one():
-    z = np.zeros(3)
-    a = np.array([1.0, 0.0, 0.0])
-    assert cosine_distance(z, a) == 1.0
-    assert cosine_distance(z, z) == 1.0
+def full_sort(vectors, q, k):
+    """Reference scan: every (distance, id) pair, fully sorted."""
+    ids = list(vectors)
+    dists = fixed_order_distances(np.array([vectors[rid] for rid in ids]), q)
+    return sorted(zip(dists.tolist(), ids))[:k]
+
+
+def scan(store, q, k):
+    [found] = store.query(q[None, :], k)
+    return [(d, rec.id) for rec, d in found]
+
+
+def decide(store, vector, mcfg):
+    [neighbors] = store.query(vector[None, :], mcfg.k)
+    return match_decision(neighbors, mcfg)
 
 
 def test_store_insert_and_len():
@@ -133,8 +151,9 @@ def test_store_rejects_wrong_dims():
     store = MemoryStore(dims=4)
     with pytest.raises(DimMismatch):
         store.insert(make_record("a", [1, 0, 0]))
-    with pytest.raises(DimMismatch):
-        store.query(np.zeros(3), k=1)
+    for bad in (np.zeros((1, 3)), np.zeros((2, 5)), np.zeros(4)):  # a bare vector too
+        with pytest.raises(DimMismatch):
+            store.query(bad, k=1)
 
 
 def test_duplicate_id_overwrites_with_warning(caplog):
@@ -148,14 +167,15 @@ def test_duplicate_id_overwrites_with_warning(caplog):
 
 
 def test_query_empty_store():
-    assert MemoryStore(dims=4).query(np.ones(4), k=3) == []
+    assert MemoryStore(dims=4).query(np.ones((2, 4)), k=3) == [[], []]
+    assert MemoryStore(dims=4).query(np.ones((0, 4)), k=3) == []
 
 
 def test_query_zero_query_vector_distances_are_one():
     store = MemoryStore(dims=4)
     store.insert(make_record("a", [1, 0, 0, 0]))
     store.insert(make_record("b", [0, 1, 0, 0]))
-    hits = store.query(np.zeros(4), k=2)
+    [hits] = store.query(np.zeros((1, 4)), k=2)
     assert [d for _, d in hits] == [1.0, 1.0]
     # Distance tie breaks on record id.
     assert [rec.id for rec, _ in hits] == ["a", "b"]
@@ -173,12 +193,9 @@ def test_query_matches_brute_force_scan():
         rid = f"rec-{i:03d}"
         vectors[rid] = vec
         store.insert(make_record(rid, vec))
-    for trial in range(20):
-        q = np.array([rng.gauss(0, 1) for _ in range(dims)])
-        expected = sorted(
-            ((cosine_distance(q, v), rid) for rid, v in vectors.items()),
-        )[:5]
-        got = store.query(q, k=5)
+    queries = np.array([[rng.gauss(0, 1) for _ in range(dims)] for _ in range(20)])
+    for q, got in zip(queries, store.query(queries, k=5)):
+        expected = full_sort(vectors, q, 5)
         assert [rec.id for rec, _ in got] == [rid for _, rid in expected]
         for (rec, d), (ed, _) in zip(got, expected):
             assert d == pytest.approx(ed, abs=1e-12)
@@ -187,19 +204,10 @@ def test_query_matches_brute_force_scan():
 def test_query_cache_invalidates_on_insert():
     store = MemoryStore(dims=4)
     store.insert(make_record("a", [1, 0, 0, 0]))
-    store.query(np.array([1.0, 0, 0, 0]), k=1)
+    store.query(np.array([[1.0, 0, 0, 0]]), k=1)
     store.insert(make_record("b", [1, 0, 0, 0]))
-    hits = store.query(np.array([1.0, 0, 0, 0]), k=2)
+    [hits] = store.query(np.array([[1.0, 0, 0, 0]]), k=2)
     assert {rec.id for rec, _ in hits} == {"a", "b"}
-
-
-def full_sort(vectors, q, k):
-    """Reference scan: every (distance, id) pair, fully sorted."""
-    return sorted((cosine_distance(q, v), rid) for rid, v in vectors.items())[:k]
-
-
-def scan(store, q, k):
-    return [(d, rec.id) for rec, d in store.query(q, k)]
 
 
 def int_vector(rng, dims):
@@ -282,12 +290,111 @@ def test_zero_query_returns_smallest_ids_at_distance_one():
     assert scan(store, np.zeros(4), 3) == [(1.0, "z00"), (1.0, "z01"), (1.0, "z02")]
 
 
+def near_tie_store(rng, dims, n):
+    """Random rows at three scales, with planted exact duplicates (ties
+    broken by id), zero rows, and rows a few ulps apart along one
+    direction (near-ties that the BLAS ranking and the fixed order may
+    order differently).  Ids are a shuffle of the insertion order."""
+    rows = rng.normal(size=(n, dims)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    base = rng.normal(size=dims)
+    rows[10:40] = base * (1.0 + rng.normal(size=(30, dims)) * 1e-15)
+    rows[40:46] = rows[3]  # exact duplicates
+    rows[46:49] = base
+    rows[::17] = 0.0
+    ids = [f"r{i:03d}" for i in rng.permutation(n)]
+    store = MemoryStore(dims=dims)
+    for i, (rid, row) in enumerate(zip(ids, rows)):
+        store.insert(make_record(rid, row))
+        if i % 50 == 0:
+            store.query(rows[:1], 1)  # norms brought up to date in pieces
+    queries = np.vstack(
+        [
+            base,
+            base * (1.0 + rng.normal(size=(4, dims)) * 1e-15),
+            rows[3],
+            np.zeros((2, dims)),
+            rng.normal(size=(5, dims)),
+            -base,
+        ]
+    )
+    return store, dict(zip(ids, rows)), queries
+
+
+@pytest.mark.parametrize("dims", [16, 4096])
+def test_query_matches_a_fixed_order_reference_bit_for_bit(dims):
+    rng = np.random.default_rng(dims)
+    n = 120
+    store, vectors, queries = near_tie_store(rng, dims, n)
+    for k in (1, 3, 5, 12, n + 7):
+        found = store.query(queries, k)
+        assert len(found) == len(queries)
+        for q, hits in zip(queries, found):
+            want = full_sort(vectors, q, k)
+            assert [(d.hex(), rec.id) for rec, d in hits] == [(d.hex(), rid) for d, rid in want]
+            assert all(np.array_equal(rec.vector, vectors[rec.id]) for rec, _ in hits)
+    # zero queries: every record at 1.0, the smallest ids first
+    for hits in store.query(np.zeros((3, dims)), 4):
+        assert [(d, rec.id) for rec, d in hits] == [(1.0, f"r{i:03d}") for i in range(4)]
+    # k past the store returns every record
+    assert [len(hits) for hits in store.query(queries[:2], n + 7)] == [n, n]
+
+
+def test_rank_margin_covers_two_dot_products_of_its_length():
+    u = np.finfo(np.float64).eps / 2
+    for dims in (4, 16, 256, 4096, 1 << 20):
+        gamma = dims * u / (1 - dims * u)  # error bound of a length-dims dot product
+        assert rank_margin(dims) > 2 * gamma
+        assert rank_margin(dims) < 8 * gamma + 32 * u  # and still a rounding margin
+    assert rank_margin(4096) > rank_margin(256) > rank_margin(16)
+
+
+_QUERY_CHILD = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_memory import near_tie_store
+
+out = []
+for dims in (256, 1024):
+    store, _, queries = near_tie_store(np.random.default_rng(dims), dims, 600)
+    for hits in store.query(queries, 5):
+        out.append(" ".join(f"{rec.id}:{d.hex()}" for rec, d in hits))
+sys.stdout.write("\\n".join(out))
+"""
+
+
+def test_query_does_not_depend_on_the_blas_kernel_or_thread_count():
+    # The same ids and distance bits on one BLAS thread, on two, and on
+    # two forced OpenBLAS kernels; only the child processes see the
+    # settings.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    outputs = []
+    for setting in (
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+    ):
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_"))}
+        env.update(setting, PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", _QUERY_CHILD, tests],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 2 * 14
+    assert all(len(line.split(" ")) == 5 for line in outputs[0])
+    assert outputs[1:] == [outputs[0]] * 3
+
+
 def test_query_rejects_k_below_one():
     store = MemoryStore(dims=4)
     store.insert(make_record("a", [1, 0, 0, 0]))
     for k in (0, -1):
         with pytest.raises(ValueError):
-            store.query(np.ones(4), k)
+            store.query(np.ones((1, 4)), k)
 
 
 def test_match_config_rejects_out_of_range_values():
@@ -308,7 +415,7 @@ def test_match_decision_exact_duplicate():
     store = MemoryStore(dims=ECFG.dims)
     raw = "exec /bin/sh user=www-data path=/tmp/x"
     store.insert(make_record("seed", embed(raw, ECFG)))
-    result = match_decision(store, embed(raw, ECFG), MatchConfig())
+    result = decide(store, embed(raw, ECFG), MatchConfig())
     assert result.matched is True
     assert result.nearest_distance == pytest.approx(0.0)
     assert result.record_id == "seed"
@@ -335,7 +442,7 @@ def test_match_decision_near_with_support():
     # Nearest at 0.10 (inside near radius), four more at 0.12, all within
     # the support radius: support 5/5, meta = 1 * mean(1-d) = 0.884.
     store = seeded_store([0.10, 0.12, 0.12, 0.12, 0.12])
-    result = match_decision(store, embed(QUERY_TEXT, ECFG), MatchConfig())
+    result = decide(store, embed(QUERY_TEXT, ECFG), MatchConfig())
     assert result.matched is True
     assert result.support == 5
     assert result.nearest_distance == pytest.approx(0.10, abs=1e-12)
@@ -347,7 +454,7 @@ def test_match_decision_weak_support_rejected():
     # Nearest inside the near radius but only two supporting neighbors:
     # below min_support, so no match.
     store = seeded_store([0.10, 0.28, 0.9, 0.9, 0.9])
-    result = match_decision(store, embed(QUERY_TEXT, ECFG), MatchConfig())
+    result = decide(store, embed(QUERY_TEXT, ECFG), MatchConfig())
     assert result.matched is False
     assert result.support == 2
 
@@ -356,14 +463,14 @@ def test_match_decision_low_meta_rejected():
     # Three supporters but all near the support-radius edge: meta
     # (3/5) * mean(1-d) about 0.46 misses the 0.70 floor.
     store = seeded_store([0.14, 0.28, 0.29])
-    result = match_decision(store, embed(QUERY_TEXT, ECFG), MatchConfig())
+    result = decide(store, embed(QUERY_TEXT, ECFG), MatchConfig())
     assert result.support == 3
     assert result.meta_confidence == pytest.approx((3 / 5) * (0.86 + 0.72 + 0.71) / 3, abs=1e-12)
     assert result.matched is False
 
 
 def test_match_decision_empty_store():
-    result = match_decision(MemoryStore(dims=ECFG.dims), embed("anything", ECFG), MatchConfig())
+    result = decide(MemoryStore(dims=ECFG.dims), embed("anything", ECFG), MatchConfig())
     assert result.matched is False
     assert result.nearest_distance == math.inf
     assert result.record_id is None
@@ -456,7 +563,7 @@ def test_load_store_rejects_dim_mismatch(tmp_path):
 
 
 def _store_state(store):
-    store.query(np.ones(store.dims), 1)  # brings the norms up to date
+    store.query(np.ones((1, store.dims)), 1)  # brings the norms up to date
     n = len(store)
     return (
         [(r.id, r.layer, r.attack_type, r.source, r.created_at) for r in store.records],
@@ -486,7 +593,7 @@ def test_query_norms_equal_the_row_by_row_norms():
         for _ in range(60):
             rid = f"r{rng.integers(150)}"
             store.insert(make_record(rid, rng.normal(size=8) * rng.choice([1e-3, 1.0, 1e3])))
-        store.query(rng.normal(size=8), 3)
+        store.query(rng.normal(size=(1, 8)), 3)
         n = len(store)
         want = [np.linalg.norm(r.vector[None, :], axis=1)[0] for r in store.records]
         assert store._norms[:n].tobytes() == np.array(want).tobytes()
@@ -528,8 +635,10 @@ def test_load_store_matches_insert_by_insert(tmp_path, caplog):
         got.insert(record)
         want.insert(record)
     _assert_same_store(got, want)
-    q = rng.normal(size=8)
-    assert [(r.id, d) for r, d in got.query(q, 5)] == [(r.id, d) for r, d in want.query(q, 5)]
+    q = rng.normal(size=(3, 8))
+    assert [[(r.id, d) for r, d in hits] for hits in got.query(q, 5)] == [
+        [(r.id, d) for r, d in hits] for hits in want.query(q, 5)
+    ]
 
     # a record with the wrong dims after good ones fails the whole load
     MemoryStore(dims=8, path=path).insert(make_record("r9", np.ones(8)))

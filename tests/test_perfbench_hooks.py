@@ -69,7 +69,9 @@ def test_tracer_and_boundaries_wrap_the_names_they_patch(perfbench, tmp_path):
     assert tracer.sums["pipeline.route_s.host.adaptive"] > 0
     assert tracer.sums["memory.embed_s"] > 0
     m = tracer.metrics({Mode.ADAPTIVE.value: {"layers": {"host": s.to_dict()}}}, 2)
-    assert m["memory.queries"] == s.uncertain
+    # One query for the block of the five uncertain events, and one more
+    # for the rest of it once the first batch promotes host-0.
+    assert m["memory.queries"] == 2
     assert m["memory.inserts"] == s.llm_promoted
     assert m["llm.calls"] == run.llm_calls == 4
     assert m["llm.failed"] == 0

@@ -258,6 +258,88 @@ def test_promotions_match_from_the_next_batch_on():
     assert gate2["nearest_distance"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_a_promotion_inside_a_gate2_block_reaches_the_rest_of_it():
+    # One Gate-2 block holds all four events; each batch is one event, so
+    # host-0's promotion is flushed before host-2 is decided.
+    cfg = PipelineConfig(llm_parallelism=1)
+    attack_raw = "sshd pid=1003 auth_fail user=root attempts=30 src=10.0.3.7"
+    rows = [(0.60, 1, 1, attack_raw), (0.55, 0, 0), (0.60, 1, 1, attack_raw), (0.58, 0, 0)]
+    stream = host_stream(rows)
+    run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
+    sinks = [r.sink for r in run.routed]
+    assert sinks == [Sink.LLM_ATTACK, Sink.REVIEW_BUCKET, Sink.MEMORY_ATTACK, Sink.REVIEW_BUCKET]
+    gate2 = {a["event_id"]: a for a in run.audits if a["gate"] == "gate2"}
+    assert gate2["host-0"]["record_id"] is None
+    assert (gate2["host-2"]["record_id"], gate2["host-2"]["matched"]) == ("host-0", True)
+
+
+def test_an_overwrite_inside_a_gate2_block_is_seen_at_once():
+    # The store holds a record under host-1's id with another payload.
+    # host-1's promotion overwrites it, so in the same block host-2 no
+    # longer matches the old payload and host-3 matches the new one.
+    cfg = PipelineConfig(llm_parallelism=1)
+    old_raw = "exec /bin/sh user=www-data path=/tmp/payload"
+    new_raw = "sshd pid=1003 auth_fail user=root attempts=30 src=10.0.3.7"
+    store = fresh_store(cfg)
+    store.insert(
+        memory.MemoryRecord(
+            id="host-1",
+            layer=LayerId.HOST,
+            vector=memory.embed(old_raw, cfg.embedding),
+            attack_type="webshell",
+            source=memory.MemorySource.MEMORY_SEEDED,
+            created_at="2000-01-01T00:00:00Z",
+        )
+    )
+    rows = [(0.60, 1, 1, old_raw), (0.55, 0, 1, new_raw), (0.58, 0, 0, old_raw)]
+    rows += [(0.60, 1, 1, new_raw)]
+    stream = host_stream(rows)
+    run = route_stream(LayerId.HOST, stream, 0.85, cfg, store, echo_for(stream))
+    sinks = [r.sink for r in run.routed]
+    assert sinks == [Sink.MEMORY_ATTACK, Sink.LLM_ATTACK, Sink.REVIEW_BUCKET, Sink.MEMORY_ATTACK]
+    gate2 = {a["event_id"]: a for a in run.audits if a["gate"] == "gate2"}
+    assert [gate2[f"host-{i}"]["record_id"] for i in (0, 2, 3)] == ["host-1"] * 3
+    assert gate2["host-2"]["nearest_distance"] > cfg.match.support_radius
+    assert gate2["host-3"]["nearest_distance"] == pytest.approx(0.0, abs=1e-12)
+    assert len(store) == 1
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_gate2_blocks_route_as_one_query_per_event(monkeypatch, parallelism):
+    # Payloads drawn from a few attack and benign patterns, so promotions
+    # and matches interleave across many blocks; a block of one queries
+    # each event after every flush before it.
+    rng = random.Random(31)
+    patterns = [f"sshd pid={p} auth_fail user=root attempts=30 src=10.0.3.{p}" for p in range(40)]
+    rows = []
+    for _ in range(200):
+        p = rng.randrange(len(patterns))
+        truth = int(p < 20)
+        rows.append((rng.uniform(0.5, 1.0), rng.randrange(2), truth, patterns[p]))
+    stream = host_stream(rows)
+    cfg = PipelineConfig(llm_parallelism=parallelism)
+
+    def route():
+        queries = []
+        store = fresh_store(cfg)
+        query = store.query
+        monkeypatch.setattr(store, "query", lambda v, k: queries.append(len(v)) or query(v, k))
+        run = route_stream(LayerId.HOST, stream, 0.85, cfg, store, echo_for(stream))
+        return run, queries
+
+    blocked, block_sizes = route()
+    assert max(block_sizes) == pipeline.GATE2_BLOCK == 32
+    monkeypatch.setattr(pipeline, "GATE2_BLOCK", 1)
+    single, single_sizes = route()
+    assert blocked.audits == single.audits
+    assert blocked.reviews == single.reviews
+    assert [r.sink for r in blocked.routed] == [r.sink for r in single.routed]
+    s = blocked.summary
+    assert s.memory_matched > 0 and s.llm_promoted > 0
+    assert single_sizes == [1] * s.uncertain
+    assert sum(block_sizes) > s.uncertain > len(block_sizes)
+
+
 def test_each_escalated_event_is_embedded_once(monkeypatch):
     calls = []
 
