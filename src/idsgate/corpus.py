@@ -13,12 +13,13 @@ distribution the gates see.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -266,18 +267,68 @@ def _safe_float(text: str) -> float:
     return value if math.isfinite(value) else 0.0
 
 
-def _hyp_plan(cls: str) -> list[tuple[float, float | None, bool]]:
-    """The draws of one row of class ``cls``, field by field in
-    ``HYP_NUMERIC_FIELDS`` order: ``(rate, None, False)`` for a Poisson
-    count, ``(mean, sd, is_fraction)`` for a Gaussian value."""
-    gauss = {**_HYP_GAUSS, **_HYP_CLASS_GAUSS.get(cls, {})}
+def _hyp_row_draws(
+    rng: np.random.Generator, cls: str, offset: int
+) -> list[tuple[Callable, tuple, int | slice]]:
+    """The draws of one row of class ``cls`` after its type, one per run
+    of fields in ``HYP_NUMERIC_FIELDS`` order: consecutive Gaussian
+    fields are one ``standard_normal`` call, consecutive Poisson fields
+    of one rate one ``poisson`` call.  Each is ``(call, args, cells)``,
+    where ``cells`` indexes the row's fields from ``offset`` on; a
+    one-field run is a scalar draw into one cell."""
     poisson = {**_HYP_POISSON, **_HYP_CLASS_POISSON.get(cls, {})}
-    return [
-        (poisson[name], None, False)
-        if name in poisson
-        else (*gauss[name], name in _FRACTION_FIELDS)
-        for name in HYP_NUMERIC_FIELDS
-    ]
+    draws: list[tuple[Callable, tuple, int | slice]] = []
+    start = offset
+    for rate, fields in itertools.groupby(poisson.get(name) for name in HYP_NUMERIC_FIELDS):
+        k = len(list(fields))
+        size, cells = ((), start) if k == 1 else ((k,), slice(start, start + k))
+        if rate is None:
+            draws.append((rng.standard_normal, size, cells))
+        else:
+            draws.append((rng.poisson, (rate, *size), cells))
+        start += k
+    return draws
+
+
+def _hyp_gauss_columns(cls: str) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The Gaussian fields of class ``cls``: their indices in
+    ``HYP_NUMERIC_FIELDS``, and each one's mean, sd and upper clip (1.0
+    for a fraction, else infinity; every value is clipped at 0.0 below)."""
+    gauss = {**_HYP_GAUSS, **_HYP_CLASS_GAUSS.get(cls, {})}
+    columns = [j for j, name in enumerate(HYP_NUMERIC_FIELDS) if name in gauss]
+    names = [HYP_NUMERIC_FIELDS[j] for j in columns]
+    return (
+        columns,
+        np.array([gauss[name][0] for name in names]),
+        np.array([gauss[name][1] for name in names]),
+        np.array([1.0 if name in _FRACTION_FIELDS else math.inf for name in names]),
+    )
+
+
+def round4(x: np.ndarray) -> None:
+    """Round each element of the float64 array ``x`` in place as
+    ``round(v, 4)`` does, which is ``float(f"{v:.4f}")``: the value its
+    four-decimal cell parses to, the sign of a zero included.
+
+    That is ``rint(x * 1e4) / 1e4`` wherever the float product lies below
+    2**33 in magnitude and more than 1e-6 from a half: there the product
+    is within 1e-6 of the exact one, so ``rint`` finds the integer that
+    the printed cell rounds to, and the division is the correctly rounded
+    value of that cell.  The other elements go through ``round`` one at a
+    time.
+    """
+    scaled = x * 1e4
+    nearest = np.rint(scaled)
+    # The scratch array holds each product's distance from its nearest
+    # integer, then that integer's magnitude.
+    scaled -= nearest
+    np.abs(scaled, out=scaled)
+    doubtful = scaled > 0.5 - 1e-6
+    np.abs(nearest, out=scaled)
+    doubtful |= ~(scaled < 2.0**33)
+    fallback = [round(v, 4) for v in x[doubtful].tolist()]
+    np.divide(nearest, 1e4, out=x)
+    x[doubtful] = fallback
 
 
 # A generated raw record: the type token, then counts without and
@@ -315,7 +366,10 @@ def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
     Rows are drawn class by class into one feature block (the one-hot of
     the type, then each numeric cell as its raw record shows it),
     shuffled once, and numbered; each event's features are a row of that
-    block.  The same config always yields the same events.
+    block.  A row draws its type, then each run of its fields with one
+    call, in field order; each class's Gaussian columns then get their
+    mean and sd, the clip and the four-decimal rounding.  The same
+    config always yields the same events.
     """
     rng = np.random.default_rng(cfg.seed)
     total = sum(cfg.class_counts.values())
@@ -324,23 +378,19 @@ def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
     types: list[int] = []
     classes: list[str] = []
     for cls in sorted(cfg.class_counts):
-        plan = _hyp_plan(cls)
-        for _ in range(cfg.class_counts[cls]):
-            hv = int(rng.integers(n_types))
-            cells = []
-            for a, sd, is_fraction in plan:
-                if sd is None:
-                    cells.append(float(rng.poisson(a)))
-                else:
-                    value = float(rng.normal(a, sd))
-                    value = min(max(value, 0.0), 1.0) if is_fraction else max(value, 0.0)
-                    # round(v, 4) is float(f"{v:.4f}"): the cell as printed.
-                    cells.append(round(value, 4))
-            row = block[len(types)]
-            row[hv] = 1.0
-            row[n_types:] = cells
-            types.append(hv)
-            classes.append(cls)
+        draws = _hyp_row_draws(rng, cls, n_types)
+        rows = block[len(types) : len(types) + cfg.class_counts[cls]]
+        for row in rows:
+            types.append(int(rng.integers(n_types)))
+            for draw, args, cells in draws:
+                row[cells] = draw(*args)
+        classes += [cls] * len(rows)
+        columns, mean, sd, upper = _hyp_gauss_columns(cls)
+        cells = rows[:, n_types:]
+        values = np.clip(mean + sd * cells[:, columns], 0.0, upper)
+        round4(values)
+        cells[:, columns] = values
+    block[np.arange(total), types] = 1.0
     order = rng.permutation(total).tolist()
     block = block[order]
     hv_tokens = [_kv_token(t) for t in HYP_TYPES]
@@ -392,11 +442,6 @@ def load_hypervisor_csv(path: str) -> list[Event]:
 NET_ATTACK_TYPES = ("port_scan", "brute_force", "dos", "infiltration")
 
 
-# gen_network parses its raw records back into the feature block this
-# many rows at a time, so no corpus-sized list of cell strings exists.
-_PARSE_CHUNK_ROWS = 1024
-
-
 def gen_network(cfg: NetGenConfig) -> list[Event]:
     """Two numeric flow populations with configurable mean separation.
 
@@ -426,12 +471,7 @@ def gen_network(cfg: NetGenConfig) -> list[Event]:
             kinds.append(None)
     template = ",".join(["%.4f"] * cfg.n_features)
     raws = [template % tuple(row.tolist()) for row in block]
-    for start in range(0, cfg.count, _PARSE_CHUNK_ROWS):
-        chunk = raws[start : start + _PARSE_CHUNK_ROWS]
-        cells = ",".join(chunk).split(",")
-        block[start : start + len(chunk)] = np.fromiter(
-            map(float, cells), np.float64, len(cells)
-        ).reshape(len(chunk), cfg.n_features)
+    round4(block)
     return [
         Event(
             id=make_event_id(LayerId.NETWORK, i),

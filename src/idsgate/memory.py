@@ -203,8 +203,8 @@ class MemoryStore:
             logger.warning("memory record %s overwritten", record.id)
         else:
             pos = len(self._records)
-            if pos == len(self._rows):  # full: double the capacity
-                self._reserve(2 * pos)
+            if pos == len(self._rows):  # full: grow by a quarter, at least 16 rows
+                self._reserve(pos + max(16, pos // 4))
             self._index[record.id] = pos
             self._records.append(record)
         self._rows[pos] = record.vector

@@ -274,9 +274,16 @@ def _assert_round_is_printed_value(drawn):
         assert math.copysign(1.0, round(v, 4)) == math.copysign(1.0, printed)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_hypervisor_matches_per_cell_reference(seed):
-    counts = {cls: 40 + 7 * i for i, cls in enumerate(DEFAULT_HYP_COUNTS)}
+_SMALL_HYP_COUNTS = {cls: 40 + 7 * i for i, cls in enumerate(DEFAULT_HYP_COUNTS)}
+
+
+@pytest.mark.parametrize(
+    "seed, counts",
+    [pytest.param(seed, _SMALL_HYP_COUNTS, id=str(seed)) for seed in (0, 1, 2)]
+    # the sizes that `idsgate compare` generates
+    + [pytest.param(2, DEFAULT_HYP_COUNTS, id="default-2")],
+)
+def test_hypervisor_matches_per_cell_reference(seed, counts):
     cfg = HypGenConfig(class_counts=counts, seed=seed)
     drawn = []
     want = _reference_gen_hypervisor(cfg, drawn)
@@ -286,15 +293,75 @@ def test_hypervisor_matches_per_cell_reference(seed):
     _assert_round_is_printed_value(drawn)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("count, n_features", [(2100, 40), (300, 4)])
-def test_network_matches_per_cell_reference(seed, count, n_features):
-    # 2100 rows parse back in two full chunks and a short one.
+@pytest.mark.parametrize(
+    "count, n_features, seed",
+    [(count, n_features, seed) for count, n_features in [(2100, 40), (300, 4)] for seed in range(3)]
+    # the size that `idsgate compare` generates
+    + [(25000, 40, 0)],
+)
+def test_network_matches_per_cell_reference(count, n_features, seed):
     cfg = NetGenConfig(count=count, n_features=n_features, seed=seed)
     drawn = []
     want = _reference_gen_network(cfg, drawn)
     _assert_same_events(gen_network(cfg), want)
     _assert_round_is_printed_value(drawn)
+
+
+def test_numpy_sized_draws_continue_the_scalar_stream():
+    # gen_hypervisor draws each run of a row's fields with one sized call,
+    # between the scalar `integers` calls of the row types: the stream must
+    # go on from where as many scalar draws would leave it.  The rates
+    # cover both of numpy's Poisson methods (below and from 10 on).
+    sized, scalar = np.random.default_rng(7), np.random.default_rng(7)
+    for step in range(400):
+        k = 1 + step % 6
+        rate = (None, 0.2, 0.5, 1.0, 4.0, 12.0, 18.0)[step % 7]
+        assert int(sized.integers(4)) == int(scalar.integers(4))
+        if rate is None:
+            assert sized.standard_normal(k).tolist() == [scalar.standard_normal() for _ in range(k)]
+        else:
+            assert sized.poisson(rate, k).tolist() == [scalar.poisson(rate) for _ in range(k)]
+    assert sized.bit_generator.state == scalar.bit_generator.state
+
+
+def test_numpy_normal_is_mean_plus_sd_times_standard_normal():
+    # gen_hypervisor applies each Gaussian field's mean and sd per column
+    # to standard normal draws; rng.normal(mean, sd) must be that value
+    # bit for bit, scalar and array alike.
+    params = list(corpus._HYP_GAUSS.values()) + [
+        pair for overrides in corpus._HYP_CLASS_GAUSS.values() for pair in overrides.values()
+    ]
+    for i, (mean, sd) in enumerate(params):
+        normal, standard = np.random.default_rng(i), np.random.default_rng(i)
+        want = np.array([normal.normal(mean, sd) for _ in range(500)])
+        assert [mean + sd * standard.standard_normal() for _ in range(250)] == want[:250].tolist()
+        assert (mean + sd * standard.standard_normal(250)).tobytes() == want[250:].tobytes()
+
+
+def test_round4_is_the_printed_cell(monkeypatch):
+    fallen_back = []
+
+    def spy(value, digits):
+        fallen_back.append(value)
+        return round(value, digits)
+
+    monkeypatch.setattr(corpus, "round", spy, raising=False)
+    ties = [0.03125, 0.15625, -0.03125, -0.15625, 2.71875]  # exact halves at the 4th decimal
+    # Near halves: the float product is an exact half, while the value
+    # itself lies above or below it, and rint alone gets many wrong.
+    near_halves = [(k + 0.5) / 1e4 for k in range(0, 2000, 7)]
+    negative_zeros = [-0.00004, -0.00004999, -1e-9, -0.0]  # print as -0.0000
+    large = [1e9, -1e9, 1e9 + 0.123456, 2.0**60]  # past the band of the product
+    rng = np.random.default_rng(3)
+    ordinary = (rng.normal(size=2000) * rng.choice([1e-3, 1.0, 1e3, 1e5], size=2000)).tolist()
+    values = ties + negative_zeros + large + near_halves + ordinary + [0.0, 858993.4591]
+    x = np.array(values)
+    corpus.round4(x)
+    want = np.array([float(f"{v:.4f}") for v in values])
+    assert x.tobytes() == want.tobytes()  # the sign of every zero too
+    assert np.signbit(x[len(ties) : len(ties) + len(negative_zeros)]).all()
+    assert set(ties + large + near_halves) <= set(fallen_back)
+    assert len(fallen_back) < len(ties + large + near_halves) + 10
 
 
 def test_network_counts_and_labels():

@@ -236,7 +236,7 @@ def test_query_tracks_interleaved_inserts_across_growth():
     rng = random.Random(12)
     store = MemoryStore(dims=8)
     vectors = {}
-    for i in range(300):  # past five doublings of the row block
+    for i in range(300):  # past ten growths of the row block
         rid = f"r{rng.randrange(10**6):06d}-{i}"
         vectors[rid] = np.zeros(8) if i % 17 == 0 else int_vector(rng, 8)
         store.insert(make_record(rid, vectors[rid]))
@@ -250,7 +250,7 @@ def test_store_keeps_its_vectors_only_in_the_row_block():
     # The store keeps no reference to an inserted vector; its records read
     # their vectors, read-only, from the block, across growth and overwrites.
     store = MemoryStore(dims=4)
-    vectors = {f"r{i}": np.array([i, 1.0, 0, -i]) for i in range(40)}  # past two doublings
+    vectors = {f"r{i}": np.array([i, 1.0, 0, -i]) for i in range(40)}  # past two growths
     refs = []
     for rid, v in vectors.items():
         given = v.copy()
@@ -645,3 +645,23 @@ def test_load_store_matches_insert_by_insert(tmp_path, caplog):
     MemoryStore(dims=3, path=path).insert(make_record("bad", np.ones(3)))
     with pytest.raises(DimMismatch, match=r"^stored record bad has 3 dims, expected 8$"):
         load_store(path, dims=8)
+
+
+@pytest.mark.parametrize("n", [40, 200, 2000])
+def test_insert_into_a_loaded_store_grows_its_block_by_a_quarter(tmp_path, n):
+    # A loaded store's block holds exactly its records; the insert that
+    # outgrows it adds a quarter of the rows, and at least 16, not n more.
+    rng = random.Random(n)
+    path = os.path.join(tmp_path, "mem.jsonl")
+    writer = MemoryStore(dims=8, path=path)
+    vectors = {}
+    for i in range(n):
+        vectors[f"r{i:04d}"] = int_vector(rng, 8)
+        writer.insert(make_record(f"r{i:04d}", vectors[f"r{i:04d}"]))
+    store = load_store(path, dims=8)
+    assert len(store._rows) == n
+    vectors["new"] = int_vector(rng, 8)
+    store.insert(make_record("new", vectors["new"]))
+    assert n + 1 <= len(store._rows) <= n + max(16, n // 4)
+    for q in [int_vector(rng, 8) for _ in range(5)] + [vectors["new"]]:
+        assert scan(store, q, 5) == full_sort(vectors, q, 5)
