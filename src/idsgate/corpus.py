@@ -2,6 +2,8 @@
 
 Network and hypervisor events get their feature vectors here, from the
 same cells as their raw records; host vectors are tf-idf, fitted later.
+A generated network or hypervisor event keeps no text: its raw record
+is printed from its feature row when it is read.
 
 The hypervisor generator is count-exact: the configured per-class totals
 are produced verbatim, then shuffled.  The network and host generators
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .events import Event, LayerId, make_event_id
+from .events import RAW_PRINTERS, Event, LayerId, make_event_id
 
 T = TypeVar("T")
 
@@ -337,6 +339,32 @@ _HYP_RAW_TEMPLATE = "hv=%s " + " ".join(
     f"{name}=%.0f" if name in _HYP_POISSON else f"{name}=%.4f"
     for name in HYP_NUMERIC_FIELDS
 )
+_HYP_TOKENS = tuple(_kv_token(t) for t in HYP_TYPES)
+
+
+def _print_hypervisor(row: np.ndarray) -> str:
+    """The raw record of a generated hypervisor row: the type its one-hot
+    marks, then each numeric cell."""
+    values = row.tolist()
+    n_types = len(HYP_TYPES)
+    return _HYP_RAW_TEMPLATE % (_HYP_TOKENS[values.index(1.0, 0, n_types)], *values[n_types:])
+
+
+def _print_network(row: np.ndarray) -> str:
+    """The raw record of a generated network row: its cells with four
+    decimals, joined by commas.
+
+    The row holds each drawn value x as :func:`round4` left it: the
+    double d nearest to x's printed cell s.  That prints as s again, at
+    any magnitude: d lies no farther from s than x does, which is at
+    most half a unit of the fourth decimal, and at exactly half a unit
+    both x and d print as the even one of their two neighbours, s.
+    """
+    return ",".join(["%.4f"] * len(row)) % tuple(row.tolist())
+
+
+RAW_PRINTERS[LayerId.NETWORK] = _print_network
+RAW_PRINTERS[LayerId.HYPERVISOR] = _print_hypervisor
 
 
 def _hyp_truth(cls: str) -> int:
@@ -353,7 +381,7 @@ def _hyp_event(row: dict[str, str], ordinal: int) -> Event:
     return Event(
         id=make_event_id(LayerId.HYPERVISOR, ordinal),
         layer=LayerId.HYPERVISOR,
-        raw=" ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:]),
+        text=" ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:]),
         features=np.array(features),
         truth=_hyp_truth(cls),
         truth_class=cls,
@@ -365,11 +393,12 @@ def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
 
     Rows are drawn class by class into one feature block (the one-hot of
     the type, then each numeric cell as its raw record shows it),
-    shuffled once, and numbered; each event's features are a row of that
-    block.  A row draws its type, then each run of its fields with one
-    call, in field order; each class's Gaussian columns then get their
-    mean and sd, the clip and the four-decimal rounding.  The same
-    config always yields the same events.
+    shuffled once, and numbered; each event's features are a read-only
+    row of that block, and its raw record is printed from that row.  A
+    row draws its type, then each run of its fields with one call, in
+    field order; each class's Gaussian columns then get their mean and
+    sd, the clip and the four-decimal rounding.  The same config always
+    yields the same events.
     """
     rng = np.random.default_rng(cfg.seed)
     total = sum(cfg.class_counts.values())
@@ -393,12 +422,12 @@ def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
     block[np.arange(total), types] = 1.0
     order = rng.permutation(total).tolist()
     block = block[order]
-    hv_tokens = [_kv_token(t) for t in HYP_TYPES]
+    block.flags.writeable = False
     return [
         Event(
             id=make_event_id(LayerId.HYPERVISOR, ordinal),
             layer=LayerId.HYPERVISOR,
-            raw=_HYP_RAW_TEMPLATE % (hv_tokens[types[i]], *row[n_types:].tolist()),
+            text=None,
             features=row,
             truth=_hyp_truth(classes[i]),
             truth_class=classes[i],
@@ -449,8 +478,9 @@ def gen_network(cfg: NetGenConfig) -> list[Event]:
     covariance but sit ``separation`` away along a fixed random
     direction.  High separation makes a trained model confident, low
     separation leaves diffuse mid-range confidence mass.  Each event's
-    features are its row of one block, holding the values its raw
-    record prints (four decimals).
+    features are its read-only row of one block, each drawn value
+    rounded to four decimals, and its raw record is printed from that
+    row (:func:`_print_network`).
     """
     rng = np.random.default_rng(cfg.seed)
     direction = rng.normal(size=cfg.n_features)
@@ -469,19 +499,18 @@ def gen_network(cfg: NetGenConfig) -> list[Event]:
             kinds.append(NET_ATTACK_TYPES[int(rng.integers(len(NET_ATTACK_TYPES)))])
         else:
             kinds.append(None)
-    template = ",".join(["%.4f"] * cfg.n_features)
-    raws = [template % tuple(row.tolist()) for row in block]
     round4(block)
+    block.flags.writeable = False
     return [
         Event(
             id=make_event_id(LayerId.NETWORK, i),
             layer=LayerId.NETWORK,
-            raw=raw,
+            text=None,
             features=row,
             truth=truth,
             truth_class=kind,
         )
-        for i, (raw, row, truth, kind) in enumerate(zip(raws, block, truths, kinds))
+        for i, (row, truth, kind) in enumerate(zip(block, truths, kinds))
     ]
 
 
@@ -614,7 +643,7 @@ def gen_hostlogs(cfg: HostGenConfig) -> list[Event]:
             Event(
                 id=make_event_id(LayerId.HOST, i),
                 layer=LayerId.HOST,
-                raw=raw,
+                text=raw,
                 features=PLACEHOLDER_FEATURES,
                 truth=truth,
                 truth_class=kind,

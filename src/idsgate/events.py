@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -45,22 +46,36 @@ class Verdict(str, Enum):
     UNSURE = "UNSURE"
 
 
+# The printer of each layer whose generator leaves an event's ``text``
+# None: it prints the event's raw record from its feature row.  The
+# corpus module registers them.
+RAW_PRINTERS: dict[LayerId, Callable[[np.ndarray], str]] = {}
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Event:
     """One observable unit: a flow record, a log line, or a hypervisor event.
 
-    ``features`` is the dense numeric vector the base classifier consumes;
-    its length is layer-specific but constant within a run.  ``truth`` is
-    the optional binary ground-truth label (1 = attack) and ``truth_class``
-    the optional attack-class name used by generators and reports.
+    ``raw`` is the event's record: ``text``, the record as it was read,
+    or for a generated event (``text`` None) the record printed from its
+    feature row on each read.  ``features`` is the dense numeric vector
+    the base classifier consumes; its length is layer-specific but
+    constant within a run.  ``truth`` is the optional binary ground-truth
+    label (1 = attack) and ``truth_class`` the optional attack-class name
+    used by generators and reports.
     """
 
     id: str
     layer: LayerId
-    raw: str
+    text: str | None
     features: np.ndarray
     truth: int | None = None
     truth_class: str | None = None
+
+    @property
+    def raw(self) -> str:
+        text = self.text
+        return RAW_PRINTERS[self.layer](self.features) if text is None else text
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -146,7 +146,7 @@ def build_prompt(se: ScoredEvent, match: MatchResult | None = None) -> str:
     a hash-keyed mock stand in for a live model.
     """
     event = se.event
-    payload = event.raw if event.raw else "(no payload)"
+    payload = event.raw or "(no payload)"
     model_label = "ATTACK" if se.pred_label == 1 else "BENIGN"
     if match is None or not math.isfinite(match.nearest_distance):
         memory_line = "no stored attack patterns"

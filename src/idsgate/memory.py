@@ -17,7 +17,6 @@ both the query and the insert.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import heapq
 import json
@@ -88,23 +87,49 @@ class MatchConfig:
             raise ValueError(f"min_meta must be in [0, 1], got {self.min_meta}")
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def _bucket(token: str, dims: int) -> int:
-    # Process-stable hash; Python's hash() is salted per run.  A fixed
-    # function of (token, dims), so each distinct pair is hashed once.
+    # Process-stable hash; Python's hash() is salted per run.
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % dims
+
+
+# Each token's bucket, one dict per embedding width.  Together they hold
+# at most _BUCKET_MEMO_SIZE tokens, so each distinct (token, dims) pair
+# is hashed about once.
+_BUCKET_MEMO_SIZE = 1 << 16
+_bucket_memos: dict[int, dict[str, int]] = {}
+
+
+def _token_buckets(tokens: list[str], dims: int) -> np.ndarray:
+    """The bucket of each token.  The memos are emptied when a text's new
+    tokens would take them past their size; a text with more distinct
+    tokens than that is hashed without them."""
+    memo = _bucket_memos.setdefault(dims, {})
+    try:
+        return np.fromiter(map(memo.__getitem__, tokens), np.intp, len(tokens))
+    except KeyError:
+        pass
+    new = set(tokens).difference(memo)
+    if len(new) + sum(map(len, _bucket_memos.values())) > _BUCKET_MEMO_SIZE:
+        for held in _bucket_memos.values():
+            held.clear()
+        new = set(tokens)
+        if len(new) > _BUCKET_MEMO_SIZE:
+            memo = {}
+    for token in new:
+        memo[token] = _bucket(token, dims)
+    return np.fromiter(map(memo.__getitem__, tokens), np.intp, len(tokens))
 
 
 def embed(text: str, cfg: EmbeddingConfig) -> np.ndarray:
     """Token-count embedding: hash each token into a bucket, L2-normalize.
 
-    Empty or token-free text embeds to the zero vector.
+    Empty or token-free text embeds to the zero vector.  The counts are
+    integers, so their sum of squares, and thus the norm, is exact.
     """
-    buckets = [_bucket(token, cfg.dims) for token in tokenize(text)]
-    vec = np.bincount(np.array(buckets, dtype=np.intp), minlength=cfg.dims).astype(np.float64)
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0.0 else vec
+    counts = np.bincount(_token_buckets(tokenize(text), cfg.dims), minlength=cfg.dims)
+    norm = math.sqrt(counts @ counts)
+    return counts / norm if norm > 0.0 else counts.astype(np.float64)
 
 
 def rank_margin(dims: int) -> float:

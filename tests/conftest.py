@@ -84,7 +84,7 @@ def make_event(
     return Event(
         id=event_id,
         layer=layer,
-        raw=raw,
+        text=raw,
         features=features if features is not None else np.zeros(4),
         truth=truth,
         truth_class=truth_class,
@@ -133,7 +133,7 @@ def hidslike_stream(seed: int, n: int, prefix: str) -> list[ScoredEvent]:
         event = Event(
             id=f"{prefix}-{i}",
             layer=LayerId.HOST,
-            raw=raw,
+            text=raw,
             features=np.zeros(1),
             truth=truth,
             truth_class="synthetic_attack" if truth == 1 else None,

@@ -256,7 +256,7 @@ def _warmup_stream() -> tuple[list[ScoredEvent], dict[str, int], dict[str, str]]
         event = Event(
             id=event_id,
             layer=LayerId.HOST,
-            raw=raw,
+            text=raw,
             features=np.zeros(1),
             truth=truth,
             truth_class="replayed_attack" if truth == 1 else None,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -205,6 +206,23 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     missing = os.path.join(tmp_path, "nope.cfg")
     assert main(["gen", "--config", missing]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+# The corpora `idsgate gen --seed 0` writes at the default sizes.
+GEN_SEED_0_SHA256 = {
+    "network.csv": "aa1216d671b7fc538866912318d0980404efc3e1aae99f6ad03ec4fc9a411143",
+    "host.jsonl": "0eafbff79b08677ddcd192fa6fcae50bfa41d44623cc4d36c05849f55dfdf4e0",
+    "hypervisor.csv": "099cec6e9506dda49573644593d537e17d7915c85e4f7aa1d67b503213dc6dd0",
+}
+
+
+def test_gen_seed_0_writes_the_recorded_corpora(tmp_path, capsys):
+    assert main(["gen", "--seed", "0", "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GEN_SEED_0_SHA256
+    }
+    assert digests == GEN_SEED_0_SHA256
 
 
 def test_gen_then_run_then_report(tmp_path, capsys):

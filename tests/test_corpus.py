@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def _reference_gen_hypervisor(cfg, drawn):
             Event(
                 id=make_event_id(LayerId.HYPERVISOR, ordinal),
                 layer=LayerId.HYPERVISOR,
-                raw=" ".join(f"{k}={row[k].replace(' ', '_')}" for k in HYP_COLUMNS[1:]),
+                text=" ".join(f"{k}={row[k].replace(' ', '_')}" for k in HYP_COLUMNS[1:]),
                 features=np.array(features),
                 truth=0 if row["event_class"] == "normal" else 1,
                 truth_class=row["event_class"],
@@ -246,7 +247,7 @@ def _reference_gen_network(cfg, drawn):
             Event(
                 id=make_event_id(LayerId.NETWORK, i),
                 layer=LayerId.NETWORK,
-                raw=",".join(cells),
+                text=",".join(cells),
                 features=np.array([float(c) for c in cells]),
                 truth=truth,
                 truth_class=corpus.NET_ATTACK_TYPES[int(rng.integers(4))] if truth == 1 else None,
@@ -305,6 +306,67 @@ def test_network_matches_per_cell_reference(count, n_features, seed):
     want = _reference_gen_network(cfg, drawn)
     _assert_same_events(gen_network(cfg), want)
     _assert_round_is_printed_value(drawn)
+
+
+@pytest.mark.parametrize("separation", [1e12, 1e18])
+def test_network_large_cells_print_as_drawn(separation):
+    # Attack cells on both sides of 4.5e11, where one ulp passes 1e-4,
+    # and far past it: the record printed from the rounded row is still
+    # the drawn values' "%.4f" cells.
+    cfg = NetGenConfig(count=300, n_features=4, separation=separation, seed=1)
+    drawn = []
+    want = _reference_gen_network(cfg, drawn)
+    magnitudes = np.abs(drawn)
+    assert (magnitudes < 4.5e11).any() and (magnitudes > 4.5e11).any()
+    _assert_same_events(gen_network(cfg), want)
+
+
+def test_rounded_cell_prints_as_the_drawn_value_at_every_magnitude():
+    # A network record is printed from cells round4 has rounded; each
+    # must print as the value it was drawn as: on both sides of 4.5e11
+    # and 2**39, where one ulp reaches 1e-4, and far past them, exact
+    # halves (k/32) and near-halves included.
+    fractions = [0.0, 0.03125, 0.09375, 0.15625, 0.00004, 0.00005, 0.12345, 0.99995, 0.7]
+    bases = [0.0, 1.0, 4.4e11, 4.5e11, 4.6e11, 2.0**39 - 1, 2.0**39, 2.0**39 + 1, 2.0**45, 1e20]
+    values = [sign * (base + f) for base in bases for f in fractions for sign in (1.0, -1.0)]
+    rng = np.random.default_rng(5)
+    values += (rng.normal(size=4000) * 10.0 ** rng.integers(0, 20, size=4000)).tolist()
+    x = np.array(values)
+    corpus.round4(x)
+    assert corpus._print_network(x) == ",".join(f"{v:.4f}" for v in values)
+
+
+def _retained_bytes(generate):
+    tracemalloc.start()
+    try:
+        events = generate()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained, events
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: gen_network(NetGenConfig(count=25000, n_features=40, seed=0)),
+        lambda: gen_hypervisor(HypGenConfig(seed=0)),
+    ],
+    ids=["network", "hypervisor"],
+)
+def test_generators_keep_no_text(generate):
+    # A generated event holds its row of the feature block and no
+    # formatted record: beyond the block, its event, id and row view take
+    # under 300 bytes, and a record's text would add about 330 (network)
+    # or 490 (hypervisor) more.
+    retained, events = _retained_bytes(generate)
+    assert len(events) == 25000
+    block = events[0].features.base
+    assert all(e.features.base is block and e.text is None for e in events)
+    assert retained - block.nbytes < 400 * len(events)
+    # The row the record is printed from cannot change under it.
+    with pytest.raises(ValueError):
+        events[0].features[0] = 1.0
 
 
 def test_numpy_sized_draws_continue_the_scalar_stream():

@@ -12,6 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
+from idsgate import memory
 from idsgate.corpus import (
     HostGenConfig,
     HypGenConfig,
@@ -102,6 +103,18 @@ def test_embed_matches_sha256_formula():
             got = embed(text, EmbeddingConfig(dims=dims))
             assert got.dtype == np.float64 and got.shape == (dims,)
             assert np.array_equal(got, _sha256_embed(text, dims)), (text, dims)
+
+
+def test_bucket_memos_stay_within_their_size(monkeypatch):
+    monkeypatch.setattr(memory, "_BUCKET_MEMO_SIZE", 64)
+    monkeypatch.setattr(memory, "_bucket_memos", {})
+    texts = [" ".join(f"t{i}x{j}" for j in range(30)) for i in range(6)]
+    texts += [" ".join(f"wide{j}" for j in range(100)), "t0x1 t0x1 wide3"]
+    for text in texts:
+        for dims in (256, 97):
+            got = embed(text, EmbeddingConfig(dims=dims))
+            assert np.array_equal(got, _sha256_embed(text, dims)), (text, dims)
+            assert sum(map(len, memory._bucket_memos.values())) <= 64
 
 
 def test_embedding_config_rejects_tiny_dims():

@@ -181,7 +181,7 @@ def _labeled_blob(seed: int, n: int, dims: int = 6) -> list[Event]:
             Event(
                 id=f"network-{i}",
                 layer=LayerId.NETWORK,
-                raw="",
+                text="",
                 features=feats,
                 truth=truth,
             )
@@ -516,6 +516,16 @@ def test_replay_csv_round_trip(tmp_path):
     assert all(se.event.layer is LayerId.HOST and se.event.raw == "" for se in stream)
     # the shared zero cell stands in for the payload replay rows lack
     assert all(se.event.features is PLACEHOLDER_FEATURES for se in stream)
+
+
+@pytest.mark.parametrize("layer", [LayerId.NETWORK, LayerId.HYPERVISOR])
+def test_replayed_event_of_a_printed_layer_keeps_its_empty_record(tmp_path, layer):
+    # A generated event of these layers prints its record from its row;
+    # a replayed one read an empty record, and that is what it keeps.
+    path = tmp_path / "replay.csv"
+    path.write_text(REPLAY_HEADER + f"{layer.value}-3,{layer.value},1,0.6,1\n")
+    [se] = load_replay_csv(str(path), layer)
+    assert (se.event.text, se.event.raw) == ("", "")
 
 
 def test_replay_csv_repeated_id_keeps_first_position_and_last_row(tmp_path):
