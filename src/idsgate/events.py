@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .scoring import TfidfRow
 
 
 class LayerId(str, Enum):
@@ -58,17 +61,19 @@ class Event:
 
     ``raw`` is the event's record: ``text``, the record as it was read,
     or for a generated event (``text`` None) the record printed from its
-    feature row on each read.  ``features`` is the dense numeric vector
-    the base classifier consumes; its length is layer-specific but
-    constant within a run.  ``truth`` is the optional binary ground-truth
-    label (1 = attack) and ``truth_class`` the optional attack-class name
-    used by generators and reports.
+    feature row on each read.  ``features`` is the numeric vector the
+    base classifier consumes; its length is layer-specific but constant
+    within a run.  It is a dense array, except for a host evaluation
+    event, whose features are a ``scoring.TfidfRow``: a sparse row that
+    ``np.asarray`` reads as its dense vector.  ``truth`` is the optional
+    binary ground-truth label (1 = attack) and ``truth_class`` the
+    optional attack-class name used by generators and reports.
     """
 
     id: str
     layer: LayerId
     text: str | None
-    features: np.ndarray
+    features: np.ndarray | TfidfRow
     truth: int | None = None
     truth_class: str | None = None
 

@@ -85,8 +85,9 @@ HYPERVISOR_FILE = "hypervisor.csv"
 @dataclasses.dataclass
 class LayerBundle:
     """One layer, ready to run: its corpus, the evaluation events with
-    their features, the fitted scorer (``None`` for replayed scores) and
-    the scores of both splits."""
+    their features (for the host layer, each a ``TfidfRow`` of one
+    evaluation-sized block of sparse rows), the fitted scorer (``None``
+    for replayed scores) and the scores of both splits."""
 
     layer: LayerId
     events: list[Event]
@@ -138,8 +139,9 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     on the training split only, so evaluation text never leaks into the
     fit.  The model trains on the training split's features, and each
     split is scored from its own by the same call.  Only the host
-    evaluation events keep their rows, as dense vectors; the host
-    ``train_scored`` holds the split's own events.
+    evaluation events keep their rows: each event's ``features`` is its
+    ``TfidfRow`` of the split's sparse rows, and no dense block is built.
+    The host ``train_scored`` holds the split's own events.
     """
     cfg = xcfg.pipeline
     spec = xcfg.scorers[layer]
@@ -175,7 +177,7 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     x_eval = featurize(eval_events)
     if layer is LayerId.HOST:
         eval_events = [
-            dataclasses.replace(e, features=v) for e, v in zip(eval_events, x_eval.dense())
+            dataclasses.replace(e, features=x_eval.row(i)) for i, e in enumerate(eval_events)
         ]
     return LayerBundle(
         layer=layer,

@@ -134,6 +134,10 @@ class TfidfRows:
         cells = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
         return TfidfRows(indptr, self.indices[cells], self.data[cells], self.dims)
 
+    def row(self, i: int) -> TfidfRow:
+        """Row ``i``, kept sparse; numpy reads it as its dense vector."""
+        return TfidfRow(self, i)
+
     def dense(self) -> np.ndarray:
         """The rows as one ``(len(self), dims)`` float64 block."""
         block = np.zeros((len(self), self.dims))
@@ -149,6 +153,28 @@ class TfidfRows:
         cells = np.take(v, self.indices, out=cells, mode="clip")
         cells *= self.data
         return _segment_sums(cells, self.indptr)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class TfidfRow:
+    """Row ``index`` of ``rows``, a vector of ``rows.dims`` cells that holds
+    no dense copy: ``np.asarray`` scatters its stored cells into a fresh
+    zero vector on each read, the same bits as its row of ``rows.dense()``."""
+
+    rows: TfidfRows
+    index: int
+
+    def __len__(self) -> int:
+        return self.rows.dims
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a tf-idf row has no dense array to return without a copy")
+        rows = self.rows
+        cells = slice(rows.indptr[self.index], rows.indptr[self.index + 1])
+        vector = np.zeros(rows.dims, dtype=dtype)
+        vector[rows.indices[cells]] = rows.data[cells]
+        return vector
 
 
 def extract_features(texts: list[str], extractor: FeatureExtractor) -> TfidfRows:

@@ -33,7 +33,7 @@ from idsgate.llm import EchoLlmClient, HttpLlmClient, MockLlmClient, prompt_sha2
 from idsgate.memory import MemoryRecord, MemorySource, embed
 from idsgate.outputs import IoWriteFailure
 from idsgate.pipeline import Mode
-from idsgate.scoring import extract_features, fit_tfidf, score_stream
+from idsgate.scoring import TfidfRow, extract_features, fit_tfidf, score_stream
 
 
 def small_cfg(tmp_path, **extra):
@@ -126,11 +126,13 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
     xcfg = small_cfg(tmp_path)
     bundle = prepare_layer(LayerId.HOST, xcfg)
     assert all(se.event.features.shape == (1,) for se in bundle.train_scored)
+    # each evaluation row is a row of the evaluation split's own sparse
+    # rows, which hold only that split's cells
     n_eval = len(bundle.eval_events)
-    assert all(
-        e.features.base is None or e.features.base.shape[0] == n_eval
-        for e in bundle.eval_events
-    )
+    assert all(isinstance(e.features, TfidfRow) for e in bundle.eval_events)
+    blocks = {id(e.features.rows): e.features.rows for e in bundle.eval_events}
+    assert [len(rows) for rows in blocks.values()] == [n_eval]
+    assert [e.features.index for e in bundle.eval_events] == list(range(n_eval))
     # each pair is the one the training event's tf-idf rows score
     train, _ = split_train_test(bundle.events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
     texts = [e.raw for e in train]
@@ -145,6 +147,26 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
     p = 1.0 / (1.0 + np.exp(-(z + bundle.scorer.bias)))
     assert [se.pred_label for se in bundle.train_scored] == (p > 0.5).tolist()
     assert [se.confidence for se in bundle.train_scored] == pytest.approx(
+        np.maximum(p, 1.0 - p).tolist(), rel=0, abs=1e-12
+    )
+
+
+def test_host_evaluation_features_read_as_their_dense_tfidf_rows(tmp_path):
+    xcfg = small_cfg(tmp_path)
+    bundle = prepare_layer(LayerId.HOST, xcfg)
+    train, test = split_train_test(bundle.events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
+    extractor = fit_tfidf([e.raw for e in train])
+    block = extract_features([e.raw for e in test[: xcfg.pipeline.eval_count]], extractor).dense()
+    assert len(bundle.eval_events) == len(block) == 40
+    for e, row in zip(bundle.eval_events, block):
+        assert len(e.features) == extractor.dims
+        assert np.asarray(e.features).tobytes() == row.tobytes()
+    # the stacked features reproduce every evaluation confidence
+    x = np.stack([e.features for e in bundle.eval_events])
+    assert x.tobytes() == block.tobytes()
+    p = 1.0 / (1.0 + np.exp(-(x @ bundle.scorer.weights + bundle.scorer.bias)))
+    assert [se.event for se in bundle.eval_scored] == bundle.eval_events
+    assert [se.confidence for se in bundle.eval_scored] == pytest.approx(
         np.maximum(p, 1.0 - p).tolist(), rel=0, abs=1e-12
     )
 

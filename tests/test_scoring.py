@@ -135,6 +135,25 @@ def test_tfidf_block_matches_per_event_reference():
         assert row.tobytes() == _reference_tfidf_vector(raw, fx).tobytes()
 
 
+def test_tfidf_row_reads_as_its_row_of_the_dense_block():
+    raws = ["alpha beta beta", "", "gamma zeta", "alpha gamma"]
+    rows = extract_features(raws, fit_tfidf(raws))
+    block = rows.dense()
+    views = [rows.row(i) for i in range(len(rows))]
+    assert all(len(v) == rows.dims == 4 for v in views)
+    for v, expected in zip(views, block):
+        vector = np.asarray(v)
+        assert vector.dtype == np.float64
+        assert vector.tobytes() == expected.tobytes()
+        assert np.asarray(v) is not vector  # a fresh vector on each read
+        assert np.asarray(v, dtype=np.float32).tobytes() == expected.astype(np.float32).tobytes()
+    assert not np.asarray(views[1]).any()  # no vocabulary term: a zero row
+    assert np.stack(views).tobytes() == block.tobytes()
+    assert np.linalg.norm(views[2]) == np.linalg.norm(block[2])
+    with pytest.raises(ValueError, match="without a copy"):
+        views[0].__array__(copy=False)
+
+
 def test_tfidf_rows_hold_every_term_of_text_that_lowercases_longer():
     # "İ" lowercases to "i" and a combining dot, so "İa" (2 characters)
     # holds two terms, and its row keeps both.
