@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 from .events import (
     Event,
     LayerId,
-    RoutedEvent,
     ScoredEvent,
     Sink,
     Verdict,
@@ -54,7 +53,6 @@ __all__ = [
     "__version__",
     "Event",
     "ScoredEvent",
-    "RoutedEvent",
     "LayerId",
     "Sink",
     "Verdict",

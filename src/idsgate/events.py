@@ -4,7 +4,7 @@ Events flow through three gates per layer.  Gate-1 splits the stream on
 model confidence, Gate-2 checks an embedded attack-vector memory, Gate-3
 escalates to an LLM analyst.  Every event leaves the pipeline through
 exactly one sink; :func:`working_verdict` reads a routed event's label
-off its (scored event, sink) pair.
+off its sink and its model label.
 """
 
 from __future__ import annotations
@@ -104,15 +104,6 @@ def working_verdict(sink: Sink, pred_label: int) -> tuple[int, bool]:
     label, and the review bucket defers it to a human."""
     label = 1 if sink in (Sink.MEMORY_ATTACK, Sink.LLM_ATTACK) else pred_label
     return label, sink is Sink.REVIEW_BUCKET
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class RoutedEvent:
-    """A scored event together with the sink it reached; its label is
-    ``working_verdict(sink, se.pred_label)``."""
-
-    se: ScoredEvent
-    sink: Sink
 
 
 def make_event_id(layer: LayerId, ordinal: int) -> str:

@@ -280,7 +280,11 @@ def write_mode_artifacts(
     os.makedirs(xcfg.out_dir, exist_ok=True)
     paths = output_paths(xcfg.out_dir, mode_run.mode.value, run_id_of(xcfg))
     runs = [mode_run.layer_runs[layer] for layer in LAYER_ORDER if layer in mode_run.layer_runs]
-    write_confidence_csv(paths.confidence, [r for lr in runs for r in lr.routed])
+    write_confidence_csv(
+        paths.confidence,
+        [se for lr in runs for se in lr.scored],
+        [sink for lr in runs for sink in lr.sinks],
+    )
     write_jsonl(paths.audit, [row for lr in runs for row in lr.audits])
     write_review_jsonl(paths.review, [row for lr in runs for row in lr.reviews])
     write_run_summary(paths.summary, summary)

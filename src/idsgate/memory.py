@@ -10,9 +10,10 @@ rounding margin of a query's k-th best cosine get their distance
 recomputed in one fixed summation order.  Those recomputed distances are
 the ones returned, so the k nearest and their distances do not depend on
 the BLAS kernel or thread count, and there is no index to keep in step.
-``insert`` is the only way in: a store file is loaded by inserting its
-records in order.  Callers embed a payload once and hand the vector to
-both the query and the insert.
+A query answers (id, distance) pairs; a ``MemoryRecord`` is the unit of
+insert and of the store file only.  ``insert`` is the only way in: a
+store file is loaded by inserting its records in order.  Callers embed a
+payload once and hand the vector to both the query and the insert.
 """
 
 from __future__ import annotations
@@ -176,72 +177,78 @@ class MemoryStore:
     """In-process vector store with optional JSONL persistence.
 
     When bound to a path, every insert appends one line; reloading keeps
-    the last occurrence of a duplicated id.  The row block is the only
-    copy of the vectors: a stored record's ``vector`` is a read-only view
-    of its row, so an overwrite of its id changes it in place.
+    the last occurrence of a duplicated id.  The store keeps columns: the
+    ids, each id's (layer, attack type, source, created at), and the row
+    block, the only copy of the vectors.  An overwrite of an id keeps its
+    position and replaces its row and fields.
     """
 
     def __init__(self, dims: int, path: str | None = None):
         self.dims = dims
         self.path = path
-        self._records: list[MemoryRecord] = []
+        # Position i holds _ids[i], its fields _fields[i] and row i of the
+        # block (and of the norms); rows past len(self) are spare
+        # capacity, and the norms from row _stale on wait for the next
+        # query.
+        self._ids: list[str] = []
+        self._fields: list[tuple[LayerId, str, MemorySource, str]] = []
         self._index: dict[str, int] = {}
-        # Row i of the block (and of the norms) is _records[i]'s vector;
-        # rows past len(self) are spare capacity, and the norms from row
-        # _stale on wait for the next query.
         self._rows = np.zeros((16, dims), dtype=np.float64)
         self._norms = np.zeros(16, dtype=np.float64)
         self._stale = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
     @property
     def records(self) -> list[MemoryRecord]:
-        return list(self._records)
-
-    def _on_row(self, record: MemoryRecord, pos: int) -> MemoryRecord:
-        """``record`` with its vector read from row ``pos`` of the block."""
-        row = self._rows[pos]
-        row.flags.writeable = False
-        return MemoryRecord(
-            record.id, record.layer, row, record.attack_type, record.source, record.created_at
-        )
+        """The stored records in position order, each ``vector`` a
+        read-only view of its row."""
+        rows = self._rows[: len(self)].view()
+        rows.flags.writeable = False
+        return [
+            MemoryRecord(rid, layer, row, attack_type, source, created_at)
+            for rid, (layer, attack_type, source, created_at), row in zip(
+                self._ids, self._fields, rows
+            )
+        ]
 
     def _reserve(self, capacity: int) -> None:
         """Move the rows to a block of ``capacity`` rows, if that is more."""
         if capacity <= len(self._rows):
             return
-        n = len(self._records)
+        n = len(self)
         rows, norms = np.zeros((capacity, self.dims)), np.zeros(capacity)
         rows[:n], norms[:n] = self._rows[:n], self._norms[:n]
         self._rows, self._norms = rows, norms
-        self._records = [self._on_row(r, i) for i, r in enumerate(self._records)]
 
     def insert(self, record: MemoryRecord) -> None:
         if len(record.vector) != self.dims:
             raise DimMismatch(
                 f"record {record.id}: vector has {len(record.vector)} dims, store expects {self.dims}"
             )
+        fields = (record.layer, record.attack_type, record.source, record.created_at)
         pos = self._index.get(record.id)
         if pos is not None:
             logger.warning("memory record %s overwritten", record.id)
+            self._fields[pos] = fields
         else:
-            pos = len(self._records)
+            pos = len(self._ids)
             if pos == len(self._rows):  # full: grow by a quarter, at least 16 rows
                 self._reserve(pos + max(16, pos // 4))
             self._index[record.id] = pos
-            self._records.append(record)
+            self._ids.append(record.id)
+            self._fields.append(fields)
         self._rows[pos] = record.vector
-        self._records[pos] = self._on_row(record, pos)
         self._stale = min(self._stale, pos)
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(_record_to_dict(record)) + "\n")
 
-    def query(self, vectors: np.ndarray, k: int) -> list[list[tuple[MemoryRecord, float]]]:
+    def query(self, vectors: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
         """The k nearest records of each row of the ``(m, dims)`` block
-        ``vectors``, by cosine distance, distance then id order.
+        ``vectors`` as (id, cosine distance) pairs, in distance then id
+        order.
 
         A zero-magnitude query or stored row has similarity 0 with
         everything, so a zero query is at distance 1.0 from every record.
@@ -252,7 +259,7 @@ class MemoryStore:
             )
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        n = len(self._records)
+        n = len(self)
         if n == 0:
             return [[] for _ in vectors]
         if self._stale < n:
@@ -285,22 +292,21 @@ class MemoryStore:
         dists = np.clip(1.0 - sims, 0.0, 2.0).tolist()
         bounds = np.searchsorted(query_of, np.arange(len(vectors) + 1)).tolist()
         near = near.tolist()
-        recs = self._records
+        ids = self._ids
         found = []
         for qnorm, start, stop in zip(qnorms.tolist(), bounds, bounds[1:]):
             if qnorm == 0.0:
-                scored = [(1.0, rec.id, i) for i, rec in enumerate(recs)]
+                scored = [(1.0, rid) for rid in ids]
             else:
-                scored = [(d, recs[i].id, i) for d, i in zip(dists[start:stop], near[start:stop])]
-            found.append([(recs[i], d) for d, _, i in heapq.nsmallest(k, scored)])
+                scored = [(d, ids[i]) for d, i in zip(dists[start:stop], near[start:stop])]
+            found.append([(rid, d) for d, rid in heapq.nsmallest(k, scored)])
         return found
 
 
-def match_decision(
-    neighbors: list[tuple[MemoryRecord, float]], mcfg: MatchConfig
-) -> MatchResult:
+def match_decision(neighbors: list[tuple[str, float]], mcfg: MatchConfig) -> MatchResult:
     """Decide whether stored attack vectors explain an embedded payload,
-    from its ``neighbors`` as :meth:`MemoryStore.query` returns them.
+    from its ``neighbors``, the (id, distance) pairs that
+    :meth:`MemoryStore.query` returns for it.
 
     Support counts neighbors within the support radius of the k
     retrieved; meta-confidence is (support / k) times the mean closeness
@@ -311,7 +317,7 @@ def match_decision(
         return MatchResult(
             matched=False, nearest_distance=math.inf, support=0, meta_confidence=0.0
         )
-    nearest_rec, nearest = neighbors[0]
+    nearest_id, nearest = neighbors[0]
     supporting = [d for _, d in neighbors if d <= mcfg.support_radius]
     support = len(supporting)
     if support:
@@ -326,7 +332,7 @@ def match_decision(
         nearest_distance=nearest,
         support=support,
         meta_confidence=meta,
-        record_id=nearest_rec.id,
+        record_id=nearest_id,
     )
 
 
@@ -406,7 +412,8 @@ def load_store(path: str, dims: int) -> MemoryStore:
             JSON object with the six record fields, a layer or source
             outside its enum, or a vector that is not a list of finite
             numbers.
-        DimMismatch: a record's vector length is not ``dims``.
+        DimMismatch: ``<path>:<line>: ...`` for a record whose vector
+            length is not ``dims``.
     """
     store = MemoryStore(dims=dims, path=None)
     # A store repeats few distinct float tokens, so each is parsed once.
@@ -427,7 +434,8 @@ def load_store(path: str, dims: int) -> MemoryStore:
                     raise MalformedStore(f"{path}:{lineno}: {exc}") from None
                 if len(record.vector) != dims:
                     raise DimMismatch(
-                        f"stored record {record.id} has {len(record.vector)} dims, expected {dims}"
+                        f"{path}:{lineno}: stored record {record.id} has"
+                        f" {len(record.vector)} dims, expected {dims}"
                     )
                 store.insert(record)
     store.path = path

@@ -13,7 +13,7 @@ import datetime
 import json
 from dataclasses import asdict, dataclass, field
 
-from .events import RoutedEvent
+from .events import ScoredEvent, Sink
 
 CONFIDENCE_CSV_HEADER = "event_id,layer,pred_label,confidence,truth,route"
 
@@ -149,15 +149,16 @@ def open_w(path: str):
         raise IoWriteFailure(f"cannot write {path}: {exc}") from exc
 
 
-def write_confidence_csv(path: str, routed: list[RoutedEvent]) -> None:
+def write_confidence_csv(path: str, scored: list[ScoredEvent], sinks: list[Sink]) -> None:
+    """One row per routed event: ``sinks[i]`` is the sink of ``scored[i]``."""
     with open_w(path) as fh:
         fh.write(CONFIDENCE_CSV_HEADER + "\n")
-        for r in routed:
-            e = r.se.event
+        for se, sink in zip(scored, sinks, strict=True):
+            e = se.event
             truth = "" if e.truth is None else str(e.truth)
             fh.write(
-                f"{e.id},{e.layer.value},{r.se.pred_label},"
-                f"{r.se.confidence!r},{truth},{r.sink.value}\n"
+                f"{e.id},{e.layer.value},{se.pred_label},"
+                f"{se.confidence!r},{truth},{sink.value}\n"
             )
 
 

@@ -16,8 +16,9 @@ on: a batch that promotes makes the rest of its Gate-2 block stale, and
 the rest is scanned again.
 
 A failed LLM call downgrades only its own event (to UNSURE, confidence
-0); the stream keeps flowing.  A routed event keeps only its sink; the
-audit and review rows are built here as dicts, keys in file order.
+0); the stream keeps flowing.  A layer run keeps its scored stream and,
+aligned with it, the sink each event reached; the audit and review rows
+are built here as dicts, keys in file order.
 """
 
 from __future__ import annotations
@@ -32,14 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .events import (
-    LayerId,
-    RoutedEvent,
-    ScoredEvent,
-    Sink,
-    Verdict,
-    working_verdict,
-)
+from .events import LayerId, ScoredEvent, Sink, Verdict, working_verdict
 from .llm import (
     FusionConfig,
     LlmSample,
@@ -63,7 +57,7 @@ from .memory import (
     match_decision,
 )
 from .outputs import LayerSummary, RunSummary, make_clock
-from .qcal import CalibConfig, CalibrationResult, Gate1Route, calibrate, route_gate1
+from .qcal import CalibConfig, CalibrationResult, calibrate, gate1_uncertain
 
 logger = logging.getLogger(__name__)
 
@@ -115,12 +109,14 @@ class PipelineConfig:
 
 @dataclass
 class LayerRun:
-    """Everything one layer produced in one mode; ``outcomes`` counts the
-    routed events by (sink, model label, truth)."""
+    """Everything one layer produced in one mode: ``sinks[i]`` is the sink
+    that ``scored[i]`` reached, and ``outcomes`` counts the events by
+    (sink, model label, truth)."""
 
     layer: LayerId
     mode: Mode
-    routed: list[RoutedEvent]
+    scored: list[ScoredEvent]
+    sinks: list[Sink]
     outcomes: Counter
     summary: LayerSummary
     audits: list[dict]
@@ -258,17 +254,19 @@ def route_stream(
 ) -> LayerRun:
     """Route one scored stream through the three gates.
 
-    Each routed event carries only the sink it reached; the gate trace is
-    built for the review rows, the one record that keeps it.  The
-    returned LayerRun's summary is counted after routing, from its
-    outcomes table and the audit rows, and validated (the two must agree,
-    and the four sinks must partition the stream) before it is handed
-    back.
+    Gate 1 splits the stream with one comparison over its confidences;
+    each event then gets the sink it reached, in a list aligned with
+    ``scored``.  The gate trace is built for the review rows, the one
+    record that keeps it.  The returned LayerRun's summary is counted
+    after routing, from its outcomes table and the audit rows, and
+    validated (the two must agree, and the four sinks must partition the
+    stream) before it is handed back.
     """
     clock = clock if clock is not None else make_clock(cfg.wall_clock)
     mode = mode if mode is not None else cfg.mode
     llm_tau = cfg.llm_thresholds.tau[layer]
-    routed: list[RoutedEvent | None] = [None] * len(scored)
+    uncertain = gate1_uncertain([se.confidence for se in scored], threshold)
+    sinks: list[Sink | None] = [None if u else Sink.KNOWN_ACCEPT for u in uncertain.tolist()]
     audits: list[dict] = []
     reviews: list[dict] = []
     pending: list[tuple[int, ScoredEvent, np.ndarray, MatchResult, str]] = []
@@ -296,7 +294,7 @@ def route_stream(
                         created_at=clock.tick(),
                     )
                 )
-            routed[i] = RoutedEvent(se, decision.sink)
+            sinks[i] = decision.sink
             audits.append(
                 {
                     "event_id": se.event.id,
@@ -360,18 +358,12 @@ def route_stream(
             }
         )
         if match.matched:
-            routed[i] = RoutedEvent(se, Sink.MEMORY_ATTACK)
+            sinks[i] = Sink.MEMORY_ATTACK
             return False
         pending.append((i, se, vector, match, build_prompt(se, match)))
         return len(pending) >= cfg.llm_parallelism and flush()
 
-    uncertain = []
-    for i, se in enumerate(scored):
-        if route_gate1(se, threshold) is Gate1Route.KNOWN:
-            routed[i] = RoutedEvent(se, Sink.KNOWN_ACCEPT)
-        else:
-            uncertain.append(i)
-    todo = iter(uncertain)
+    todo = iter(np.flatnonzero(uncertain).tolist())
     # (stream index, embedded payload) of the events Gate 2 scans next;
     # after a store write, the rest of a block is scanned again.
     block: list[tuple[int, np.ndarray]] = []
@@ -395,32 +387,31 @@ def route_stream(
                 block = []
         flush()
 
-    assert all(r is not None for r in routed)
-    done: list[RoutedEvent] = routed  # type: ignore[assignment]
-    outcomes = Counter((r.sink, r.se.pred_label, r.se.event.truth) for r in done)
-    sinks: Counter = Counter()
-    for (sink, _, _), n in outcomes.items():
-        sinks[sink] += n
+    assert None not in sinks, "an event reached no sink"
+    outcomes = Counter(
+        zip(sinks, [se.pred_label for se in scored], [se.event.truth for se in scored])
+    )
+    tally = Counter(sinks)
     gate3 = [a for a in audits if a["gate"] == "gate3"]
     labels = Counter(a["llm_label"] for a in gate3)
     attack, review = Verdict.ATTACK.value, Sink.REVIEW_BUCKET.value
     summary = LayerSummary(
         layer=layer.value,
         total=len(scored),
-        known=sinks[Sink.KNOWN_ACCEPT],
+        known=tally[Sink.KNOWN_ACCEPT],
         uncertain=sum(a["gate"] == "gate2" for a in audits),
-        memory_matched=sinks[Sink.MEMORY_ATTACK],
+        memory_matched=tally[Sink.MEMORY_ATTACK],
         llm_attack=labels[attack],
         llm_benign=labels[Verdict.BENIGN.value],
         llm_unsure=labels[Verdict.UNSURE.value],
-        llm_promoted=sinks[Sink.LLM_ATTACK],
+        llm_promoted=tally[Sink.LLM_ATTACK],
         fusion_rejected=sum(a["llm_label"] == attack and a["sink"] == review for a in gate3),
-        bucket=sinks[Sink.REVIEW_BUCKET],
+        bucket=tally[Sink.REVIEW_BUCKET],
         learned_threshold=threshold,
         llm_threshold=llm_tau,
         metrics=_metrics_dict(outcomes),
     ).validate()
-    return LayerRun(layer, mode, done, outcomes, summary, audits, reviews)
+    return LayerRun(layer, mode, scored, sinks, outcomes, summary, audits, reviews)
 
 
 def ask_llm(client, se: ScoredEvent, prompt: str) -> LlmVerdict:
@@ -453,9 +444,9 @@ def harvest_llm_samples(
     analyst model, not earlier promotions.
     """
     samples: list[LlmSample] = []
-    for se in train_scored:
-        if route_gate1(se, cfg.static_threshold) is Gate1Route.KNOWN:
-            continue
+    uncertain = gate1_uncertain([se.confidence for se in train_scored], cfg.static_threshold)
+    for i in np.flatnonzero(uncertain).tolist():
+        se = train_scored[i]
         if se.event.truth is None:
             raise NoLabeledEvents(f"event {se.event.id} lacks truth")
         verdict = ask_llm(client, se, build_prompt(se))
@@ -559,7 +550,7 @@ def compare_modes(
     adaptive run.  ``make_store(layer, mode)`` and ``make_client(layer,
     mode)`` supply fresh per-run dependencies so the two modes cannot
     contaminate each other.  Scores are computed once by the caller and
-    shared; equal confidence multisets across modes are asserted per layer.
+    both modes route the same lists.
     """
     static_run, static_summary = run_mode(
         scored_by_layer, thresholds, Mode.STATIC, cfg, make_store, make_client
@@ -567,18 +558,6 @@ def compare_modes(
     adaptive_run, adaptive_summary = run_mode(
         scored_by_layer, thresholds, Mode.ADAPTIVE, cfg, make_store, make_client
     )
-
-    for layer in scored_by_layer:
-        static_confs = sorted(
-            r.se.confidence for r in static_run.layer_runs[layer].routed
-        )
-        adaptive_confs = sorted(
-            r.se.confidence for r in adaptive_run.layer_runs[layer].routed
-        )
-        if static_confs != adaptive_confs:
-            raise AssertionError(
-                f"layer {layer.value}: modes saw different confidence multisets"
-            )
 
     cost = cost_analysis(
         static_summary.overall["uncertain"],

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -33,11 +32,6 @@ class UnlabeledStream(ValueError):
 
 class StreamTooShort(ValueError):
     """Calibration stream is shorter than one window."""
-
-
-class Gate1Route(str, Enum):
-    KNOWN = "known"
-    UNCERTAIN = "uncertain"
 
 
 def default_action_set() -> tuple[float, ...]:
@@ -82,6 +76,16 @@ class RewardConfig:
     band_max: float = 0.25
 
 
+def gate1_uncertain(confidences, threshold: float) -> np.ndarray:
+    """Gate 1 over a run of confidences: True where an event escalates.
+
+    An event stays local (KNOWN) when its confidence meets or exceeds the
+    threshold, so the boundary is inclusive; a NaN meets no threshold and
+    escalates.
+    """
+    return ~(np.asarray(confidences, dtype=np.float64) >= threshold)
+
+
 def _bins(x: np.ndarray, scale: int, n_bins: int) -> np.ndarray:
     return np.clip((x * scale).astype(np.int64), 0, n_bins - 1)
 
@@ -96,7 +100,8 @@ def outcome_table(
     stream: list[ScoredEvent], window: int, thresholds: tuple[float, ...], rc: RewardConfig
 ) -> tuple[np.ndarray, ...]:
     """The outcome of each window-sized slice of a labeled stream, routed
-    at each threshold as ``route_gate1`` does.
+    at each threshold by ``gate1_uncertain``, as the router does: a
+    confidence equal to the threshold counts as known.
 
     Returns ``(mean_bin, var_bin, unc_bin, reward)``, the first two per
     slice and the last two [slices x actions]: floor(mean * 10),
@@ -120,7 +125,7 @@ def outcome_table(
     reward = np.empty(unc_bin.shape)
     # One action at a time keeps temporaries at [slices x window].
     for a, t in enumerate(thresholds):
-        uncertain = valid & (conf < t)
+        uncertain = valid & gate1_uncertain(conf, t)
         ratio = np.count_nonzero(uncertain, axis=1) / size
         r = np.where(uncertain, rc.r_escalate, known_r)
         r[ratio > rc.band_max] += rc.r_band_penalty
@@ -149,15 +154,6 @@ def bellman_update(
     old = q[s][a]
     q[s][a] = updated = old + alpha * (r + gamma * max(q[s2]) - old)
     return updated
-
-
-def route_gate1(se: ScoredEvent, threshold: float) -> Gate1Route:
-    """KNOWN when confidence meets or exceeds the threshold, else UNCERTAIN.
-
-    The boundary is inclusive: confidence exactly at the threshold stays
-    local.
-    """
-    return Gate1Route.KNOWN if se.confidence >= threshold else Gate1Route.UNCERTAIN
 
 
 @dataclass(frozen=True)

@@ -409,12 +409,13 @@ def test_compare_determinism(tmp_path):
 def test_sink_partition():
     assert len(ACCEPTANCE_RUNS) >= 8
     for label, layer_run in ACCEPTANCE_RUNS:
-        tallies = Counter(r.sink for r in layer_run.routed)
+        tallies = Counter(layer_run.sinks)
         known = tallies[Sink.KNOWN_ACCEPT]
         memory = tallies[Sink.MEMORY_ATTACK]
         promoted = tallies[Sink.LLM_ATTACK]
         bucket = tallies[Sink.REVIEW_BUCKET]
-        total = len(layer_run.routed)
+        total = len(layer_run.scored)
+        assert len(layer_run.sinks) == total, label
         assert known + memory + promoted + bucket == total, label
         summary = layer_run.summary
         assert (known, memory, promoted, bucket) == (
@@ -423,5 +424,5 @@ def test_sink_partition():
             summary.llm_promoted,
             summary.bucket,
         ), label
-        ids = [r.se.event.id for r in layer_run.routed]
+        ids = [se.event.id for se in layer_run.scored]
         assert len(set(ids)) == total, label

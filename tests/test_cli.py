@@ -431,6 +431,27 @@ def test_loaded_corpus_without_events_fails(tmp_path, capsys, layer, name, keep)
     assert capsys.readouterr().err == f"error: {path}: no events\n"
 
 
+def test_compare_names_a_memory_store_of_the_wrong_width(tmp_path, capsys):
+    # a store written at another embed_dims is named, with its line, when loaded
+    cfg = write_cfg(tmp_path, SMALL)
+    mem = os.path.join(tmp_path, "mem")
+    os.makedirs(mem)
+    path = os.path.join(mem, "memory_network_static.jsonl")
+    record = {
+        "id": "x",
+        "layer": "network",
+        "vector": [0.25] * 16,
+        "attack_type": "dos",
+        "source": "memory_seeded",
+        "created_at": "2000-01-01T00:00:00Z",
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(record) + "\n")
+    code = main(["compare", "--config", cfg, *base_args(tmp_path), "--memory-dir", mem])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}:1: stored record x has 16 dims, expected 256\n"
+
+
 def test_loaded_corpus_of_two_events_routes_an_empty_evaluation_split(tmp_path, capsys):
     # Both events of a one-attack, one-benign corpus go to training, so
     # the evaluation split is empty: the run still writes its four files.

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import idsgate
 from conftest import make_event, make_scored
 from idsgate.events import (
     LayerId,
-    RoutedEvent,
     ScoredEvent,
     Sink,
     make_event_id,
@@ -29,12 +29,11 @@ def test_layer_and_sink_values_round_trip():
     [
         lambda: make_event(),
         lambda: make_scored(0.9),
-        lambda: RoutedEvent(make_scored(0.9), Sink.KNOWN_ACCEPT),
         lambda: MemoryRecord(
             "m-0", LayerId.NETWORK, np.zeros(4), "dos", MemorySource.MEMORY_SEEDED, "2024-01-01"
         ),
     ],
-    ids=["Event", "ScoredEvent", "RoutedEvent", "MemoryRecord"],
+    ids=["Event", "ScoredEvent", "MemoryRecord"],
 )
 def test_per_event_records_are_slotted(build):
     # One of each is made per event; a per-instance dict would double its size.
@@ -76,9 +75,9 @@ def test_known_accept_keeps_model_label():
     assert working_verdict(Sink.KNOWN_ACCEPT, 1) == (1, False)
 
 
-def test_routed_event_is_a_scored_event_and_its_sink():
-    assert RoutedEvent.__slots__ == ("se", "sink")
-
-
 def test_make_event_id():
     assert make_event_id(LayerId.HYPERVISOR, 17) == "hypervisor-17"
+
+
+def test_every_public_name_resolves():
+    assert [name for name in idsgate.__all__ if not hasattr(idsgate, name)] == []

@@ -145,7 +145,7 @@ def full_sort(vectors, q, k):
 
 def scan(store, q, k):
     [found] = store.query(q[None, :], k)
-    return [(d, rec.id) for rec, d in found]
+    return [(d, rid) for rid, d in found]
 
 
 def decide(store, vector, mcfg):
@@ -191,7 +191,7 @@ def test_query_zero_query_vector_distances_are_one():
     [hits] = store.query(np.zeros((1, 4)), k=2)
     assert [d for _, d in hits] == [1.0, 1.0]
     # Distance tie breaks on record id.
-    assert [rec.id for rec, _ in hits] == ["a", "b"]
+    assert [rid for rid, _ in hits] == ["a", "b"]
 
 
 def test_query_matches_brute_force_scan():
@@ -209,8 +209,8 @@ def test_query_matches_brute_force_scan():
     queries = np.array([[rng.gauss(0, 1) for _ in range(dims)] for _ in range(20)])
     for q, got in zip(queries, store.query(queries, k=5)):
         expected = full_sort(vectors, q, 5)
-        assert [rec.id for rec, _ in got] == [rid for _, rid in expected]
-        for (rec, d), (ed, _) in zip(got, expected):
+        assert [rid for rid, _ in got] == [rid for _, rid in expected]
+        for (_, d), (ed, _) in zip(got, expected):
             assert d == pytest.approx(ed, abs=1e-12)
 
 
@@ -220,7 +220,7 @@ def test_query_cache_invalidates_on_insert():
     store.query(np.array([[1.0, 0, 0, 0]]), k=1)
     store.insert(make_record("b", [1, 0, 0, 0]))
     [hits] = store.query(np.array([[1.0, 0, 0, 0]]), k=2)
-    assert {rec.id for rec, _ in hits} == {"a", "b"}
+    assert {rid for rid, _ in hits} == {"a", "b"}
 
 
 def int_vector(rng, dims):
@@ -338,16 +338,17 @@ def test_query_matches_a_fixed_order_reference_bit_for_bit(dims):
     rng = np.random.default_rng(dims)
     n = 120
     store, vectors, queries = near_tie_store(rng, dims, n)
+    stored = {r.id: r.vector for r in store.records}
     for k in (1, 3, 5, 12, n + 7):
         found = store.query(queries, k)
         assert len(found) == len(queries)
         for q, hits in zip(queries, found):
             want = full_sort(vectors, q, k)
-            assert [(d.hex(), rec.id) for rec, d in hits] == [(d.hex(), rid) for d, rid in want]
-            assert all(np.array_equal(rec.vector, vectors[rec.id]) for rec, _ in hits)
+            assert [(d.hex(), rid) for rid, d in hits] == [(d.hex(), rid) for d, rid in want]
+            assert all(np.array_equal(stored[rid], vectors[rid]) for rid, _ in hits)
     # zero queries: every record at 1.0, the smallest ids first
     for hits in store.query(np.zeros((3, dims)), 4):
-        assert [(d, rec.id) for rec, d in hits] == [(1.0, f"r{i:03d}") for i in range(4)]
+        assert [(d, rid) for rid, d in hits] == [(1.0, f"r{i:03d}") for i in range(4)]
     # k past the store returns every record
     assert [len(hits) for hits in store.query(queries[:2], n + 7)] == [n, n]
 
@@ -371,7 +372,7 @@ out = []
 for dims in (256, 1024):
     store, _, queries = near_tie_store(np.random.default_rng(dims), dims, 600)
     for hits in store.query(queries, 5):
-        out.append(" ".join(f"{rec.id}:{d.hex()}" for rec, d in hits))
+        out.append(" ".join(f"{rid}:{d.hex()}" for rid, d in hits))
 sys.stdout.write("\\n".join(out))
 """
 
@@ -649,14 +650,15 @@ def test_load_store_matches_insert_by_insert(tmp_path, caplog):
         want.insert(record)
     _assert_same_store(got, want)
     q = rng.normal(size=(3, 8))
-    assert [[(r.id, d) for r, d in hits] for hits in got.query(q, 5)] == [
-        [(r.id, d) for r, d in hits] for hits in want.query(q, 5)
-    ]
+    assert got.query(q, 5) == want.query(q, 5)
 
     # a record with the wrong dims after good ones fails the whole load
     MemoryStore(dims=8, path=path).insert(make_record("r9", np.ones(8)))
     MemoryStore(dims=3, path=path).insert(make_record("bad", np.ones(3)))
-    with pytest.raises(DimMismatch, match=r"^stored record bad has 3 dims, expected 8$"):
+    with open(path, encoding="utf-8") as fh:
+        bad_line = len(fh.readlines())
+    message = f"{path}:{bad_line}: stored record bad has 3 dims, expected 8"
+    with pytest.raises(DimMismatch, match=f"^{re.escape(message)}$"):
         load_store(path, dims=8)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_scored
-from idsgate.events import LayerId, RoutedEvent, Sink
+from idsgate.events import LayerId, Sink
 from idsgate.llm import MockLlmClient
 from idsgate.memory import MemoryStore
 from idsgate.outputs import (
@@ -113,14 +113,13 @@ def test_make_clock_defaults_to_logical():
     assert WallClock().tick().endswith("Z")
 
 
-def routed(sink, event_id="host-1", confidence=0.73, truth=1):
-    se = make_scored(confidence, pred_label=1, truth=truth, event_id=event_id, layer=LayerId.HOST)
-    return RoutedEvent(se=se, sink=sink)
+def host_scored(event_id="host-1", confidence=0.73, truth=1):
+    return make_scored(confidence, pred_label=1, truth=truth, event_id=event_id, layer=LayerId.HOST)
 
 
 def test_confidence_csv_format(tmp_path):
     path = os.path.join(tmp_path, "conf.csv")
-    write_confidence_csv(path, [routed(Sink.KNOWN_ACCEPT, confidence=0.8500000000000001)])
+    write_confidence_csv(path, [host_scored(confidence=0.8500000000000001)], [Sink.KNOWN_ACCEPT])
     lines = Path(path).read_text().splitlines()
     assert lines[0] == CONFIDENCE_CSV_HEADER
     # repr() keeps every bit of the float so reruns diff cleanly.
@@ -129,7 +128,7 @@ def test_confidence_csv_format(tmp_path):
 
 def test_confidence_csv_blank_truth(tmp_path):
     path = os.path.join(tmp_path, "conf.csv")
-    write_confidence_csv(path, [routed(Sink.REVIEW_BUCKET, truth=None)])
+    write_confidence_csv(path, [host_scored(truth=None)], [Sink.REVIEW_BUCKET])
     lines = Path(path).read_text().splitlines()
     assert lines[1].split(",")[4] == ""
 
@@ -215,7 +214,7 @@ def test_output_paths_embed_mode_and_run():
 def test_write_failure_raises_io_error(tmp_path):
     bad = os.path.join(tmp_path, "missing_dir", "conf.csv")
     with pytest.raises(IoWriteFailure):
-        write_confidence_csv(bad, [])
+        write_confidence_csv(bad, [], [])
     with pytest.raises(IoWriteFailure):
         write_histogram_csv(bad, [])
     with pytest.raises(IoWriteFailure):

@@ -56,6 +56,11 @@ def host_stream(rows, prefix="host"):
     return out
 
 
+def sink_of(run):
+    """Each routed event's sink, by event id."""
+    return {se.event.id: sink for se, sink in zip(run.scored, run.sinks, strict=True)}
+
+
 def echo_for(stream, confidence=0.9):
     return EchoLlmClient(
         {se.event.id: se.event.truth for se in stream}, confidence=confidence
@@ -210,7 +215,24 @@ def test_confident_stream_never_reaches_the_llm():
     assert run.summary.uncertain == 0
     assert run.llm_calls == 0
     assert client.calls == 0
-    assert all(r.sink is Sink.KNOWN_ACCEPT for r in run.routed)
+    assert all(sink is Sink.KNOWN_ACCEPT for sink in run.sinks)
+
+
+def test_layer_run_holds_the_stream_and_a_sink_per_event():
+    cfg = PipelineConfig()
+    stream = host_stream([(0.90, 1, 1), (0.60, 1, 1), (0.55, 0, 0)])
+    run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
+    assert run.scored is stream
+    assert run.sinks == [Sink.KNOWN_ACCEPT, Sink.LLM_ATTACK, Sink.REVIEW_BUCKET]
+
+
+def test_route_stream_keeps_an_event_at_the_threshold_local():
+    cfg = PipelineConfig()
+    stream = host_stream([(0.85, 1, 1), (0.8499, 1, 1)])
+    run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
+    assert run.sinks[0] is Sink.KNOWN_ACCEPT
+    assert [a["event_id"] for a in run.audits if a["gate"] == "gate2"] == ["host-1"]
+    assert (run.summary.known, run.summary.uncertain) == (1, 1)
 
 
 def test_escalated_attacks_promoted_and_benigns_reviewed():
@@ -229,11 +251,13 @@ def test_escalated_attacks_promoted_and_benigns_reviewed():
     assert s.bucket == 2
     assert run.llm_calls == 4
     # Promotion overrides the model's label; review keeps it.
-    verdict = {r.se.event.id: working_verdict(r.sink, r.se.pred_label) for r in run.routed}
-    by_id = {r.se.event.id: r for r in run.routed}
+    verdict = {
+        se.event.id: working_verdict(sink, se.pred_label) for se, sink in zip(run.scored, run.sinks)
+    }
+    by_id = sink_of(run)
     assert verdict["host-1"] == (1, False)  # model said benign, echo knew better
-    assert by_id["host-1"].sink is Sink.LLM_ATTACK
-    assert by_id["host-2"].sink is Sink.REVIEW_BUCKET
+    assert by_id["host-1"] is Sink.LLM_ATTACK
+    assert by_id["host-2"] is Sink.REVIEW_BUCKET
     assert verdict["host-2"][1] is True
     assert verdict["host-4"] == (1, True)  # deferred keeps the model label
 
@@ -248,10 +272,10 @@ def test_promotions_match_from_the_next_batch_on():
     run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
     assert run.llm_calls == 4
     assert run.summary.memory_matched == 1
-    by_id = {r.se.event.id: r for r in run.routed}
-    assert by_id["host-0"].sink is Sink.LLM_ATTACK
-    assert by_id["host-4"].sink is Sink.MEMORY_ATTACK
-    assert working_verdict(by_id["host-4"].sink, by_id["host-4"].se.pred_label)[0] == 1
+    by_id = sink_of(run)
+    assert by_id["host-0"] is Sink.LLM_ATTACK
+    assert by_id["host-4"] is Sink.MEMORY_ATTACK
+    assert working_verdict(by_id["host-4"], stream[4].pred_label)[0] == 1
     (gate2,) = [a for a in run.audits if a["gate"] == "gate2" and a["event_id"] == "host-4"]
     assert gate2["matched"] is True
     assert gate2["record_id"] == "host-0"
@@ -266,8 +290,7 @@ def test_a_promotion_inside_a_gate2_block_reaches_the_rest_of_it():
     rows = [(0.60, 1, 1, attack_raw), (0.55, 0, 0), (0.60, 1, 1, attack_raw), (0.58, 0, 0)]
     stream = host_stream(rows)
     run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
-    sinks = [r.sink for r in run.routed]
-    assert sinks == [Sink.LLM_ATTACK, Sink.REVIEW_BUCKET, Sink.MEMORY_ATTACK, Sink.REVIEW_BUCKET]
+    assert run.sinks == [Sink.LLM_ATTACK, Sink.REVIEW_BUCKET, Sink.MEMORY_ATTACK, Sink.REVIEW_BUCKET]
     gate2 = {a["event_id"]: a for a in run.audits if a["gate"] == "gate2"}
     assert gate2["host-0"]["record_id"] is None
     assert (gate2["host-2"]["record_id"], gate2["host-2"]["matched"]) == ("host-0", True)
@@ -295,8 +318,7 @@ def test_an_overwrite_inside_a_gate2_block_is_seen_at_once():
     rows += [(0.60, 1, 1, new_raw)]
     stream = host_stream(rows)
     run = route_stream(LayerId.HOST, stream, 0.85, cfg, store, echo_for(stream))
-    sinks = [r.sink for r in run.routed]
-    assert sinks == [Sink.MEMORY_ATTACK, Sink.LLM_ATTACK, Sink.REVIEW_BUCKET, Sink.MEMORY_ATTACK]
+    assert run.sinks == [Sink.MEMORY_ATTACK, Sink.LLM_ATTACK, Sink.REVIEW_BUCKET, Sink.MEMORY_ATTACK]
     gate2 = {a["event_id"]: a for a in run.audits if a["gate"] == "gate2"}
     assert [gate2[f"host-{i}"]["record_id"] for i in (0, 2, 3)] == ["host-1"] * 3
     assert gate2["host-2"]["nearest_distance"] > cfg.match.support_radius
@@ -333,7 +355,7 @@ def test_gate2_blocks_route_as_one_query_per_event(monkeypatch, parallelism):
     single, single_sizes = route()
     assert blocked.audits == single.audits
     assert blocked.reviews == single.reviews
-    assert [r.sink for r in blocked.routed] == [r.sink for r in single.routed]
+    assert blocked.sinks == single.sinks
     s = blocked.summary
     assert s.memory_matched > 0 and s.llm_promoted > 0
     assert single_sizes == [1] * s.uncertain
@@ -426,8 +448,7 @@ def test_llm_failure_downgrades_to_review():
     assert s.llm_unsure == 1
     assert s.bucket == 1
     assert s.known == 1
-    by_id = {r.se.event.id: r for r in run.routed}
-    assert by_id["host-0"].sink is Sink.REVIEW_BUCKET
+    assert sink_of(run)["host-0"] is Sink.REVIEW_BUCKET
     assert run.reviews[0]["llm_label"] == "UNSURE"
     assert run.reviews[0]["llm_confidence"] == 0.0
 
@@ -440,8 +461,8 @@ def test_dead_endpoint_sends_every_escalation_to_review():
     s = run.summary.validate()
     assert (s.known, s.uncertain, s.llm_unsure, s.bucket) == (1, 4, 4, 4)
     assert run.llm_calls == 4
-    escalated = [r for r in run.routed if r.se.confidence < 0.85]
-    assert all(r.sink is Sink.REVIEW_BUCKET for r in escalated)
+    escalated = [sink for se, sink in zip(run.scored, run.sinks) if se.confidence < 0.85]
+    assert all(sink is Sink.REVIEW_BUCKET for sink in escalated)
     assert [r["llm_label"] for r in run.reviews] == ["UNSURE"] * 4
     assert [a["llm_label"] for a in run.audits if a["gate"] == "gate3"] == ["UNSURE"] * 4
 
@@ -458,7 +479,7 @@ def test_fusion_rejected_lands_in_bucket():
     assert s.llm_promoted == 0
     assert s.fusion_rejected == 1
     assert s.bucket == 1
-    assert run.routed[0].sink is Sink.REVIEW_BUCKET
+    assert run.sinks[0] is Sink.REVIEW_BUCKET
     assert run.reviews[0]["fused_score"] == pytest.approx(0.54)
 
 
@@ -547,7 +568,7 @@ def test_summary_counts_every_outcome_of_one_stream():
     assert (s.llm_attack, s.llm_benign, s.llm_unsure) == (3, 1, 2)
     assert (s.llm_promoted, s.fusion_rejected, s.bucket) == (2, 1, 4)
     assert run.llm_calls == 6
-    assert [r.sink for r in run.routed] == [Sink.KNOWN_ACCEPT] * 2 + [
+    assert run.sinks == [Sink.KNOWN_ACCEPT] * 2 + [
         Sink.MEMORY_ATTACK, Sink.LLM_ATTACK, Sink.LLM_ATTACK
     ] + [Sink.REVIEW_BUCKET] * 4
     assert [r["event_id"] for r in run.reviews] == [f"host-{i}" for i in range(5, 9)]
@@ -568,7 +589,7 @@ def test_parallelism_does_not_change_results():
         cfg = PipelineConfig(llm_parallelism=workers)
         stream = host_stream(rows)
         run = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
-        sinks = [r.sink for r in run.routed]
+        sinks = run.sinks
         if base is None:
             base = (run.summary, sinks)
         else:
@@ -587,7 +608,7 @@ def test_http_batches_hold_at_most_llm_parallelism_connections():
     reference = route_stream(LayerId.HOST, stream, 0.85, cfg, fresh_store(cfg), echo_for(stream))
     assert run.llm_calls >= 3 * cfg.llm_parallelism
     assert len(accepted) <= cfg.llm_parallelism
-    assert [r.sink for r in run.routed] == [r.sink for r in reference.routed]
+    assert run.sinks == reference.sinks
     assert run.summary == reference.summary
 
 
@@ -684,6 +705,17 @@ def test_harvest_llm_samples_covers_exactly_the_escalations():
     assert len(samples) == 2
     assert all(s.confidence == 0.88 for s in samples)
     assert [s.truth for s in samples] == [1, 0]
+
+
+def test_harvest_llm_samples_skips_an_event_at_the_static_threshold():
+    # Gate 1's boundary is inclusive: the event at 0.85 stays local and is
+    # never asked (its missing truth would raise if it were).
+    cfg = PipelineConfig()
+    stream = host_stream([(0.85, 1, None), (0.8499, 1, 1)])
+    client = echo_for(stream)
+    samples = harvest_llm_samples(stream, cfg, client)
+    assert [s.truth for s in samples] == [1]
+    assert client.calls == 1
 
 
 def test_harvest_llm_samples_requires_labels():

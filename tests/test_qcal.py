@@ -7,15 +7,14 @@ from conftest import hidslike_stream, make_scored
 from idsgate.qcal import (
     ActionSet,
     CalibConfig,
-    Gate1Route,
     RewardConfig,
     StreamTooShort,
     UnlabeledStream,
     bellman_update,
     calibrate,
     default_action_set,
+    gate1_uncertain,
     outcome_table,
-    route_gate1,
     select_action,
 )
 
@@ -108,9 +107,19 @@ def test_window_sums_run_left_to_right():
     assert mean_bin.tolist() == [0]
 
 
-def test_route_gate1_boundary_is_inclusive():
-    assert route_gate1(make_scored(0.85), 0.85) is Gate1Route.KNOWN
-    assert route_gate1(make_scored(0.8499), 0.85) is Gate1Route.UNCERTAIN
+def test_gate1_uncertain_boundary_is_inclusive():
+    got = gate1_uncertain([0.85, 0.8499, 0.9, math.nan], 0.85)
+    assert got.tolist() == [False, True, False, True]
+    assert gate1_uncertain([], 0.85).tolist() == []
+
+
+def test_outcome_table_counts_the_threshold_as_known():
+    # Every confidence sits exactly on the threshold: nothing escalates,
+    # so the uncertain bin is 0 and each correct call earns its full reward.
+    stream = [make_scored(0.85, pred_label=1, truth=1) for _ in range(10)]
+    _, _, unc_bin, reward = outcome_table(stream, 10, (0.85, 0.86), RewardConfig())
+    assert unc_bin.tolist() == [[0, 4]]
+    assert reward[0, 0] == 1.0
 
 
 def test_reward_correct_known():
@@ -161,7 +170,7 @@ def oracle_table(stream, window, thresholds, rc):
         var = total / len(sl)
         cells = []
         for t in thresholds:
-            flags = [route_gate1(se, t) is Gate1Route.UNCERTAIN for se in sl]
+            flags = [not se.confidence >= t for se in sl]
             ratio = sum(flags) / len(sl)
             total = 0.0
             for se, unc in zip(sl, flags):
