@@ -21,7 +21,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -697,9 +697,9 @@ def load_host_jsonl(path: str) -> list[Event]:
     return events
 
 
-def split_train_test(events: list[T], ratio: float, seed: int) -> tuple[list[T], list[T]]:
-    """Seeded shuffle split of events or scored events; train gets
-    round(n * ratio) of them.
+def split_train_test(events: Sequence[T], ratio: float, seed: int) -> tuple[list[T], list[T]]:
+    """Seeded shuffle split of events, or of a scored stream's row
+    indices; train gets round(n * ratio) of them.
 
     The two halves are disjoint and exhaustive.
 

@@ -85,17 +85,36 @@ class Event:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ScoredEvent:
-    """An event plus the base model's binary prediction and confidence."""
+    """Row i of a :class:`ScoredStream`: an event, its ``int`` label and ``float`` confidence."""
 
     event: Event
     pred_label: int
     confidence: float
 
+
+@dataclass(frozen=True, eq=False, slots=True)
+class ScoredStream:
+    """Each event's model label (0 or 1, int8) and confidence, in two columns
+    made read-only here; ``stream[i]`` builds row i as a ``ScoredEvent``."""
+
+    events: list[Event]
+    labels: np.ndarray
+    confidences: np.ndarray
+
     def __post_init__(self) -> None:
-        if self.pred_label not in (0, 1):
-            raise ValueError(f"pred_label must be 0 or 1, got {self.pred_label!r}")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence!r}")
+        self.labels.flags.writeable = False
+        self.confidences.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __getitem__(self, i: int) -> ScoredEvent:
+        return ScoredEvent(self.events[i], int(self.labels[i]), float(self.confidences[i]))
+
+    def take(self, keep: list[int]) -> ScoredStream:
+        """The rows ``keep``, in that order."""
+        events = [self.events[i] for i in keep]
+        return ScoredStream(events, self.labels[keep], self.confidences[keep])
 
 
 def working_verdict(sink: Sink, pred_label: int) -> tuple[int, bool]:

@@ -35,7 +35,7 @@ from .corpus import (
     write_hypervisor_csv,
     write_network_csv,
 )
-from .events import Event, LayerId, ScoredEvent
+from .events import Event, LayerId, ScoredStream
 from .llm import EchoLlmClient, HttpLlmClient, MockLlmClient, calibrate_llm_threshold
 from .memory import MemoryStore, load_store
 from .outputs import (
@@ -84,17 +84,20 @@ HYPERVISOR_FILE = "hypervisor.csv"
 
 @dataclasses.dataclass
 class LayerBundle:
-    """One layer, ready to run: its corpus, the evaluation events with
-    their features (for the host layer, each a ``TfidfRow`` of one
-    evaluation-sized block of sparse rows), the fitted scorer (``None``
-    for replayed scores) and the scores of both splits."""
+    """One layer, ready to run: its corpus, the fitted scorer (``None`` for
+    replayed scores) and the scored stream of each split.  The evaluation
+    events keep their features (for the host layer, each a ``TfidfRow``
+    of one evaluation-sized block of sparse rows)."""
 
     layer: LayerId
     events: list[Event]
-    eval_events: list[Event]
     scorer: Scorer | None
-    train_scored: list[ScoredEvent]
-    eval_scored: list[ScoredEvent]
+    train_scored: ScoredStream
+    eval_scored: ScoredStream
+
+    @property
+    def eval_events(self) -> list[Event]:
+        return self.eval_scored.events
 
 
 def generate_events(layer: LayerId, xcfg: ExperimentConfig) -> list[Event]:
@@ -131,10 +134,10 @@ def load_events(layer: LayerId, data_dir: str) -> list[Event]:
 def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     """Read or generate the layer's input, split it, and score both splits.
 
-    A ``replay:<csv>`` layer's file is its scored stream, split as events
-    are.  Otherwise the base model is trained on the training split: a
-    loaded corpus was checked by its reader, and a generated one is valid
-    as it is made.  One function builds a split's features: its stacked
+    A ``replay:<csv>`` layer's file is its scored stream, whose row
+    indices are split as events are.  Otherwise the base model is trained
+    on the training split: a loaded corpus was checked by its reader, and
+    a generated one is valid as it is made.  One function builds a split's features: its stacked
     event vectors or, for the host layer, its sparse tf-idf rows, fitted
     on the training split only, so evaluation text never leaks into the
     fit.  The model trains on the training split's features, and each
@@ -147,15 +150,13 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     spec = xcfg.scorers[layer]
     if spec.startswith("replay:"):
         stream = load_replay_csv(spec.removeprefix("replay:"), layer)
-        train_scored, test = split_train_test(stream, cfg.train_ratio, cfg.seed)
-        eval_scored = test[: cfg.eval_count]
+        train, test = split_train_test(range(len(stream)), cfg.train_ratio, cfg.seed)
         return LayerBundle(
             layer=layer,
-            events=[se.event for se in stream],
-            eval_events=[se.event for se in eval_scored],
+            events=stream.events,
             scorer=None,
-            train_scored=train_scored,
-            eval_scored=eval_scored,
+            train_scored=stream.take(train),
+            eval_scored=stream.take(test[: cfg.eval_count]),
         )
     events = load_events(layer, xcfg.data_dir) if xcfg.data_dir else generate_events(layer, xcfg)
     train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
@@ -182,7 +183,6 @@ def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     return LayerBundle(
         layer=layer,
         events=events,
-        eval_events=eval_events,
         scorer=scorer,
         train_scored=train_scored,
         eval_scored=score_stream(eval_events, scorer, x_eval),
@@ -280,11 +280,7 @@ def write_mode_artifacts(
     os.makedirs(xcfg.out_dir, exist_ok=True)
     paths = output_paths(xcfg.out_dir, mode_run.mode.value, run_id_of(xcfg))
     runs = [mode_run.layer_runs[layer] for layer in LAYER_ORDER if layer in mode_run.layer_runs]
-    write_confidence_csv(
-        paths.confidence,
-        [se for lr in runs for se in lr.scored],
-        [sink for lr in runs for sink in lr.sinks],
-    )
+    write_confidence_csv(paths.confidence, [(lr.scored, lr.sinks) for lr in runs])
     write_jsonl(paths.audit, [row for lr in runs for row in lr.audits])
     write_review_jsonl(paths.review, [row for lr in runs for row in lr.reviews])
     write_run_summary(paths.summary, summary)

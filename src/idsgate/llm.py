@@ -409,10 +409,11 @@ def parse_verdict(text: str) -> LlmVerdict:
         logger.warning("unknown llm label %r", label)
         return LlmVerdict(Verdict.UNSURE, 0.0, raw=text)
 
-    try:
-        confidence = float(obj.get("confidence", 0.0))
+    value = obj.get("confidence", 0.0)
+    try:  # float(True) is 1.0, but a JSON bool is no number
+        confidence = float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError):
-        logger.warning("non-numeric llm confidence %r", obj.get("confidence"))
+        logger.warning("non-numeric llm confidence %r", value)
         confidence = 0.0
     if not math.isfinite(confidence):
         confidence = 0.0

@@ -13,7 +13,7 @@ import datetime
 import json
 from dataclasses import asdict, dataclass, field
 
-from .events import ScoredEvent, Sink
+from .events import ScoredStream, Sink
 
 CONFIDENCE_CSV_HEADER = "event_id,layer,pred_label,confidence,truth,route"
 
@@ -149,17 +149,15 @@ def open_w(path: str):
         raise IoWriteFailure(f"cannot write {path}: {exc}") from exc
 
 
-def write_confidence_csv(path: str, scored: list[ScoredEvent], sinks: list[Sink]) -> None:
-    """One row per routed event: ``sinks[i]`` is the sink of ``scored[i]``."""
+def write_confidence_csv(path: str, runs: list[tuple[ScoredStream, list[Sink]]]) -> None:
+    """One row per routed event, ``(scored, sinks)`` run after run."""
     with open_w(path) as fh:
         fh.write(CONFIDENCE_CSV_HEADER + "\n")
-        for se, sink in zip(scored, sinks, strict=True):
-            e = se.event
-            truth = "" if e.truth is None else str(e.truth)
-            fh.write(
-                f"{e.id},{e.layer.value},{se.pred_label},"
-                f"{se.confidence!r},{truth},{sink.value}\n"
-            )
+        for scored, sinks in runs:
+            columns = (scored.events, scored.labels.tolist(), scored.confidences.tolist(), sinks)
+            for e, label, confidence, sink in zip(*columns, strict=True):
+                truth = "" if e.truth is None else str(e.truth)
+                fh.write(f"{e.id},{e.layer.value},{label},{confidence!r},{truth},{sink.value}\n")
 
 
 def write_jsonl(path: str, rows: list[dict]) -> None:

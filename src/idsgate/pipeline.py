@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .events import LayerId, ScoredEvent, Sink, Verdict, working_verdict
+from .events import LayerId, ScoredEvent, ScoredStream, Sink, Verdict, working_verdict
 from .llm import (
     FusionConfig,
     LlmSample,
@@ -109,13 +109,13 @@ class PipelineConfig:
 
 @dataclass
 class LayerRun:
-    """Everything one layer produced in one mode: ``sinks[i]`` is the sink
-    that ``scored[i]`` reached, and ``outcomes`` counts the events by
-    (sink, model label, truth)."""
+    """Everything one layer produced in one mode: ``scored`` is the stream
+    it was given, ``sinks[i]`` the sink that its event ``i`` reached, and
+    ``outcomes`` counts the events by (sink, model label, truth)."""
 
     layer: LayerId
     mode: Mode
-    scored: list[ScoredEvent]
+    scored: ScoredStream
     sinks: list[Sink]
     outcomes: Counter
     summary: LayerSummary
@@ -244,7 +244,7 @@ def cost_analysis(n_static: int, n_adaptive: int, c_event: float) -> CostReport:
 
 def route_stream(
     layer: LayerId,
-    scored: list[ScoredEvent],
+    scored: ScoredStream,
     threshold: float,
     cfg: PipelineConfig,
     store: MemoryStore,
@@ -254,18 +254,19 @@ def route_stream(
 ) -> LayerRun:
     """Route one scored stream through the three gates.
 
-    Gate 1 splits the stream with one comparison over its confidences;
-    each event then gets the sink it reached, in a list aligned with
-    ``scored``.  The gate trace is built for the review rows, the one
-    record that keeps it.  The returned LayerRun's summary is counted
-    after routing, from its outcomes table and the audit rows, and
-    validated (the two must agree, and the four sinks must partition the
-    stream) before it is handed back.
+    Gate 1 splits the stream with one comparison over its confidence
+    column; each event then gets the sink it reached, in a list aligned
+    with ``scored``.  Only Gate 3 reads an event as a row, ``scored[i]``.
+    The gate trace is built for the review rows, the one record that
+    keeps it.  The returned LayerRun's summary is counted after routing,
+    from its outcomes table and the audit rows, and validated (the two
+    must agree, and the four sinks must partition the stream) before it
+    is handed back.
     """
     clock = clock if clock is not None else make_clock(cfg.wall_clock)
     mode = mode if mode is not None else cfg.mode
     llm_tau = cfg.llm_thresholds.tau[layer]
-    uncertain = gate1_uncertain([se.confidence for se in scored], threshold)
+    uncertain = gate1_uncertain(scored.confidences, threshold)
     sinks: list[Sink | None] = [None if u else Sink.KNOWN_ACCEPT for u in uncertain.tolist()]
     audits: list[dict] = []
     reviews: list[dict] = []
@@ -341,10 +342,9 @@ def route_stream(
     def gate2(i: int, vector: np.ndarray, match: MatchResult) -> bool:
         """Record event ``i``'s Gate-2 decision and match it or queue it
         for Gate 3; True if that flushed a batch that wrote to the store."""
-        se = scored[i]
         audits.append(
             {
-                "event_id": se.event.id,
+                "event_id": scored.events[i].id,
                 "layer": layer.value,
                 "gate": "gate2",
                 "nearest_distance": None
@@ -360,6 +360,7 @@ def route_stream(
         if match.matched:
             sinks[i] = Sink.MEMORY_ATTACK
             return False
+        se = scored[i]
         pending.append((i, se, vector, match, build_prompt(se, match)))
         return len(pending) >= cfg.llm_parallelism and flush()
 
@@ -373,7 +374,7 @@ def route_stream(
     with ThreadPoolExecutor(max_workers=max(1, cfg.llm_parallelism - 1)) as pool:
         while True:
             block = block or [
-                (i, embed(scored[i].event.raw, cfg.embedding))
+                (i, embed(scored.events[i].raw, cfg.embedding))
                 for i in itertools.islice(todo, GATE2_BLOCK)
             ]
             if not block:
@@ -388,9 +389,7 @@ def route_stream(
         flush()
 
     assert None not in sinks, "an event reached no sink"
-    outcomes = Counter(
-        zip(sinks, [se.pred_label for se in scored], [se.event.truth for se in scored])
-    )
+    outcomes = Counter(zip(sinks, scored.labels.tolist(), [e.truth for e in scored.events]))
     tally = Counter(sinks)
     gate3 = [a for a in audits if a["gate"] == "gate3"]
     labels = Counter(a["llm_label"] for a in gate3)
@@ -429,13 +428,13 @@ def ask_llm(client, se: ScoredEvent, prompt: str) -> LlmVerdict:
 
 
 def calibrate_gate1(
-    train_scored: list[ScoredEvent], cfg: PipelineConfig
+    train_scored: ScoredStream, cfg: PipelineConfig
 ) -> CalibrationResult:
     return calibrate(train_scored, cfg.calib, cfg.seed)
 
 
 def harvest_llm_samples(
-    train_scored: list[ScoredEvent], cfg: PipelineConfig, client
+    train_scored: ScoredStream, cfg: PipelineConfig, client
 ) -> list[LlmSample]:
     """Run the labeled calibration split's escalations through the LLM.
 
@@ -444,7 +443,7 @@ def harvest_llm_samples(
     analyst model, not earlier promotions.
     """
     samples: list[LlmSample] = []
-    uncertain = gate1_uncertain([se.confidence for se in train_scored], cfg.static_threshold)
+    uncertain = gate1_uncertain(train_scored.confidences, cfg.static_threshold)
     for i in np.flatnonzero(uncertain).tolist():
         se = train_scored[i]
         if se.event.truth is None:
@@ -470,7 +469,7 @@ LAYER_ORDER = (LayerId.NETWORK, LayerId.HOST, LayerId.HYPERVISOR)
 
 
 def run_mode(
-    scored_by_layer: dict[LayerId, list[ScoredEvent]],
+    scored_by_layer: dict[LayerId, ScoredStream],
     thresholds: dict[LayerId, float],
     mode: Mode,
     cfg: PipelineConfig,
@@ -538,7 +537,7 @@ class Comparison:
 
 
 def compare_modes(
-    scored_by_layer: dict[LayerId, list[ScoredEvent]],
+    scored_by_layer: dict[LayerId, ScoredStream],
     thresholds: dict[LayerId, float],
     cfg: PipelineConfig,
     make_store,
@@ -550,7 +549,7 @@ def compare_modes(
     adaptive run.  ``make_store(layer, mode)`` and ``make_client(layer,
     mode)`` supply fresh per-run dependencies so the two modes cannot
     contaminate each other.  Scores are computed once by the caller and
-    both modes route the same lists.
+    both modes route the same streams, whose columns are read-only.
     """
     static_run, static_summary = run_mode(
         scored_by_layer, thresholds, Mode.STATIC, cfg, make_store, make_client

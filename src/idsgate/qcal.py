@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import ScoredEvent
+from .events import ScoredStream
 
 MEAN_BINS = 10
 VAR_BINS = 5
@@ -97,11 +97,11 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def outcome_table(
-    stream: list[ScoredEvent], window: int, thresholds: tuple[float, ...], rc: RewardConfig
+    stream: ScoredStream, window: int, thresholds: tuple[float, ...], rc: RewardConfig
 ) -> tuple[np.ndarray, ...]:
-    """The outcome of each window-sized slice of a labeled stream, routed
-    at each threshold by ``gate1_uncertain``, as the router does: a
-    confidence equal to the threshold counts as known.
+    """The outcome of each window-sized slice of a labeled stream's
+    columns, routed at each threshold by ``gate1_uncertain`` as the router
+    does: a confidence equal to the threshold counts as known.
 
     Returns ``(mean_bin, var_bin, unc_bin, reward)``, the first two per
     slice and the last two [slices x actions]: floor(mean * 10),
@@ -113,11 +113,10 @@ def outcome_table(
     valid = np.arange(rows * window).reshape(rows, window) < len(stream)
     size = np.count_nonzero(valid, axis=1)
     conf, known_r = np.zeros(valid.shape), np.zeros(valid.shape)
-    conf[valid] = [se.confidence for se in stream]
-    pred = np.array([se.pred_label for se in stream])
-    truth = np.array([se.event.truth for se in stream])
+    conf[valid] = stream.confidences
+    truth = np.array([e.truth for e in stream.events])
     wrong_r = np.where(truth == 1, rc.r_wrong_known_attack, rc.r_wrong_known_benign)
-    known_r[valid] = np.where(pred == truth, rc.r_correct_known, wrong_r)
+    known_r[valid] = np.where(stream.labels == truth, rc.r_correct_known, wrong_r)
     mean = _row_sums(conf) / size
     dev = np.where(valid, conf - mean[:, None], 0.0)
     var = _row_sums(dev * dev) / size  # correctly rounded squares, unlike libm pow()
@@ -186,9 +185,10 @@ class CalibrationResult:
 
 
 def calibrate(
-    stream: list[ScoredEvent], cfg: CalibConfig, seed: int
+    stream: ScoredStream, cfg: CalibConfig, seed: int
 ) -> CalibrationResult:
-    """Learn a per-layer Gate-1 threshold from a labeled scored stream.
+    """Learn a per-layer Gate-1 threshold from a labeled scored stream's
+    columns and its events' truth.
 
     Each episode walks the stream's window-sized slices with one action
     per slice, picked epsilon-greedily from the state the previous slice
@@ -201,7 +201,7 @@ def calibrate(
         UnlabeledStream: any event lacks a truth label.
         StreamTooShort: stream shorter than one window.
     """
-    if any(se.event.truth is None for se in stream):
+    if any(e.truth is None for e in stream.events):
         raise UnlabeledStream("calibration stream must be fully labeled")
     if len(stream) < cfg.window:
         raise StreamTooShort(

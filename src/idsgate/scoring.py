@@ -6,7 +6,7 @@ loaded.  The built-in base model is a small logistic model trained on
 labeled events (``Scorer``); its confidence is ``max(p, 1 - p)`` of the
 attack probability, so it lives in [0.5, 1.0].  Scores stored by
 another model need no scorer: ``load_replay_csv`` reads them as the
-layer's scored stream.
+layer's scored stream, a ``ScoredStream`` of events and score columns.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .corpus import (
     csv_rows,
     truth_label,
 )
-from .events import Event, LayerId, ScoredEvent
+from .events import Event, LayerId, ScoredStream
 
 TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -368,14 +368,15 @@ def train_baseline(events: list[Event], x: np.ndarray | TfidfRows, cfg: TrainCon
 
 def score_stream(
     events: list[Event], scorer: Scorer, x: np.ndarray | TfidfRows
-) -> list[ScoredEvent]:
+) -> ScoredStream:
     """Score a stream of events with the logistic model.
 
     ``x`` holds the features of ``events``, one row per event, in the
-    form :func:`train_baseline` takes.  p = sigmoid(w.x + b); pred_label
-    is 1 when p > 0.5 (the exact tie predicts benign) and confidence is
-    max(p, 1 - p).  Each w.x is summed in one fixed order, by
+    form :func:`train_baseline` takes.  p = sigmoid(w.x + b); the label
+    is 1 when p > 0.5 (the exact tie predicts benign) and the confidence
+    is max(p, 1 - p).  Each w.x is summed in one fixed order, by
     ``np.einsum`` over a matrix or over the row's cells in column order.
+    The stream's columns are valid as they are made; no row is checked.
 
     Raises:
         ValueError: ``x`` does not have one row per event.
@@ -385,22 +386,17 @@ def score_stream(
     w = scorer.weights
     z = x.dot(w) if isinstance(x, TfidfRows) else np.einsum("ij,j->i", x, w)
     p = _sigmoid(z + scorer.bias)
-    pred = (p > 0.5).tolist()
-    conf = np.maximum(p, 1.0 - p).tolist()
-    return [
-        ScoredEvent(event=e, pred_label=int(y), confidence=c)
-        for e, y, c in zip(events, pred, conf)
-    ]
+    return ScoredStream(events, (p > 0.5).astype(np.int8), np.maximum(p, 1.0 - p))
 
 
-def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
+def load_replay_csv(path: str, layer: LayerId) -> ScoredStream:
     """A layer's stored (label, confidence) pairs as its scored stream.
 
     Expected header: ``event_id,layer,pred_label,confidence,truth``; the
     truth cell may be empty for unlabeled rows.  Events come in file
     order; an id given twice keeps its first position and its last row.
     Replay rows carry no payload, so every event has an empty raw record
-    and the shared ``PLACEHOLDER_FEATURES``.
+    and the shared ``PLACEHOLDER_FEATURES``.  Each cell is checked here.
 
     Raises:
         MalformedCorpus: ``<path>:<line>: ...`` for a missing column, a
@@ -408,7 +404,7 @@ def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
             or ``truth`` that is not 0 or 1, a confidence that is not a
             number in [0, 1], a row of another layer, or a file without rows.
     """
-    stream: dict[str, ScoredEvent] = {}
+    stream: dict[str, tuple[Event, int, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for line, row in csv_rows(fh, path, REPLAY_CSV_HEADER):
             where = f"{path}:{line}"
@@ -419,8 +415,9 @@ def load_replay_csv(path: str, layer: LayerId) -> list[ScoredEvent]:
             truth = truth_label(row["truth"], where)
             confidence = confidence_cell(row["confidence"], where)
             event = Event(event_id, layer, "", PLACEHOLDER_FEATURES, truth)
-            stream[event_id] = ScoredEvent(event, pred_label, confidence)
+            stream[event_id] = (event, pred_label, confidence)
     if not stream:
         raise MalformedCorpus(f"{path}:1: header without rows")
-    return list(stream.values())
+    events, labels, confidences = zip(*stream.values())
+    return ScoredStream(list(events), np.array(labels, np.int8), np.array(confidences))
 

@@ -11,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from idsgate.events import Event, LayerId, ScoredEvent
+from idsgate.events import Event, LayerId, ScoredEvent, ScoredStream
 
 # Populated by tests in test_acceptance.py; the partition check walks
 # every routed run registered here.
@@ -106,7 +106,16 @@ def make_scored(
     )
 
 
-def hidslike_stream(seed: int, n: int, prefix: str) -> list[ScoredEvent]:
+def make_stream(rows: list[ScoredEvent]) -> ScoredStream:
+    """The scored stream whose row i is ``rows[i]``."""
+    return ScoredStream(
+        [se.event for se in rows],
+        np.array([se.pred_label for se in rows], np.int8),
+        np.array([se.confidence for se in rows], np.float64),
+    )
+
+
+def hidslike_stream(seed: int, n: int, prefix: str) -> ScoredStream:
     """Diffuse host-layer confidence stream for routing experiments.
 
     Three bands: a small unreliable one just under 0.62, a wide
@@ -139,7 +148,7 @@ def hidslike_stream(seed: int, n: int, prefix: str) -> list[ScoredEvent]:
             truth_class="synthetic_attack" if truth == 1 else None,
         )
         out.append(ScoredEvent(event=event, pred_label=pred, confidence=round(conf, 4)))
-    return out
+    return make_stream(out)
 
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}

@@ -14,11 +14,11 @@ from collections import Counter
 
 import numpy as np
 
-from conftest import ACCEPTANCE_RUNS, hidslike_stream
+from conftest import ACCEPTANCE_RUNS, hidslike_stream, make_stream
 from idsgate.cli import main as cli_main
 from idsgate.config import build_experiment_config
 from idsgate.corpus import HYP_COLUMNS, HypGenConfig, gen_hypervisor
-from idsgate.events import Event, LayerId, ScoredEvent, Sink, Verdict
+from idsgate.events import Event, LayerId, ScoredEvent, ScoredStream, Sink, Verdict
 from idsgate.experiment import (
     gate1_calibrations,
     prepare_bundles,
@@ -238,7 +238,7 @@ def test_generator_fidelity():
     assert time.perf_counter() - t0 < 10.0
 
 
-def _warmup_stream() -> tuple[list[ScoredEvent], dict[str, int], dict[str, str]]:
+def _warmup_stream() -> tuple[ScoredStream, dict[str, int], dict[str, str]]:
     rng = random.Random(11)
     patterns = [
         " ".join(f"atk{p:02d}tok{j:02d}" for j in range(6)) for p in range(25)
@@ -274,7 +274,7 @@ def _warmup_stream() -> tuple[list[ScoredEvent], dict[str, int], dict[str, str]]
         for se in stream
         if se.event.truth_class
     }
-    return stream, truths, attack_types
+    return make_stream(stream), truths, attack_types
 
 
 def test_memory_warmup(tmp_path):

@@ -42,18 +42,6 @@ def test_per_event_records_are_slotted(build):
     assert type(record).__slots__
 
 
-def test_scored_event_rejects_bad_label():
-    with pytest.raises(ValueError):
-        ScoredEvent(event=make_event(), pred_label=2, confidence=0.5)
-
-
-def test_scored_event_rejects_out_of_range_confidence():
-    with pytest.raises(ValueError):
-        ScoredEvent(event=make_event(), pred_label=0, confidence=1.2)
-    with pytest.raises(ValueError):
-        ScoredEvent(event=make_event(), pred_label=0, confidence=-0.01)
-
-
 def test_scored_event_accepts_boundaries():
     assert ScoredEvent(event=make_event(), pred_label=1, confidence=0.0).confidence == 0.0
     assert ScoredEvent(event=make_event(), pred_label=0, confidence=1.0).confidence == 1.0

@@ -121,6 +121,9 @@ def test_parse_verdict_bad_confidence_values():
     assert parse_verdict('{"label": "ATTACK", "confidence": Infinity}').confidence == 0.0
     assert parse_verdict('{"label": "ATTACK"}').confidence == 0.0
     assert parse_verdict('{"label": "ATTACK", "confidence": null}').confidence == 0.0
+    # JSON booleans are no numbers, though float(True) is 1.0.
+    assert parse_verdict('{"label": "ATTACK", "confidence": true}').confidence == 0.0
+    assert parse_verdict('{"label": "BENIGN", "confidence": false}').confidence == 0.0
 
 
 def test_parse_verdict_never_raises_on_fuzz():
@@ -316,6 +319,17 @@ def test_gate3_decide_fusion_rejection():
     assert d.sink is Sink.REVIEW_BUCKET
     assert d.provenance is Provenance.NONE
     assert d.fused_score == pytest.approx(0.524)
+
+
+def test_gate3_decide_reviews_an_attack_whose_confidence_is_true():
+    # Read as 1.0, this reply would clear every LLM threshold and be
+    # promoted; read as no number, it is an ATTACK at 0.0, which even a
+    # certain model cannot fuse past the threshold (0.2 * 1.0 < 0.61).
+    v = parse_verdict('{"label": "ATTACK", "confidence": true}')
+    assert (v.decision, v.confidence) == (Verdict.ATTACK, 0.0)
+    d = gate3_decide(make_scored(1.0, pred_label=1), v, LayerId.HOST, LlmThresholds(), FusionConfig())
+    assert d.sink is Sink.REVIEW_BUCKET
+    assert d.provenance is Provenance.NONE
 
 
 def test_gate3_decide_unsure_goes_to_review():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_scored
+from conftest import make_scored, make_stream
 from idsgate.events import LayerId, Sink
 from idsgate.llm import MockLlmClient
 from idsgate.memory import MemoryStore
@@ -119,16 +119,25 @@ def host_scored(event_id="host-1", confidence=0.73, truth=1):
 
 def test_confidence_csv_format(tmp_path):
     path = os.path.join(tmp_path, "conf.csv")
-    write_confidence_csv(path, [host_scored(confidence=0.8500000000000001)], [Sink.KNOWN_ACCEPT])
+    first = make_stream([host_scored(confidence=0.8500000000000001)])
+    second = make_stream([host_scored("host-2", 0.6, 0), host_scored("host-3", 0.7, 1)])
+    write_confidence_csv(
+        path,
+        [(first, [Sink.KNOWN_ACCEPT]), (second, [Sink.REVIEW_BUCKET, Sink.LLM_ATTACK])],
+    )
     lines = Path(path).read_text().splitlines()
     assert lines[0] == CONFIDENCE_CSV_HEADER
     # repr() keeps every bit of the float so reruns diff cleanly.
     assert lines[1] == "host-1,host,1,0.8500000000000001,1,known_accept"
+    # Runs follow one another, each row with its own sink.
+    assert lines[2:] == ["host-2,host,1,0.6,0,review_bucket", "host-3,host,1,0.7,1,llm_attack"]
+    with pytest.raises(ValueError):
+        write_confidence_csv(path, [(second, [Sink.KNOWN_ACCEPT])])
 
 
 def test_confidence_csv_blank_truth(tmp_path):
     path = os.path.join(tmp_path, "conf.csv")
-    write_confidence_csv(path, [host_scored(truth=None)], [Sink.REVIEW_BUCKET])
+    write_confidence_csv(path, [(make_stream([host_scored(truth=None)]), [Sink.REVIEW_BUCKET])])
     lines = Path(path).read_text().splitlines()
     assert lines[1].split(",")[4] == ""
 
@@ -138,7 +147,8 @@ def test_review_jsonl_field_order(tmp_path):
     cfg = PipelineConfig()
     se = make_scored(0.55, event_id="host-2", layer=LayerId.HOST)
     unsure = MockLlmClient({}, default_response='{"label": "UNSURE", "confidence": 0.0}')
-    run = route_stream(LayerId.HOST, [se], 0.85, cfg, MemoryStore(dims=cfg.embedding.dims), unsure)
+    store = MemoryStore(dims=cfg.embedding.dims)
+    run = route_stream(LayerId.HOST, make_stream([se]), 0.85, cfg, store, unsure)
     path = os.path.join(tmp_path, "review.jsonl")
     write_review_jsonl(path, run.reviews)
     line = Path(path).read_text().strip()
@@ -214,7 +224,7 @@ def test_output_paths_embed_mode_and_run():
 def test_write_failure_raises_io_error(tmp_path):
     bad = os.path.join(tmp_path, "missing_dir", "conf.csv")
     with pytest.raises(IoWriteFailure):
-        write_confidence_csv(bad, [], [])
+        write_confidence_csv(bad, [])
     with pytest.raises(IoWriteFailure):
         write_histogram_csv(bad, [])
     with pytest.raises(IoWriteFailure):

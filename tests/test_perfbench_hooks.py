@@ -3,22 +3,26 @@
 ``perfbench/`` times a run by replacing functions of ``experiment``,
 ``pipeline`` and ``memory`` under their names and by wrapping the store
 and client objects.  Installing its tracer and boundary wrappers here,
-in-process, fails as soon as one of those names is deleted or renamed,
-and routing one small stream through them checks that the wrappers still
-see the calls they count.
+in-process, fails as soon as one of those names is deleted or renamed;
+routing one small stream through them, and calibrating and scoring one,
+checks that the wrappers still see the calls they count and can read the
+scored streams they are handed.
 """
 
 import importlib
 import os
 
+import numpy as np
 import pytest
 
-from conftest import make_scored
+from conftest import hidslike_stream, make_scored, make_stream
 from idsgate import experiment, memory, pipeline
 from idsgate.events import LayerId
 from idsgate.llm import EchoLlmClient
 from idsgate.memory import MemoryStore
 from idsgate.pipeline import Mode, PipelineConfig
+from idsgate.qcal import CalibConfig
+from idsgate.scoring import Scorer
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -47,16 +51,20 @@ def test_tracer_and_boundaries_wrap_the_names_they_patch(perfbench, tmp_path):
         attack_raw = "sshd pid=1003 auth_fail user=root attempts=30 src=10.0.3.7"
         rows = [(0.60, 1, 1, attack_raw), (0.55, 0, 0), (0.95, 1, 1), (0.60, 1, 1, attack_raw)]
         rows += [(0.62, 0, 0), (0.58, 1, 0)]
-        stream = [
+        stream = make_stream([
             make_scored(conf, pred, truth, f"host-{i}", LayerId.HOST, *raw)
             for i, (conf, pred, truth, *raw) in enumerate(rows)
-        ]
+        ])
         store = tracing.TimedStore(MemoryStore(dims=cfg.embedding.dims), tracer)
         truths = {se.event.id: se.event.truth for se in stream}
         client = tracing.TimedClient(EchoLlmClient(truths), tracer)
         run = pipeline.route_stream(LayerId.HOST, stream, 0.85, cfg, store, client)
         review = str(tmp_path / "review.jsonl")
         experiment.write_review_jsonl(review, run.reviews)
+        # The tracer reads a stream's length and its first row's layer.
+        calib_cfg = PipelineConfig(calib=CalibConfig(episodes=2))
+        pipeline.calibrate_gate1(hidslike_stream(5, 250, "host-cal"), calib_cfg)
+        scored = experiment.score_stream(stream.events, Scorer(np.ones(1), 0.0), np.zeros((6, 1)))
     finally:
         bounds.uninstall()
         tracer.uninstall()
@@ -77,5 +85,10 @@ def test_tracer_and_boundaries_wrap_the_names_they_patch(perfbench, tmp_path):
     assert m["llm.failed"] == 0
     assert m["pipeline.bucket.adaptive"] == s.bucket
     assert m["outputs.bytes"] == os.path.getsize(review) > 0
+    # Two episodes and the greedy rollout, each over three slices of 100.
+    assert m["qcal.slices.host"] == 9
+    assert m["qcal.calibrate_s.host"] > 0
+    assert m["scoring.events_scored"] == len(scored) == 6
+    assert m["scoring.score_s.host"] > 0
     # every wrapper is gone again
     assert all(getattr(module, name) is fn for (module, name), fn in originals.items())

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dead_endpoint_url, generate_server, make_scored
+from conftest import dead_endpoint_url, generate_server, make_scored, make_stream
 from idsgate.config import build_experiment_config
 from idsgate.events import LayerId, Sink, working_verdict
 from idsgate.llm import (
@@ -53,7 +53,7 @@ def host_stream(rows, prefix="host"):
         out.append(
             make_scored(conf, pred_label=pred, truth=truth, event_id=f"{prefix}-{i}", layer=LayerId.HOST, raw=raw)
         )
-    return out
+    return make_stream(out)
 
 
 def sink_of(run):
@@ -136,10 +136,10 @@ def test_metrics_merge_adds_counts():
     cfg = PipelineConfig()
     rows = [(0.9, 1, 1), (0.9, 1, 0), (0.9, 0, 1), (0.6, 0, 0), (0.55, 1, 1)]
     scored = {
-        LayerId.NETWORK: [
+        LayerId.NETWORK: make_stream([
             make_scored(c, pred_label=p, truth=t, event_id=f"network-{i}", layer=LayerId.NETWORK)
             for i, (c, p, t) in enumerate(rows)
-        ],
+        ]),
         LayerId.HOST: host_stream(rows[1:] + [(0.9, 0, None)]),  # one unlabeled
     }
     truths = {se.event.id: se.event.truth for stream in scored.values() for se in stream}
@@ -748,12 +748,12 @@ def test_calibrate_gate1_delegates_to_qcal():
 
 def test_run_mode_aggregates_layers():
     cfg = PipelineConfig()
-    net = [
+    net = make_stream([
         make_scored(c, pred_label=p, truth=t, event_id=f"network-{i}", layer=LayerId.NETWORK)
         for i, (c, p, t) in enumerate([(0.9, 0, 0), (0.6, 1, 1), (0.88, 1, 1)])
-    ]
+    ])
     host = host_stream([(0.9, 0, 0), (0.55, 0, 0)])
-    truths = {se.event.id: se.event.truth for se in net + host}
+    truths = {e.id: e.truth for e in net.events + host.events}
     scored = {LayerId.NETWORK: net, LayerId.HOST: host}
     mode_run, summary = run_mode(
         scored,

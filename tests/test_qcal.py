@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import hidslike_stream, make_scored
+from conftest import hidslike_stream, make_scored, make_stream
 from idsgate.qcal import (
     ActionSet,
     CalibConfig,
@@ -40,7 +40,7 @@ def one_slice(events, threshold, rc=RewardConfig()):
     """The whole list as one slice at one threshold: (mean bin, variance
     bin, uncertain bin, mean reward)."""
     mean_bin, var_bin, unc_bin, reward = outcome_table(
-        events, len(events), (threshold,), rc
+        make_stream(events), len(events), (threshold,), rc
     )
     return int(mean_bin[0]), int(var_bin[0]), int(unc_bin[0, 0]), float(reward[0, 0])
 
@@ -103,7 +103,7 @@ def test_window_sums_run_left_to_right():
     # (or compensated, as sum() is from Python 3.12) sum would give bin 1.
     events = confidences((10, 0.1))
     assert int(math.fsum(se.confidence for se in events) / 10 * 10) == 1
-    mean_bin, _, _, _ = outcome_table(events, 10, (0.05,), RewardConfig())
+    mean_bin, _, _, _ = outcome_table(make_stream(events), 10, (0.05,), RewardConfig())
     assert mean_bin.tolist() == [0]
 
 
@@ -116,7 +116,7 @@ def test_gate1_uncertain_boundary_is_inclusive():
 def test_outcome_table_counts_the_threshold_as_known():
     # Every confidence sits exactly on the threshold: nothing escalates,
     # so the uncertain bin is 0 and each correct call earns its full reward.
-    stream = [make_scored(0.85, pred_label=1, truth=1) for _ in range(10)]
+    stream = make_stream([make_scored(0.85, pred_label=1, truth=1) for _ in range(10)])
     _, _, unc_bin, reward = outcome_table(stream, 10, (0.85, 0.86), RewardConfig())
     assert unc_bin.tolist() == [[0, 4]]
     assert reward[0, 0] == 1.0
@@ -155,8 +155,9 @@ def test_reward_band_penalty_applies_above_budget():
 
 
 def oracle_table(stream, window, thresholds, rc):
-    """Per-event oracle of ``outcome_table``: walk each slice in order,
-    adding floats one at a time."""
+    """Per-event oracle of ``outcome_table``: walk each slice of the
+    stream's rows in order, adding floats one at a time."""
+    stream = list(stream)
     rows = []
     for i in range(0, len(stream), window):
         sl = stream[i : i + window]
@@ -197,11 +198,11 @@ def test_outcome_table_matches_per_event_oracle(seed):
         rng.choice(thresholds) if rng.random() < 0.3 else rng.random()
         for _ in range(n - window)
     ]
-    stream = [
+    stream = make_stream([
         make_scored(c, pred_label=rng.randrange(2), truth=rng.randrange(2),
                     event_id=f"network-{i}")
         for i, c in enumerate(confs)
-    ]
+    ])
     mean_bin, var_bin, unc_bin, reward = outcome_table(stream, window, thresholds, rc)
     expected = oracle_table(stream, window, thresholds, rc)
     assert mean_bin.tolist() == [row[0] for row in expected]
@@ -254,13 +255,13 @@ def test_select_action_explores_and_exploits():
 
 
 def test_calibrate_rejects_unlabeled_stream():
-    stream = [make_scored(0.8, event_id=f"network-{i}") for i in range(150)]
+    stream = make_stream([make_scored(0.8, event_id=f"network-{i}") for i in range(150)])
     with pytest.raises(UnlabeledStream):
         calibrate(stream, CalibConfig(), 0)
 
 
 def test_calibrate_rejects_short_stream():
-    stream = [make_scored(0.8, truth=0, event_id=f"network-{i}") for i in range(99)]
+    stream = make_stream([make_scored(0.8, truth=0, event_id=f"network-{i}") for i in range(99)])
     with pytest.raises(StreamTooShort):
         calibrate(stream, CalibConfig(), 0)
 
@@ -268,6 +269,7 @@ def test_calibrate_rejects_short_stream():
 def sweep_mean_reward(stream, threshold, rc):
     """Oracle: mean per-event reward of routing everything at one
     threshold, window by window."""
+    stream = list(stream)
     total = 0.0
     window = 100
     for i in range(0, len(stream), window):

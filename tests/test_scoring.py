@@ -26,7 +26,7 @@ from idsgate.corpus import (
     load_hypervisor_csv,
     split_train_test,
 )
-from idsgate.events import Event, LayerId
+from idsgate.events import Event, LayerId, ScoredStream
 from idsgate.scoring import (
     EmptyCorpus,
     Scorer,
@@ -518,6 +518,41 @@ def test_score_stream_matches_per_event_formula(generate):
         assert se.event is e
         assert se.pred_label == (1 if p > 0.5 else 0)
         assert se.confidence == max(p, 1.0 - p)
+
+
+def test_score_stream_columns_are_the_per_row_scores_read_only():
+    train, _ = split_train_test(gen_network(NetGenConfig(count=1000, seed=0)), 0.8, seed=0)
+    scorer = train_baseline(train, _stack(train), TrainConfig(epochs=20))
+    scored = score_stream(train, scorer, _stack(train))
+    assert isinstance(scored, ScoredStream) and scored.events is train
+    # The columns hold, bit for bit, each row's label and max(p, 1 - p).
+    labels, confidences = [], []
+    for e in train:
+        z = float(np.einsum("j,j->", scorer.weights, e.features)) + scorer.bias
+        p = float(1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))))
+        labels.append(1 if p > 0.5 else 0)
+        confidences.append(max(p, 1.0 - p))
+    assert scored.labels.dtype == np.int8 and scored.labels.tolist() == labels
+    assert scored.confidences.tolist() == confidences
+    assert 0 < sum(labels) < len(labels)
+    # A row holds a Python int and float, as json.dumps and the CSV's repr need.
+    for i in (0, len(train) - 1):
+        row = scored[i]
+        assert type(row.pred_label) is int and type(row.confidence) is float
+        assert (row.event, row.pred_label, row.confidence) == (
+            train[i], labels[i], confidences[i]
+        )
+    part = scored.take([5, 2])
+    assert [(r.event, r.confidence) for r in part] == [
+        (train[i], confidences[i]) for i in (5, 2)
+    ]
+    # Both columns are read-only, and so are those of a part taken from them.
+    for stream in (scored, part):
+        with pytest.raises(ValueError, match="read-only"):
+            stream.labels[0] = 1 - stream.labels[0]
+        with pytest.raises(ValueError, match="read-only"):
+            stream.confidences[0] = 0.5
+    assert scored.labels.tolist() == labels and scored.confidences.tolist() == confidences
 
 
 def test_replay_csv_round_trip(tmp_path):
