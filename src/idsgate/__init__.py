@@ -19,6 +19,7 @@ Usage from the shell:
 __version__ = "0.1.0"
 
 from .events import (
+    Corpus,
     Event,
     LayerId,
     ScoredEvent,
@@ -51,6 +52,7 @@ from .scoring import FeatureExtractor, Scorer, score_stream, train_baseline
 
 __all__ = [
     "__version__",
+    "Corpus",
     "Event",
     "ScoredEvent",
     "LayerId",

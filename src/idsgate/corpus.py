@@ -1,9 +1,10 @@
 """Synthetic corpora for the three layers, plus loaders and the split.
 
-Network and hypervisor events get their feature vectors here, from the
+Every generator and loader returns one :class:`Corpus` of columns.
+Network and hypervisor events get their feature block here, from the
 same cells as their raw records; host vectors are tf-idf, fitted later.
-A generated network or hypervisor event keeps no text: its raw record
-is printed from its feature row when it is read.
+A generated network or hypervisor corpus keeps no text: its printer
+prints a raw record from its feature row when it is read.
 
 The hypervisor generator is count-exact: the configured per-class totals
 are produced verbatim, then shuffled.  The network and host generators
@@ -25,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .events import RAW_PRINTERS, Event, LayerId, make_event_id
+from .events import Corpus, LayerId, make_event_id
 
 T = TypeVar("T")
 
@@ -152,11 +153,6 @@ class MalformedCorpus(ValueError):
     """A loaded corpus file has a header or row its layer cannot read."""
 
 
-# The feature of every replayed event, and of a host event until its tf-idf row is built.
-PLACEHOLDER_FEATURES = np.zeros(1)
-PLACEHOLDER_FEATURES.flags.writeable = False
-
-
 def binary_label(cell: str, name: str, where: str) -> int:
     """A 0/1 label cell as ``int`` reads it, else ``MalformedCorpus``."""
     try:
@@ -202,17 +198,19 @@ def truth_label(cell: str | None, where: str) -> int | None:
     return binary_label(cell, "truth", where)
 
 
-_ID_FORBIDDEN = re.compile(r"[\s,]")
+_ID_FORBIDDEN = re.compile(r'[\s,"]')
 
 
 def check_event_id(value: object, path: str, lineno: int, seen: dict | None = None) -> str:
-    """``value`` as an event id: a non-empty string without whitespace or
-    a comma, so it stays whole in a CSV cell and a prompt line.  With
-    ``seen`` (id -> line), it must also be new there, and joins it."""
+    """``value`` as an event id: a non-empty string without whitespace, a
+    comma or a double quote, so it stays whole, unquoted, in a CSV cell
+    and a prompt line.  With ``seen`` (id -> line), it must also be new
+    there, and joins it."""
     where = f"{path}:{lineno}"
     if not isinstance(value, str) or not value or _ID_FORBIDDEN.search(value):
         raise MalformedCorpus(
-            f"{where}: event_id {value!r} is not a non-empty string without whitespace or commas"
+            f"{where}: event_id {value!r} is not a non-empty string without whitespace, "
+            "commas or quotes"
         )
     if seen is not None and seen.setdefault(value, lineno) != lineno:
         raise MalformedCorpus(f"{where}: event_id {value!r} repeats line {seen[value]}")
@@ -363,42 +361,33 @@ def _print_network(row: np.ndarray) -> str:
     return ",".join(["%.4f"] * len(row)) % tuple(row.tolist())
 
 
-RAW_PRINTERS[LayerId.NETWORK] = _print_network
-RAW_PRINTERS[LayerId.HYPERVISOR] = _print_hypervisor
-
-
 def _hyp_truth(cls: str) -> int:
     return 0 if cls.strip().lower() == HYP_NORMAL_CLASS else 1
 
 
-def _hyp_event(row: dict[str, str], ordinal: int) -> Event:
-    """One hypervisor event from a row of cells: the one-hot of the type
-    (an unknown type is an all-zero block), then each numeric cell."""
-    cls = row["event_class"]
+def _hyp_features(row: dict[str, str]) -> np.ndarray:
+    """The feature row of a row of cells: the one-hot of the type (an
+    unknown type is an all-zero block), then each numeric cell."""
     hv = _kv_token(row["hv"])
     features = [1.0 if hv == _kv_token(t) else 0.0 for t in HYP_TYPES]
     features += [_safe_float(row[name]) for name in HYP_NUMERIC_FIELDS]
-    return Event(
-        id=make_event_id(LayerId.HYPERVISOR, ordinal),
-        layer=LayerId.HYPERVISOR,
-        text=" ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:]),
-        features=np.array(features),
-        truth=_hyp_truth(cls),
-        truth_class=cls,
-    )
+    return np.array(features)
 
 
-def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
+def _hyp_ids(n: int) -> list[str]:
+    return [make_event_id(LayerId.HYPERVISOR, ordinal) for ordinal in range(n)]
+
+
+def gen_hypervisor(cfg: HypGenConfig) -> Corpus:
     """Generate the hypervisor corpus with exact per-class counts.
 
     Rows are drawn class by class into one feature block (the one-hot of
     the type, then each numeric cell as its raw record shows it),
-    shuffled once, and numbered; each event's features are a read-only
-    row of that block, and its raw record is printed from that row.  A
-    row draws its type, then each run of its fields with one call, in
-    field order; each class's Gaussian columns then get their mean and
-    sd, the clip and the four-decimal rounding.  The same config always
-    yields the same events.
+    shuffled once, and numbered; the corpus prints each raw record from
+    its read-only row of that block.  A row draws its type, then each
+    run of its fields with one call, in field order; each class's
+    Gaussian columns then get their mean and sd, the clip and the
+    four-decimal rounding.  The same config always yields the same corpus.
     """
     rng = np.random.default_rng(cfg.seed)
     total = sum(cfg.class_counts.values())
@@ -423,64 +412,66 @@ def gen_hypervisor(cfg: HypGenConfig) -> list[Event]:
     order = rng.permutation(total).tolist()
     block = block[order]
     block.flags.writeable = False
-    return [
-        Event(
-            id=make_event_id(LayerId.HYPERVISOR, ordinal),
-            layer=LayerId.HYPERVISOR,
-            text=None,
-            features=row,
-            truth=_hyp_truth(classes[i]),
-            truth_class=classes[i],
-        )
-        for ordinal, (i, row) in enumerate(zip(order, block))
-    ]
+    classes = [classes[i] for i in order]
+    truths = [_hyp_truth(cls) for cls in classes]
+    return Corpus(
+        LayerId.HYPERVISOR, _hyp_ids(total), truths, classes, block, printer=_print_hypervisor
+    )
 
 
-def write_hypervisor_csv(events: list[Event], path: str) -> None:
+def write_hypervisor_csv(corpus: Corpus, path: str) -> None:
     """Write the 24-column dataset (labels included, ids positional)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HYP_COLUMNS)
-        for e in events:
-            fields = parse_kv_record(e.raw)
-            row = [e.truth_class]
+        for i, cls in enumerate(corpus.classes):
+            fields = parse_kv_record(corpus.record(i))
+            row = [cls]
             for c in HYP_COLUMNS[1:]:
                 value = fields.get(c, "")
                 row.append(value.replace("_", " ") if c == "hv" else value)
             writer.writerow(row)
 
 
-def load_hypervisor_csv(path: str) -> list[Event]:
-    """Rebuild events from a 24-column dataset file; ids are positional.
+def load_hypervisor_csv(path: str) -> Corpus:
+    """Rebuild the corpus of a 24-column dataset file; ids are positional.
+
+    Each line's feature row is made as it is read, and the rows are
+    stacked once, at the end.
 
     Raises:
         MalformedCorpus: a column is missing, a row is ragged, its
             ``event_class`` is empty, or the file holds no events.
     """
-    events: list[Event] = []
+    classes: list[str] = []
+    texts: list[str] = []
+    rows: list[np.ndarray] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for ordinal, (line, row) in enumerate(csv_rows(fh, path, HYP_COLUMNS)):
+        for line, row in csv_rows(fh, path, HYP_COLUMNS):
             if not row["event_class"].strip():
                 raise MalformedCorpus(f"{path}:{line}: empty event_class")
-            events.append(_hyp_event(row, ordinal))
-    if not events:
+            classes.append(row["event_class"])
+            texts.append(" ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:]))
+            rows.append(_hyp_features(row))
+    if not rows:
         raise MalformedCorpus(f"{path}: no events")
-    return events
+    truths = [_hyp_truth(cls) for cls in classes]
+    return Corpus(LayerId.HYPERVISOR, _hyp_ids(len(rows)), truths, classes, np.stack(rows), texts)
 
 
 NET_ATTACK_TYPES = ("port_scan", "brute_force", "dos", "infiltration")
 
 
-def gen_network(cfg: NetGenConfig) -> list[Event]:
+def gen_network(cfg: NetGenConfig) -> Corpus:
     """Two numeric flow populations with configurable mean separation.
 
     Benign flows are standard normal per feature; attack flows share the
     covariance but sit ``separation`` away along a fixed random
     direction.  High separation makes a trained model confident, low
-    separation leaves diffuse mid-range confidence mass.  Each event's
-    features are its read-only row of one block, each drawn value
-    rounded to four decimals, and its raw record is printed from that
-    row (:func:`_print_network`).
+    separation leaves diffuse mid-range confidence mass.  The corpus's
+    features are one read-only block, each drawn value rounded to four
+    decimals, and it prints each raw record from its row
+    (:func:`_print_network`).
     """
     rng = np.random.default_rng(cfg.seed)
     direction = rng.normal(size=cfg.n_features)
@@ -501,57 +492,55 @@ def gen_network(cfg: NetGenConfig) -> list[Event]:
             kinds.append(None)
     round4(block)
     block.flags.writeable = False
-    return [
-        Event(
-            id=make_event_id(LayerId.NETWORK, i),
-            layer=LayerId.NETWORK,
-            text=None,
-            features=row,
-            truth=truth,
-            truth_class=kind,
-        )
-        for i, (row, truth, kind) in enumerate(zip(block, truths, kinds))
-    ]
+    ids = [make_event_id(LayerId.NETWORK, i) for i in range(cfg.count)]
+    return Corpus(LayerId.NETWORK, ids, truths, kinds, block, printer=_print_network)
 
 
-def write_network_csv(events: list[Event], path: str) -> None:
-    n = len(events[0].features) if events else 0
+NET_LEAD_COLUMNS = ["event_id", "truth", "truth_class"]
+
+
+def write_network_csv(corpus: Corpus, path: str) -> None:
+    n = corpus.features.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["event_id", "truth", "truth_class"] + [f"f{i:02d}" for i in range(n)]
-        )
-        for e in events:
+        writer.writerow(NET_LEAD_COLUMNS + [f"f{i:02d}" for i in range(n)])
+        for i, (event_id, truth, cls) in enumerate(zip(corpus.ids, corpus.truths, corpus.classes)):
             writer.writerow(
-                [e.id, "" if e.truth is None else e.truth, e.truth_class or ""]
-                + e.raw.split(",")
+                [event_id, "" if truth is None else truth, cls or ""] + corpus.record(i).split(",")
             )
 
 
-def load_network_csv(path: str) -> list[Event]:
-    """Rebuild events from a network CSV written by ``write_network_csv``.
+def load_network_csv(path: str) -> Corpus:
+    """Rebuild the corpus of a network CSV written by ``write_network_csv``.
 
     Raises:
-        MalformedCorpus: the header has no feature column, a row is
-            ragged, breaks :func:`check_event_id` or :func:`truth_label`,
-            or has a feature cell that is not a finite number, or the file
-            holds no events.
+        MalformedCorpus: the header does not start with
+            ``event_id,truth,truth_class`` or has no feature column after
+            them, a row is ragged, breaks :func:`check_event_id` or
+            :func:`truth_label`, or has a feature cell that is not a finite
+            number, or the file holds no events.
     """
-    events: list[Event] = []
+    ids: list[str] = []
+    truths: list[int | None] = []
+    classes: list[str | None] = []
+    texts: list[str] = []
+    rows: list[np.ndarray] = []
     seen: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise MalformedCorpus(f"{path}:1: empty file")
+        if header[:3] != NET_LEAD_COLUMNS:
+            raise MalformedCorpus(f"{path}:1: header must start with event_id,truth,truth_class")
         if len(header) < 4:
             raise MalformedCorpus(f"{path}:1: no feature column after event_id,truth,truth_class")
         for row in reader:
             where = f"{path}:{reader.line_num}"
             if len(row) != len(header):
                 raise MalformedCorpus(f"{where}: {len(row)} cells, header has {len(header)}")
-            event_id = check_event_id(row[0], path, reader.line_num, seen)
-            truth = truth_label(row[1], where)
+            ids.append(check_event_id(row[0], path, reader.line_num, seen))
+            truths.append(truth_label(row[1], where))
             cells = row[3:]
             try:
                 features = np.array([float(c) for c in cells])
@@ -559,12 +548,12 @@ def load_network_csv(path: str) -> list[Event]:
                 raise MalformedCorpus(f"{where}: {exc}") from None
             if not np.isfinite(features).all():
                 raise MalformedCorpus(f"{where}: feature cells must be finite numbers")
-            events.append(
-                Event(event_id, LayerId.NETWORK, ",".join(cells), features, truth, row[2] or None)
-            )
-    if not events:
+            classes.append(row[2] or None)
+            texts.append(",".join(cells))
+            rows.append(features)
+    if not rows:
         raise MalformedCorpus(f"{path}: no events")
-    return events
+    return Corpus(LayerId.NETWORK, ids, truths, classes, np.stack(rows), texts)
 
 
 _HOST_PROCS = ("apache2", "sshd", "cron", "systemd", "mysqld", "nginx")
@@ -618,7 +607,7 @@ def _host_attack_line(rng: random.Random, kind: str, ambiguity: float) -> str:
     return line
 
 
-def gen_hostlogs(cfg: HostGenConfig) -> list[Event]:
+def gen_hostlogs(cfg: HostGenConfig) -> Corpus:
     """Templated process/syscall log lines with tunable ambiguity.
 
     Higher ambiguity blends benign vocabulary into attack lines (and
@@ -629,8 +618,9 @@ def gen_hostlogs(cfg: HostGenConfig) -> list[Event]:
     n_attack = int(round(cfg.count * cfg.attack_fraction))
     labels = [1] * n_attack + [0] * (cfg.count - n_attack)
     rng.shuffle(labels)
-    events: list[Event] = []
-    for i, truth in enumerate(labels):
+    kinds: list[str | None] = []
+    texts: list[str] = []
+    for truth in labels:
         if truth == 1:
             kind = rng.choice(_HOST_ATTACK_TYPES)
             raw = _host_attack_line(rng, kind, cfg.ambiguity)
@@ -639,28 +629,22 @@ def gen_hostlogs(cfg: HostGenConfig) -> list[Event]:
             raw = _host_benign_line(rng)
             if rng.random() < cfg.ambiguity * 0.3:
                 raw += f" auth_fail user={rng.choice(_HOST_USERS)} attempts=1"
-        events.append(
-            Event(
-                id=make_event_id(LayerId.HOST, i),
-                layer=LayerId.HOST,
-                text=raw,
-                features=PLACEHOLDER_FEATURES,
-                truth=truth,
-                truth_class=kind,
-            )
-        )
-    return events
+        kinds.append(kind)
+        texts.append(raw)
+    ids = [make_event_id(LayerId.HOST, i) for i in range(cfg.count)]
+    return Corpus(LayerId.HOST, ids, labels, kinds, texts=texts)
 
 
-def write_host_jsonl(events: list[Event], path: str) -> None:
+def write_host_jsonl(corpus: Corpus, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
-            row = {"event_id": e.id, "truth": e.truth, "truth_class": e.truth_class, "raw": e.raw}
+        for i, (event_id, truth, cls) in enumerate(zip(corpus.ids, corpus.truths, corpus.classes)):
+            raw = corpus.record(i)
+            row = {"event_id": event_id, "truth": truth, "truth_class": cls, "raw": raw}
             fh.write(json.dumps(row) + "\n")
 
 
-def load_host_jsonl(path: str) -> list[Event]:
-    """Rebuild events from a host JSONL file written by ``write_host_jsonl``.
+def load_host_jsonl(path: str) -> Corpus:
+    """Rebuild the corpus of a host JSONL file written by ``write_host_jsonl``.
 
     Raises:
         MalformedCorpus: a line is not a JSON object with ``event_id``,
@@ -668,7 +652,10 @@ def load_host_jsonl(path: str) -> list[Event]:
             neither ``null`` nor a string, breaks :func:`check_event_id` or
             :func:`truth_label`, or the file holds no events.
     """
-    events: list[Event] = []
+    ids: list[str] = []
+    truths: list[int | None] = []
+    classes: list[str | None] = []
+    texts: list[str] = []
     seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -682,24 +669,24 @@ def load_host_jsonl(path: str) -> list[Event]:
                 raise MalformedCorpus(f"{where}: {exc.msg} (column {exc.colno})") from None
             if not (isinstance(data, dict) and {"event_id", "raw", "truth"} <= data.keys()):
                 raise MalformedCorpus(f"{where}: not an object with event_id, raw, truth")
-            event_id = check_event_id(data["event_id"], path, lineno, seen)
+            ids.append(check_event_id(data["event_id"], path, lineno, seen))
             if not isinstance(data["raw"], str):
                 raise MalformedCorpus(f"{where}: raw {data['raw']!r} is not a string")
             cell = None if data["truth"] is None else json.dumps(data["truth"])
-            truth, truth_class = truth_label(cell, where), data.get("truth_class")
+            truths.append(truth_label(cell, where))
+            truth_class = data.get("truth_class")
             if not isinstance(truth_class, (str, type(None))):
                 raise MalformedCorpus(f"{where}: truth_class {truth_class!r} is not a string")
-            events.append(
-                Event(event_id, LayerId.HOST, data["raw"], PLACEHOLDER_FEATURES, truth, truth_class)
-            )
-    if not events:
+            classes.append(truth_class)
+            texts.append(data["raw"])
+    if not ids:
         raise MalformedCorpus(f"{path}: no events")
-    return events
+    return Corpus(LayerId.HOST, ids, truths, classes, texts=texts)
 
 
 def split_train_test(events: Sequence[T], ratio: float, seed: int) -> tuple[list[T], list[T]]:
-    """Seeded shuffle split of events, or of a scored stream's row
-    indices; train gets round(n * ratio) of them.
+    """Seeded shuffle split of a sequence, such as a corpus's row indices;
+    train gets round(n * ratio) of its items.
 
     The two halves are disjoint and exhaustive.
 

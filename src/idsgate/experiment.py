@@ -1,7 +1,7 @@
 """End-to-end assembly: corpora, scorers, calibrations, runs, artifacts.
 
 This is the layer between the CLI and the pipeline primitives.  It
-knows how to produce events for each layer (generate or load), fit the
+knows how to produce each layer's corpus (generate or load), fit the
 layer's extractor and base model on the training split, calibrate the
 gates, run the modes, and write every artifact with run id and mode in
 the file name.
@@ -13,8 +13,6 @@ import dataclasses
 import json
 import logging
 import os
-
-import numpy as np
 
 from .config import ExperimentConfig
 from .corpus import (
@@ -35,7 +33,7 @@ from .corpus import (
     write_hypervisor_csv,
     write_network_csv,
 )
-from .events import Event, LayerId, ScoredStream
+from .events import Corpus, LayerId, ScoredStream
 from .llm import EchoLlmClient, HttpLlmClient, MockLlmClient, calibrate_llm_threshold
 from .memory import MemoryStore, load_store
 from .outputs import (
@@ -84,23 +82,22 @@ HYPERVISOR_FILE = "hypervisor.csv"
 
 @dataclasses.dataclass
 class LayerBundle:
-    """One layer, ready to run: its corpus, the fitted scorer (``None`` for
-    replayed scores) and the scored stream of each split.  The evaluation
-    events keep their features (for the host layer, each a ``TfidfRow``
-    of one evaluation-sized block of sparse rows)."""
+    """One layer, ready to run: the fitted scorer (``None`` for replayed
+    scores) and the scored stream of each split.  The evaluation corpus
+    keeps the features it was scored on (for the host layer, its sparse
+    tf-idf rows)."""
 
     layer: LayerId
-    events: list[Event]
     scorer: Scorer | None
     train_scored: ScoredStream
     eval_scored: ScoredStream
 
     @property
-    def eval_events(self) -> list[Event]:
+    def eval_events(self) -> Corpus:
         return self.eval_scored.events
 
 
-def generate_events(layer: LayerId, xcfg: ExperimentConfig) -> list[Event]:
+def generate_events(layer: LayerId, xcfg: ExperimentConfig) -> Corpus:
     seed = xcfg.pipeline.seed
     if layer is LayerId.NETWORK:
         return gen_network(
@@ -123,7 +120,7 @@ def generate_events(layer: LayerId, xcfg: ExperimentConfig) -> list[Event]:
     return gen_hypervisor(HypGenConfig(seed=seed + 2))
 
 
-def load_events(layer: LayerId, data_dir: str) -> list[Event]:
+def load_events(layer: LayerId, data_dir: str) -> Corpus:
     if layer is LayerId.NETWORK:
         return load_network_csv(os.path.join(data_dir, NETWORK_FILE))
     if layer is LayerId.HOST:
@@ -134,58 +131,44 @@ def load_events(layer: LayerId, data_dir: str) -> list[Event]:
 def prepare_layer(layer: LayerId, xcfg: ExperimentConfig) -> LayerBundle:
     """Read or generate the layer's input, split it, and score both splits.
 
-    A ``replay:<csv>`` layer's file is its scored stream, whose row
-    indices are split as events are.  Otherwise the base model is trained
-    on the training split: a loaded corpus was checked by its reader, and
-    a generated one is valid as it is made.  One function builds a split's features: its stacked
-    event vectors or, for the host layer, its sparse tf-idf rows, fitted
-    on the training split only, so evaluation text never leaks into the
-    fit.  The model trains on the training split's features, and each
-    split is scored from its own by the same call.  Only the host
-    evaluation events keep their rows: each event's ``features`` is its
-    ``TfidfRow`` of the split's sparse rows, and no dense block is built.
-    The host ``train_scored`` holds the split's own events.
+    A ``replay:<csv>`` layer's file is its scored stream.  Otherwise the
+    base model is trained on the training split: a loaded corpus was
+    checked by its reader, and a generated one is valid as it is made.
+    Either way the row indices are split, and each split is a ``take``
+    of them; the whole corpus is let go once the two splits are taken.
+    A split's features are its rows of the corpus's block or, for the
+    host layer, its sparse tf-idf rows, fitted on the training split
+    only, so evaluation text never leaks into the fit; the host
+    evaluation corpus carries its rows as its features.  The model
+    trains on a copy of the training split's features, since
+    ``train_baseline`` consumes a matrix, and each split is scored from
+    its own by the same call.
     """
     cfg = xcfg.pipeline
     spec = xcfg.scorers[layer]
     if spec.startswith("replay:"):
         stream = load_replay_csv(spec.removeprefix("replay:"), layer)
         train, test = split_train_test(range(len(stream)), cfg.train_ratio, cfg.seed)
-        return LayerBundle(
-            layer=layer,
-            events=stream.events,
-            scorer=None,
-            train_scored=stream.take(train),
-            eval_scored=stream.take(test[: cfg.eval_count]),
-        )
-    events = load_events(layer, xcfg.data_dir) if xcfg.data_dir else generate_events(layer, xcfg)
-    train, test = split_train_test(events, cfg.train_ratio, cfg.seed)
-    eval_events = test[: cfg.eval_count]
+        return LayerBundle(layer, None, stream.take(train), stream.take(test[: cfg.eval_count]))
+    corpus = load_events(layer, xcfg.data_dir) if xcfg.data_dir else generate_events(layer, xcfg)
+    rows, test = split_train_test(range(len(corpus)), cfg.train_ratio, cfg.seed)
+    train, evaluation = corpus.take(rows), corpus.take(test[: cfg.eval_count])
+    del corpus
     if layer is LayerId.HOST:
-        extractor = fit_tfidf([e.raw for e in train])
-        featurize = lambda split: extract_features([e.raw for e in split], extractor)
-        x_train = featurize(train)
+        extractor = fit_tfidf(train.texts)
+        x_train = extract_features(train.texts, extractor)
         scorer = train_baseline(train, x_train, TrainConfig(seed=cfg.seed))
+        evaluation = dataclasses.replace(
+            evaluation, features=extract_features(evaluation.texts, extractor)
+        )
     else:
-        # A split stacks to (n, d), even when empty.  train_baseline consumes
-        # its matrix, so the training split is stacked again, after, to be
-        # scored: one stack at a time, where a copy would hold two.
-        d = len(events[0].features)
-        featurize = lambda split: np.array([e.features for e in split], np.float64).reshape(-1, d)
-        scorer = train_baseline(train, featurize(train), TrainConfig(seed=cfg.seed))
-        x_train = featurize(train)
-    train_scored = score_stream(train, scorer, x_train)
-    x_eval = featurize(eval_events)
-    if layer is LayerId.HOST:
-        eval_events = [
-            dataclasses.replace(e, features=x_eval.row(i)) for i, e in enumerate(eval_events)
-        ]
+        x_train = train.features
+        scorer = train_baseline(train, x_train.copy(), TrainConfig(seed=cfg.seed))
     return LayerBundle(
         layer=layer,
-        events=events,
         scorer=scorer,
-        train_scored=train_scored,
-        eval_scored=score_stream(eval_events, scorer, x_eval),
+        train_scored=score_stream(train, scorer, x_train),
+        eval_scored=score_stream(evaluation, scorer, evaluation.features),
     )
 
 
@@ -196,14 +179,16 @@ def prepare_bundles(xcfg: ExperimentConfig) -> dict[LayerId, LayerBundle]:
 def truth_maps(
     bundles: dict[LayerId, LayerBundle]
 ) -> tuple[dict[str, int], dict[str, str]]:
+    """Each routed or training event's truth and attack class, by id."""
     truths: dict[str, int] = {}
     attack_types: dict[str, str] = {}
     for bundle in bundles.values():
-        for e in bundle.events:
-            if e.truth is not None:
-                truths[e.id] = e.truth
-            if e.truth_class:
-                attack_types[e.id] = e.truth_class
+        for split in (bundle.train_scored.events, bundle.eval_scored.events):
+            for event_id, truth, cls in zip(split.ids, split.truths, split.classes):
+                if truth is not None:
+                    truths[event_id] = truth
+                if cls:
+                    attack_types[event_id] = cls
     return truths, attack_types
 
 

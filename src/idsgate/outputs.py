@@ -154,10 +154,11 @@ def write_confidence_csv(path: str, runs: list[tuple[ScoredStream, list[Sink]]])
     with open_w(path) as fh:
         fh.write(CONFIDENCE_CSV_HEADER + "\n")
         for scored, sinks in runs:
-            columns = (scored.events, scored.labels.tolist(), scored.confidences.tolist(), sinks)
-            for e, label, confidence, sink in zip(*columns, strict=True):
-                truth = "" if e.truth is None else str(e.truth)
-                fh.write(f"{e.id},{e.layer.value},{label},{confidence!r},{truth},{sink.value}\n")
+            events, layer = scored.events, scored.events.layer.value
+            columns = (scored.labels.tolist(), scored.confidences.tolist(), events.truths, sinks)
+            for event_id, label, confidence, truth, sink in zip(events.ids, *columns, strict=True):
+                truth = "" if truth is None else str(truth)
+                fh.write(f"{event_id},{layer},{label},{confidence!r},{truth},{sink.value}\n")
 
 
 def write_jsonl(path: str, rows: list[dict]) -> None:

@@ -256,7 +256,8 @@ def route_stream(
 
     Gate 1 splits the stream with one comparison over its confidence
     column; each event then gets the sink it reached, in a list aligned
-    with ``scored``.  Only Gate 3 reads an event as a row, ``scored[i]``.
+    with ``scored``.  Gate 2 reads ``scored.events.record(i)``; only Gate 3
+    builds an event, ``scored[i]``.
     The gate trace is built for the review rows, the one record that
     keeps it.  The returned LayerRun's summary is counted after routing,
     from its outcomes table and the audit rows, and validated (the two
@@ -344,7 +345,7 @@ def route_stream(
         for Gate 3; True if that flushed a batch that wrote to the store."""
         audits.append(
             {
-                "event_id": scored.events[i].id,
+                "event_id": scored.events.ids[i],
                 "layer": layer.value,
                 "gate": "gate2",
                 "nearest_distance": None
@@ -374,7 +375,7 @@ def route_stream(
     with ThreadPoolExecutor(max_workers=max(1, cfg.llm_parallelism - 1)) as pool:
         while True:
             block = block or [
-                (i, embed(scored.events[i].raw, cfg.embedding))
+                (i, embed(scored.events.record(i), cfg.embedding))
                 for i in itertools.islice(todo, GATE2_BLOCK)
             ]
             if not block:
@@ -389,7 +390,7 @@ def route_stream(
         flush()
 
     assert None not in sinks, "an event reached no sink"
-    outcomes = Counter(zip(sinks, scored.labels.tolist(), [e.truth for e in scored.events]))
+    outcomes = Counter(zip(sinks, scored.labels.tolist(), scored.events.truths))
     tally = Counter(sinks)
     gate3 = [a for a in audits if a["gate"] == "gate3"]
     labels = Counter(a["llm_label"] for a in gate3)

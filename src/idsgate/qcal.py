@@ -114,7 +114,7 @@ def outcome_table(
     size = np.count_nonzero(valid, axis=1)
     conf, known_r = np.zeros(valid.shape), np.zeros(valid.shape)
     conf[valid] = stream.confidences
-    truth = np.array([e.truth for e in stream.events])
+    truth = np.array(stream.events.truths)
     wrong_r = np.where(truth == 1, rc.r_wrong_known_attack, rc.r_wrong_known_benign)
     known_r[valid] = np.where(stream.labels == truth, rc.r_correct_known, wrong_r)
     mean = _row_sums(conf) / size
@@ -188,7 +188,7 @@ def calibrate(
     stream: ScoredStream, cfg: CalibConfig, seed: int
 ) -> CalibrationResult:
     """Learn a per-layer Gate-1 threshold from a labeled scored stream's
-    columns and its events' truth.
+    columns and its corpus's truths.
 
     Each episode walks the stream's window-sized slices with one action
     per slice, picked epsilon-greedily from the state the previous slice
@@ -201,7 +201,7 @@ def calibrate(
         UnlabeledStream: any event lacks a truth label.
         StreamTooShort: stream shorter than one window.
     """
-    if any(e.truth is None for e in stream.events):
+    if None in stream.events.truths:
         raise UnlabeledStream("calibration stream must be fully labeled")
     if len(stream) < cfg.window:
         raise StreamTooShort(

@@ -6,7 +6,7 @@ loaded.  The built-in base model is a small logistic model trained on
 labeled events (``Scorer``); its confidence is ``max(p, 1 - p)`` of the
 attack probability, so it lives in [0.5, 1.0].  Scores stored by
 another model need no scorer: ``load_replay_csv`` reads them as the
-layer's scored stream, a ``ScoredStream`` of events and score columns.
+layer's scored stream, a ``ScoredStream`` of a corpus and score columns.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (
-    PLACEHOLDER_FEATURES,
     MalformedCorpus,
     binary_label,
     check_event_id,
@@ -26,7 +25,7 @@ from .corpus import (
     csv_rows,
     truth_label,
 )
-from .events import Event, LayerId, ScoredStream
+from .events import Corpus, LayerId, ScoredStream
 
 TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -134,15 +133,18 @@ class TfidfRows:
         cells = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
         return TfidfRows(indptr, self.indices[cells], self.data[cells], self.dims)
 
-    def row(self, i: int) -> TfidfRow:
-        """Row ``i``, kept sparse; numpy reads it as its dense vector."""
-        return TfidfRow(self, i)
-
     def dense(self) -> np.ndarray:
         """The rows as one ``(len(self), dims)`` float64 block."""
         block = np.zeros((len(self), self.dims))
         block[self.row_of_cells(), self.indices] = self.data
         return block
+
+    def dense_row(self, i: int) -> np.ndarray:
+        """Row ``i`` as a fresh vector, the same bits as ``self.dense()[i]``."""
+        cells = slice(self.indptr[i], self.indptr[i + 1])
+        vector = np.zeros(self.dims)
+        vector[self.indices[cells]] = self.data[cells]
+        return vector
 
     def dot(self, v: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """Each row's dot product with ``v``, its cells summed in column
@@ -153,28 +155,6 @@ class TfidfRows:
         cells = np.take(v, self.indices, out=cells, mode="clip")
         cells *= self.data
         return _segment_sums(cells, self.indptr)
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class TfidfRow:
-    """Row ``index`` of ``rows``, a vector of ``rows.dims`` cells that holds
-    no dense copy: ``np.asarray`` scatters its stored cells into a fresh
-    zero vector on each read, the same bits as its row of ``rows.dense()``."""
-
-    rows: TfidfRows
-    index: int
-
-    def __len__(self) -> int:
-        return self.rows.dims
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("a tf-idf row has no dense array to return without a copy")
-        rows = self.rows
-        cells = slice(rows.indptr[self.index], rows.indptr[self.index + 1])
-        vector = np.zeros(rows.dims, dtype=dtype)
-        vector[rows.indices[cells]] = rows.data[cells]
-        return vector
 
 
 def extract_features(texts: list[str], extractor: FeatureExtractor) -> TfidfRows:
@@ -279,12 +259,13 @@ def _column_moments(
     return mu, sigma
 
 
-def train_baseline(events: list[Event], x: np.ndarray | TfidfRows, cfg: TrainConfig) -> Scorer:
-    """Train the built-in logistic stand-in on labeled events.
+def train_baseline(events: Corpus, x: np.ndarray | TfidfRows, cfg: TrainConfig) -> Scorer:
+    """Train the built-in logistic stand-in on a corpus's labeled events.
 
     ``x`` holds the features of ``events``, one row per event: a float64
-    matrix, or the tf-idf rows of :func:`extract_features`.  When some
-    events have no truth label, only the labeled rows are taken.
+    matrix, or the tf-idf rows of :func:`extract_features`.  Only the
+    truths of ``events`` are read.  When some events have no truth label,
+    only the labeled rows are taken.
 
     Full-batch gradient descent with a fixed schedule on the standardized
     features.  A matrix is standardized in place, so the caller's matrix
@@ -308,13 +289,14 @@ def train_baseline(events: list[Event], x: np.ndarray | TfidfRows, cfg: TrainCon
     """
     if len(x) != len(events):
         raise ValueError(f"{len(events)} events but {len(x)} feature rows")
-    keep = [i for i, e in enumerate(events) if e.truth is not None]
-    classes = {events[i].truth for i in keep}
+    truths = events.truths
+    keep = [i for i, truth in enumerate(truths) if truth is not None]
+    classes = {truths[i] for i in keep}
     if len(classes) < 2:
         raise SingleClassData(
             f"logistic training needs both classes, got {sorted(classes)}"
         )
-    y = np.array([events[i].truth for i in keep], dtype=np.float64)
+    y = np.array([truths[i] for i in keep], dtype=np.float64)
     n = len(y)
 
     if isinstance(x, TfidfRows):
@@ -366,10 +348,8 @@ def train_baseline(events: list[Event], x: np.ndarray | TfidfRows, cfg: TrainCon
     return Scorer(weights=w_raw, bias=b_raw)
 
 
-def score_stream(
-    events: list[Event], scorer: Scorer, x: np.ndarray | TfidfRows
-) -> ScoredStream:
-    """Score a stream of events with the logistic model.
+def score_stream(events: Corpus, scorer: Scorer, x: np.ndarray | TfidfRows) -> ScoredStream:
+    """Score a corpus with the logistic model.
 
     ``x`` holds the features of ``events``, one row per event, in the
     form :func:`train_baseline` takes.  p = sigmoid(w.x + b); the label
@@ -395,8 +375,8 @@ def load_replay_csv(path: str, layer: LayerId) -> ScoredStream:
     Expected header: ``event_id,layer,pred_label,confidence,truth``; the
     truth cell may be empty for unlabeled rows.  Events come in file
     order; an id given twice keeps its first position and its last row.
-    Replay rows carry no payload, so every event has an empty raw record
-    and the shared ``PLACEHOLDER_FEATURES``.  Each cell is checked here.
+    Replay rows carry no payload, so the corpus holds no feature block,
+    and every record is empty.  Each cell is checked here.
 
     Raises:
         MalformedCorpus: ``<path>:<line>: ...`` for a missing column, a
@@ -404,7 +384,7 @@ def load_replay_csv(path: str, layer: LayerId) -> ScoredStream:
             or ``truth`` that is not 0 or 1, a confidence that is not a
             number in [0, 1], a row of another layer, or a file without rows.
     """
-    stream: dict[str, tuple[Event, int, float]] = {}
+    stream: dict[str, tuple[int | None, int, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for line, row in csv_rows(fh, path, REPLAY_CSV_HEADER):
             where = f"{path}:{line}"
@@ -414,10 +394,11 @@ def load_replay_csv(path: str, layer: LayerId) -> ScoredStream:
             pred_label = binary_label(row["pred_label"], "pred_label", where)
             truth = truth_label(row["truth"], where)
             confidence = confidence_cell(row["confidence"], where)
-            event = Event(event_id, layer, "", PLACEHOLDER_FEATURES, truth)
-            stream[event_id] = (event, pred_label, confidence)
+            stream[event_id] = (truth, pred_label, confidence)
     if not stream:
         raise MalformedCorpus(f"{path}:1: header without rows")
-    events, labels, confidences = zip(*stream.values())
-    return ScoredStream(list(events), np.array(labels, np.int8), np.array(confidences))
+    truths, labels, confidences = zip(*stream.values())
+    n = len(stream)
+    events = Corpus(layer, list(stream), list(truths), [None] * n, texts=[""] * n)
+    return ScoredStream(events, np.array(labels, np.int8), np.array(confidences))
 

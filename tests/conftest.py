@@ -11,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from idsgate.events import Event, LayerId, ScoredEvent, ScoredStream
+from idsgate.events import Corpus, Event, LayerId, ScoredEvent, ScoredStream
 
 # Populated by tests in test_acceptance.py; the partition check walks
 # every routed run registered here.
@@ -84,10 +84,25 @@ def make_event(
     return Event(
         id=event_id,
         layer=layer,
-        text=raw,
+        raw=raw,
         features=features if features is not None else np.zeros(4),
         truth=truth,
         truth_class=truth_class,
+    )
+
+
+def make_corpus(events: list[Event]) -> Corpus:
+    """The corpus whose row i is ``events[i]``: their records as its texts
+    and their feature vectors stacked, all of one layer."""
+    layers = {e.layer for e in events} or {LayerId.NETWORK}
+    assert len(layers) == 1, f"a corpus holds one layer, not {sorted(layers)}"
+    return Corpus(
+        layers.pop(),
+        [e.id for e in events],
+        [e.truth for e in events],
+        [e.truth_class for e in events],
+        np.array([e.features for e in events]),
+        [e.raw for e in events],
     )
 
 
@@ -109,7 +124,7 @@ def make_scored(
 def make_stream(rows: list[ScoredEvent]) -> ScoredStream:
     """The scored stream whose row i is ``rows[i]``."""
     return ScoredStream(
-        [se.event for se in rows],
+        make_corpus([se.event for se in rows]),
         np.array([se.pred_label for se in rows], np.int8),
         np.array([se.confidence for se in rows], np.float64),
     )
@@ -142,7 +157,7 @@ def hidslike_stream(seed: int, n: int, prefix: str) -> ScoredStream:
         event = Event(
             id=f"{prefix}-{i}",
             layer=LayerId.HOST,
-            text=raw,
+            raw=raw,
             features=np.zeros(1),
             truth=truth,
             truth_class="synthetic_attack" if truth == 1 else None,

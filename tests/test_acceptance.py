@@ -218,10 +218,10 @@ def test_adaptive_beats_static():
 
 def test_generator_fidelity():
     t0 = time.perf_counter()
-    events = gen_hypervisor(HypGenConfig())
-    assert len(events) == 25000
+    corpus = gen_hypervisor(HypGenConfig())
+    assert len(corpus) == 25000
     counts = Counter(
-        e.truth_class if e.truth == 1 else "normal" for e in events
+        cls if truth == 1 else "normal" for truth, cls in zip(corpus.truths, corpus.classes)
     )
     assert counts == {
         "normal": 12500,
@@ -232,9 +232,9 @@ def test_generator_fidelity():
         "hyper_jacking": 2470,
     }
     assert len(HYP_COLUMNS) == 24
-    for e in events[:200]:
+    for i in range(200):
         # The raw line carries every column except the class label.
-        assert len(e.raw.split(" ")) == len(HYP_COLUMNS) - 1
+        assert len(corpus.record(i).split(" ")) == len(HYP_COLUMNS) - 1
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -256,7 +256,7 @@ def _warmup_stream() -> tuple[ScoredStream, dict[str, int], dict[str, str]]:
         event = Event(
             id=event_id,
             layer=LayerId.HOST,
-            text=raw,
+            raw=raw,
             features=np.zeros(1),
             truth=truth,
             truth_class="replayed_attack" if truth == 1 else None,

@@ -355,10 +355,13 @@ def _host_line(**fields):
         ("network", _set_cells(2, f05="bogus"), "{path}:3: could not convert string to float: 'bogus'"),
         ("network", lambda rows: rows.clear(), "{path}:1: empty file"),
         ("network", _keep_columns(3), "{path}:1: no feature column"),
+        ("network", _drop_column("truth_class"), "{path}:1: header must start with event_id,truth,"),
+        ("network", _set_cells(0, event_id="id", truth="label"), "{path}:1: header must start"),
         ("network", _set_cells(1, event_id="net,50"), "{path}:2: event_id 'net,50' is not a non-empty"),
         ("network", _set_cells(2, event_id="net 51"), "{path}:3: event_id 'net 51' is not a non-empty"),
         ("network", _set_cells(2, event_id=""), "{path}:3: event_id '' is not a non-empty"),
         ("network", _set_cells(3, event_id="network-0"), "{path}:4: event_id 'network-0' repeats line 2"),
+        ("network", _set_cells(2, event_id='"net-51'), "{path}:3: event_id '\"net-51' is not a non-empty"),
         ("hypervisor", _drop_column("uptime_hours"), "{path}:1: missing columns: ['uptime_hours']"),
         ("hypervisor", _set_cells(2, event_class=""), "{path}:3: empty event_class"),
         ("host", _set_line(1, '{"event_id": "host-1", "truth": 0}'), "{path}:2: not an object with"),
@@ -374,14 +377,16 @@ def _host_line(**fields):
         ("host", _set_line(1, _host_line(event_id=7)), "{path}:2: event_id 7 is not a non-empty"),
         ("host", _set_line(1, _host_line(event_id="host 1")), "{path}:2: event_id 'host 1' is not"),
         ("host", _set_line(2, _host_line(event_id="host-0")), "{path}:3: event_id 'host-0' repeats line 1"),
+        ("host", _set_line(1, _host_line(event_id='"host-1')), "{path}:2: event_id '\"host-1' is not"),
     ],
     ids=[
         "truth", "truth-not-int", "short-row", "long-row", "nan-cell", "bogus-cell", "empty-file",
-        "no-feature-column", "id-comma", "id-space", "id-empty", "id-repeated",
+        "no-feature-column", "header-no-class", "header-names",
+        "id-comma", "id-space", "id-empty", "id-repeated", "id-quote",
         "missing-column", "empty-class", "host-no-raw", "host-not-object", "host-bad-json",
         "host-truth-bool", "host-truth-float", "host-truth-2", "host-truth-string", "host-raw-null",
         "host-truth-class-number", "host-truth-class-list",
-        "host-id-number", "host-id-space", "host-id-repeated",
+        "host-id-number", "host-id-space", "host-id-repeated", "host-id-quote",
     ],
 )
 def test_loaded_corpus_with_bad_truth_label_fails(tmp_path, capsys, layer, edit, message):

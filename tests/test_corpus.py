@@ -14,7 +14,6 @@ from idsgate.corpus import (
     HYP_COLUMNS,
     HYP_NUMERIC_FIELDS,
     HYP_TYPES,
-    PLACEHOLDER_FEATURES,
     HostGenConfig,
     HypGenConfig,
     InvalidSplitRatio,
@@ -32,7 +31,7 @@ from idsgate.corpus import (
     write_hypervisor_csv,
     write_network_csv,
 )
-from idsgate.events import Event, LayerId, make_event_id
+from idsgate.events import PLACEHOLDER_FEATURES, Event, LayerId, make_event_id
 
 
 def test_parse_kv_record():
@@ -119,7 +118,7 @@ def test_hypervisor_features_match_raw(tmp_path):
     loaded = load_hypervisor_csv(path)
     # Oracle: read the features back out of the key=value record, one-hot
     # of hv over the types (spaces as underscores), then each numeric field.
-    for e in events + loaded:
+    for e in [*events, *loaded]:
         fields = parse_kv_record(e.raw)
         expected = [1.0 if fields["hv"] == t.replace(" ", "_") else 0.0 for t in HYP_TYPES]
         expected += [float(fields[name]) for name in HYP_NUMERIC_FIELDS]
@@ -218,7 +217,7 @@ def _reference_gen_hypervisor(cfg, drawn):
             Event(
                 id=make_event_id(LayerId.HYPERVISOR, ordinal),
                 layer=LayerId.HYPERVISOR,
-                text=" ".join(f"{k}={row[k].replace(' ', '_')}" for k in HYP_COLUMNS[1:]),
+                raw=" ".join(f"{k}={row[k].replace(' ', '_')}" for k in HYP_COLUMNS[1:]),
                 features=np.array(features),
                 truth=0 if row["event_class"] == "normal" else 1,
                 truth_class=row["event_class"],
@@ -247,7 +246,7 @@ def _reference_gen_network(cfg, drawn):
             Event(
                 id=make_event_id(LayerId.NETWORK, i),
                 layer=LayerId.NETWORK,
-                text=",".join(cells),
+                raw=",".join(cells),
                 features=np.array([float(c) for c in cells]),
                 truth=truth,
                 truth_class=corpus.NET_ATTACK_TYPES[int(rng.integers(4))] if truth == 1 else None,
@@ -339,11 +338,11 @@ def test_rounded_cell_prints_as_the_drawn_value_at_every_magnitude():
 def _retained_bytes(generate):
     tracemalloc.start()
     try:
-        events = generate()
+        generated = generate()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return retained, events
+    return retained, generated
 
 
 @pytest.mark.parametrize(
@@ -355,18 +354,17 @@ def _retained_bytes(generate):
     ids=["network", "hypervisor"],
 )
 def test_generators_keep_no_text(generate):
-    # A generated event holds its row of the feature block and no
-    # formatted record: beyond the block, its event, id and row view take
-    # under 300 bytes, and a record's text would add about 330 (network)
-    # or 490 (hypervisor) more.
-    retained, events = _retained_bytes(generate)
-    assert len(events) == 25000
-    block = events[0].features.base
-    assert all(e.features.base is block and e.text is None for e in events)
-    assert retained - block.nbytes < 400 * len(events)
-    # The row the record is printed from cannot change under it.
+    # A generated corpus holds its feature block and no formatted record,
+    # and builds no event: beyond the block, an event's id and its cells
+    # in the id, truth and class columns take under 150 bytes, where a
+    # record's text would add about 330 (network) or 490 (hypervisor) more.
+    retained, generated = _retained_bytes(generate)
+    assert len(generated) == 25000
+    assert generated.texts is None
+    assert retained - generated.features.nbytes < 150 * len(generated)
+    # The rows the records are printed from cannot change under them.
     with pytest.raises(ValueError):
-        events[0].features[0] = 1.0
+        generated.features[0, 0] = 1.0
 
 
 def test_numpy_sized_draws_continue_the_scalar_stream():
@@ -510,7 +508,7 @@ def test_host_jsonl_roundtrip(tmp_path):
         assert back.truth == orig.truth
         assert back.truth_class == orig.truth_class
     # generated and loaded host events share one read-only zero cell
-    assert all(e.features is PLACEHOLDER_FEATURES for e in events + loaded)
+    assert all(e.features is PLACEHOLDER_FEATURES for e in [*events, *loaded])
     assert PLACEHOLDER_FEATURES.tolist() == [0.0]
     assert not PLACEHOLDER_FEATURES.flags.writeable
 

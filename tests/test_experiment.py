@@ -9,7 +9,7 @@ import pytest
 from idsgate import experiment
 from idsgate.config import build_experiment_config
 from idsgate.corpus import split_train_test
-from idsgate.events import LayerId
+from idsgate.events import Event, LayerId
 from idsgate.experiment import (
     HOST_FILE,
     HYPERVISOR_FILE,
@@ -33,7 +33,7 @@ from idsgate.llm import EchoLlmClient, HttpLlmClient, MockLlmClient, prompt_sha2
 from idsgate.memory import MemoryRecord, MemorySource, embed
 from idsgate.outputs import IoWriteFailure
 from idsgate.pipeline import Mode
-from idsgate.scoring import TfidfRow, extract_features, fit_tfidf, score_stream
+from idsgate.scoring import TfidfRows, extract_features, fit_tfidf, score_stream
 
 
 def small_cfg(tmp_path, **extra):
@@ -49,11 +49,17 @@ def small_cfg(tmp_path, **extra):
     return build_experiment_config(kv)
 
 
+def _split_ids(bundle):
+    return bundle.train_scored.events.ids + bundle.eval_events.ids
+
+
 def test_get_events_generates_when_no_data_dir(tmp_path):
     xcfg = small_cfg(tmp_path)
-    events = prepare_layer(LayerId.NETWORK, xcfg).events
-    assert len(events) == 200
-    assert all(e.layer is LayerId.NETWORK for e in events)
+    bundle = prepare_layer(LayerId.NETWORK, xcfg)
+    # 160 training and 40 evaluation events: the generated 200, split
+    assert sorted(_split_ids(bundle)) == sorted(generate_events(LayerId.NETWORK, xcfg).ids)
+    assert len(_split_ids(bundle)) == 200
+    assert bundle.train_scored.events.layer is bundle.eval_events.layer is LayerId.NETWORK
 
 
 def test_get_events_prefers_replay_spec(tmp_path):
@@ -63,9 +69,12 @@ def test_get_events_prefers_replay_spec(tmp_path):
         fh.write("network-0,network,1,0.9,1\n")
         fh.write("network-1,network,0,0.6,0\n")
     xcfg = small_cfg(tmp_path, scorer_network=f"replay:{replay}")
-    events = prepare_layer(LayerId.NETWORK, xcfg).events
-    assert [e.id for e in events] == ["network-0", "network-1"]
-    assert [e.truth for e in events] == [1, 0]
+    bundle = prepare_layer(LayerId.NETWORK, xcfg)
+    assert bundle.scorer is None
+    # both rows fall in the training split: round(2 * 0.8) of 2
+    events = bundle.train_scored.events
+    assert sorted(zip(events.ids, events.truths)) == [("network-0", 1), ("network-1", 0)]
+    assert len(bundle.eval_events) == 0
 
 
 def test_replay_bundle_splits_the_csv_rows(tmp_path):
@@ -88,13 +97,21 @@ def test_replay_bundle_splits_the_csv_rows(tmp_path):
     assert [e.id for e in bundle.eval_events] == [r[0] for r in test[: xcfg.pipeline.eval_count]]
 
 
-def test_get_events_loads_from_data_dir(tmp_path):
+def test_get_events_loads_from_data_dir(tmp_path, monkeypatch):
     gen_cfg = small_cfg(tmp_path, layers="host")
     do_gen(gen_cfg)
     xcfg = small_cfg(tmp_path, data_dir=gen_cfg.out_dir, layers="host")
-    events = prepare_layer(LayerId.HOST, xcfg).events
-    assert len(events) == 240
-    assert events[0].id == "host-0"
+    loads = []
+    original = experiment.load_events
+    monkeypatch.setattr(
+        experiment, "load_events", lambda *args: loads.append(args) or original(*args)
+    )
+    monkeypatch.setattr(experiment, "generate_events", None)  # a loaded layer generates nothing
+    ids = _split_ids(prepare_layer(LayerId.HOST, xcfg))
+    assert loads == [(LayerId.HOST, gen_cfg.out_dir)]
+    # 192 training and 40 of the 48 test events of the 240 written
+    assert len(ids) == len(set(ids)) == 232
+    assert set(ids) <= {f"host-{i}" for i in range(240)}
 
 
 def test_prepare_layer_fits_host_tfidf_on_train_only(tmp_path, monkeypatch):
@@ -120,25 +137,28 @@ def test_prepare_layer_fits_host_tfidf_on_train_only(tmp_path, monkeypatch):
     assert all(0.5 <= se.confidence <= 1.0 for se in bundle.eval_scored)
 
 
+def _host_splits(xcfg):
+    corpus = generate_events(LayerId.HOST, xcfg)
+    train, test = split_train_test(range(len(corpus)), xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
+    return corpus.take(train), corpus.take(test[: xcfg.pipeline.eval_count])
+
+
 def test_host_bundle_keeps_no_training_rows(tmp_path):
     # Only the evaluation rows outlive prepare_layer: the training split is
     # featurized, trained on and scored as sparse rows, which are then let go.
     xcfg = small_cfg(tmp_path)
     bundle = prepare_layer(LayerId.HOST, xcfg)
+    assert bundle.train_scored.events.features is None
     assert all(se.event.features.shape == (1,) for se in bundle.train_scored)
-    # each evaluation row is a row of the evaluation split's own sparse
-    # rows, which hold only that split's cells
-    n_eval = len(bundle.eval_events)
-    assert all(isinstance(e.features, TfidfRow) for e in bundle.eval_events)
-    blocks = {id(e.features.rows): e.features.rows for e in bundle.eval_events}
-    assert [len(rows) for rows in blocks.values()] == [n_eval]
-    assert [e.features.index for e in bundle.eval_events] == list(range(n_eval))
+    # the evaluation corpus carries its split's own sparse rows, which
+    # hold only that split's cells
+    assert isinstance(bundle.eval_events.features, TfidfRows)
+    assert len(bundle.eval_events.features) == len(bundle.eval_events) == 40
     # each pair is the one the training event's tf-idf rows score
-    train, _ = split_train_test(bundle.events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
-    texts = [e.raw for e in train]
-    rows = extract_features(texts, fit_tfidf(texts))
+    train, _ = _host_splits(xcfg)
+    rows = extract_features(train.texts, fit_tfidf(train.texts))
     expected = score_stream(train, bundle.scorer, rows)
-    assert [se.event.id for se in bundle.train_scored] == [e.id for e in train]
+    assert bundle.train_scored.events.ids == train.ids
     assert [(se.pred_label, se.confidence) for se in bundle.train_scored] == [
         (se.pred_label, se.confidence) for se in expected
     ]
@@ -154,18 +174,19 @@ def test_host_bundle_keeps_no_training_rows(tmp_path):
 def test_host_evaluation_features_read_as_their_dense_tfidf_rows(tmp_path):
     xcfg = small_cfg(tmp_path)
     bundle = prepare_layer(LayerId.HOST, xcfg)
-    train, test = split_train_test(bundle.events, xcfg.pipeline.train_ratio, xcfg.pipeline.seed)
-    extractor = fit_tfidf([e.raw for e in train])
-    block = extract_features([e.raw for e in test[: xcfg.pipeline.eval_count]], extractor).dense()
+    train, evaluation = _host_splits(xcfg)
+    extractor = fit_tfidf(train.texts)
+    block = extract_features(evaluation.texts, extractor).dense()
     assert len(bundle.eval_events) == len(block) == 40
     for e, row in zip(bundle.eval_events, block):
         assert len(e.features) == extractor.dims
-        assert np.asarray(e.features).tobytes() == row.tobytes()
+        assert e.features.tobytes() == row.tobytes()
     # the stacked features reproduce every evaluation confidence
     x = np.stack([e.features for e in bundle.eval_events])
     assert x.tobytes() == block.tobytes()
     p = 1.0 / (1.0 + np.exp(-(x @ bundle.scorer.weights + bundle.scorer.bias)))
-    assert [se.event for se in bundle.eval_scored] == bundle.eval_events
+    assert bundle.eval_scored.events is bundle.eval_events
+    assert [se.event.id for se in bundle.eval_scored] == evaluation.ids
     assert [se.confidence for se in bundle.eval_scored] == pytest.approx(
         np.maximum(p, 1.0 - p).tolist(), rel=0, abs=1e-12
     )
@@ -210,9 +231,37 @@ def test_truth_maps_cover_all_bundles(tmp_path):
     xcfg = small_cfg(tmp_path, layers="network,host")
     bundles = prepare_bundles(xcfg)
     truths, attack_types = truth_maps(bundles)
-    total = sum(len(b.events) for b in bundles.values())
-    assert len(truths) == total
+    # every training and evaluation event, and no other
+    assert set(truths) == {
+        event_id
+        for b in bundles.values()
+        for event_id in b.train_scored.events.ids + b.eval_events.ids
+    }
     assert set(attack_types) == {eid for eid, t in truths.items() if t == 1}
+
+
+def test_compare_builds_one_event_per_gate3_call(tmp_path, monkeypatch):
+    # Set-up, Gate 1, Gate 2 and the writers read a corpus's columns; an
+    # Event is built only for a Gate-3 prompt, one per call.
+    built = []
+    original = Event.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting)
+    comp, _ = do_compare(small_cfg(tmp_path, layers="network,host"))
+    asked = [
+        a["event_id"]
+        for mode_run in (comp.static, comp.adaptive)
+        for run in mode_run.layer_runs.values()
+        for a in run.audits
+        if a["gate"] == "gate3"
+    ]
+    calls = sum(s.overall["llm_calls"] for s in (comp.static_summary, comp.adaptive_summary))
+    assert 0 < len(asked) == calls
+    assert built == asked
 
 
 def test_client_factory_echo_specs(tmp_path):

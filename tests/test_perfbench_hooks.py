@@ -6,7 +6,9 @@ and client objects.  Installing its tracer and boundary wrappers here,
 in-process, fails as soon as one of those names is deleted or renamed;
 routing one small stream through them, and calibrating and scoring one,
 checks that the wrappers still see the calls they count and can read the
-scored streams they are handed.
+scored streams they are handed.  A small ``compare`` run under them, and
+the correctness checker on its artifacts, check that they can read what
+set-up hands them: the corpora, the training splits and the bundles.
 """
 
 import importlib
@@ -17,6 +19,7 @@ import pytest
 
 from conftest import hidslike_stream, make_scored, make_stream
 from idsgate import experiment, memory, pipeline
+from idsgate.config import build_experiment_config
 from idsgate.events import LayerId
 from idsgate.llm import EchoLlmClient
 from idsgate.memory import MemoryStore
@@ -30,11 +33,11 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 @pytest.fixture
 def perfbench(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
-    return importlib.import_module("tracing"), importlib.import_module("runner")
+    return tuple(importlib.import_module(name) for name in ("tracing", "runner", "checker"))
 
 
 def test_tracer_and_boundaries_wrap_the_names_they_patch(perfbench, tmp_path):
-    tracing, runner = perfbench
+    tracing, runner, _ = perfbench
     patched = [
         (module, name)
         for module in (experiment, pipeline, memory)
@@ -92,3 +95,39 @@ def test_tracer_and_boundaries_wrap_the_names_they_patch(perfbench, tmp_path):
     assert m["scoring.score_s.host"] > 0
     # every wrapper is gone again
     assert all(getattr(module, name) is fn for (module, name), fn in originals.items())
+
+
+def test_tracer_and_checker_read_a_small_compare(perfbench, tmp_path):
+    tracing, runner, checker = perfbench
+    xcfg = build_experiment_config({
+        "net_count": "400",
+        "host_count": "400",
+        "eval_count": "60",
+        "episodes": "2",
+        "layers": "network,host",
+        "out_dir": str(tmp_path),
+    })
+    tracer = tracing.Tracer(0.0)
+    bounds = runner.Boundaries(tracer, setup_only=False)
+    try:
+        tracer.install()
+        bounds.install()
+        comp, _ = experiment.do_compare(xcfg)
+    finally:
+        bounds.uninstall()
+        tracer.uninstall()
+
+    summaries = {
+        "static": comp.static_summary.to_dict(),
+        "adaptive": comp.adaptive_summary.to_dict(),
+    }
+    m = tracer.metrics(summaries, xcfg.pipeline.llm_parallelism)
+    assert m["corpus.events.network"] == m["corpus.events.host"] == 400
+    assert m["scoring.train_s.network"] > 0 and m["scoring.train_s.host"] > 0
+    # each layer's training split and evaluation split, each mode's calibration
+    assert m["scoring.events_scored"] == 2 * (320 + 60)
+    assert m["qcal.slices.network"] > 0 and m["qcal.slices.host"] > 0
+    bundles = bounds.returned["prepare_bundles"]
+    assert checker.check_run(xcfg, bundles, None) == {
+        "problems": [], "missing_events": 0, "unsure_verdicts": 0
+    }

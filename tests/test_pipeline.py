@@ -753,7 +753,7 @@ def test_run_mode_aggregates_layers():
         for i, (c, p, t) in enumerate([(0.9, 0, 0), (0.6, 1, 1), (0.88, 1, 1)])
     ])
     host = host_stream([(0.9, 0, 0), (0.55, 0, 0)])
-    truths = {e.id: e.truth for e in net.events + host.events}
+    truths = {e.id: e.truth for stream in (net, host) for e in stream.events}
     scored = {LayerId.NETWORK: net, LayerId.HOST: host}
     mode_run, summary = run_mode(
         scored,

@@ -10,12 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_event
+from conftest import make_corpus, make_event
 from idsgate.corpus import (
     HYP_COLUMNS,
     HYP_NUMERIC_FIELDS,
     HYP_TYPES,
-    PLACEHOLDER_FEATURES,
     HostGenConfig,
     HypGenConfig,
     MalformedCorpus,
@@ -26,7 +25,7 @@ from idsgate.corpus import (
     load_hypervisor_csv,
     split_train_test,
 )
-from idsgate.events import Event, LayerId, ScoredStream
+from idsgate.events import PLACEHOLDER_FEATURES, Corpus, Event, LayerId, ScoredStream
 from idsgate.scoring import (
     EmptyCorpus,
     Scorer,
@@ -135,23 +134,22 @@ def test_tfidf_block_matches_per_event_reference():
         assert row.tobytes() == _reference_tfidf_vector(raw, fx).tobytes()
 
 
-def test_tfidf_row_reads_as_its_row_of_the_dense_block():
+def test_tfidf_dense_row_is_its_row_of_the_dense_block():
     raws = ["alpha beta beta", "", "gamma zeta", "alpha gamma"]
     rows = extract_features(raws, fit_tfidf(raws))
     block = rows.dense()
-    views = [rows.row(i) for i in range(len(rows))]
-    assert all(len(v) == rows.dims == 4 for v in views)
-    for v, expected in zip(views, block):
-        vector = np.asarray(v)
-        assert vector.dtype == np.float64
+    for i, expected in enumerate(block):
+        vector = rows.dense_row(i)
+        assert vector.dtype == np.float64 and vector.shape == (rows.dims,) == (4,)
         assert vector.tobytes() == expected.tobytes()
-        assert np.asarray(v) is not vector  # a fresh vector on each read
-        assert np.asarray(v, dtype=np.float32).tobytes() == expected.astype(np.float32).tobytes()
-    assert not np.asarray(views[1]).any()  # no vocabulary term: a zero row
-    assert np.stack(views).tobytes() == block.tobytes()
-    assert np.linalg.norm(views[2]) == np.linalg.norm(block[2])
-    with pytest.raises(ValueError, match="without a copy"):
-        views[0].__array__(copy=False)
+        assert rows.dense_row(i) is not vector  # a fresh vector on each read
+    assert not rows.dense_row(1).any()  # no vocabulary term: a zero row
+    # A corpus carrying the rows builds each event with its dense row.
+    corpus = Corpus(LayerId.HOST, ["a", "b", "c", "d"], [0, 1, 0, 1], [None] * 4, rows, raws)
+    assert np.stack([e.features for e in corpus]).tobytes() == block.tobytes()
+    part = corpus.take([2, 0])
+    assert np.stack([e.features for e in part]).tobytes() == block[[2, 0]].tobytes()
+    assert (part.ids, part.texts) == (["c", "a"], ["gamma zeta", "alpha beta beta"])
 
 
 def test_tfidf_rows_hold_every_term_of_text_that_lowercases_longer():
@@ -189,7 +187,7 @@ def test_categorical_unknown_value_is_all_zero_block(tmp_path):
     assert event.features.shape == (len(HYP_TYPES) + len(HYP_NUMERIC_FIELDS),)
 
 
-def _labeled_blob(seed: int, n: int, dims: int = 6) -> list[Event]:
+def _labeled_blob(seed: int, n: int, dims: int = 6) -> Corpus:
     rng = np.random.default_rng(seed)
     events = []
     for i in range(n):
@@ -200,12 +198,12 @@ def _labeled_blob(seed: int, n: int, dims: int = 6) -> list[Event]:
             Event(
                 id=f"network-{i}",
                 layer=LayerId.NETWORK,
-                text="",
+                raw="",
                 features=feats,
                 truth=truth,
             )
         )
-    return events
+    return make_corpus(events)
 
 
 def test_logistic_matches_brute_force_descent():
@@ -268,37 +266,39 @@ def _rows_of(x):
     return TfidfRows(indptr, cols, x[rows, cols], x.shape[1])
 
 
+def _train_split(corpus: Corpus, seed: int) -> Corpus:
+    """The training split of ``corpus``, taken as prepare_layer takes it."""
+    rows, _ = split_train_test(range(len(corpus)), 0.8, seed)
+    return corpus.take(rows)
+
+
 def _host_train(seed):
-    train, _ = split_train_test(gen_hostlogs(HostGenConfig(count=1500, seed=seed)), 0.8, seed)
-    raws = [e.raw for e in train]
-    block = extract_features(raws, fit_tfidf(raws)).dense()
+    train = _train_split(gen_hostlogs(HostGenConfig(count=1500, seed=seed)), seed)
+    block = extract_features(train.texts, fit_tfidf(train.texts)).dense()
     return [dataclasses.replace(e, features=x) for e, x in zip(train, block)]
 
 
 @pytest.mark.parametrize(
     "train",
     [
-        lambda: split_train_test(gen_network(NetGenConfig(count=1500, seed=4)), 0.8, 4)[0],
+        lambda: _train_split(gen_network(NetGenConfig(count=1500, seed=4)), 4),
         lambda: _host_train(4),
-        lambda: split_train_test(
-            gen_hypervisor(HypGenConfig(class_counts={"normal": 900, "vm_escape": 600}, seed=4)),
-            0.8,
-            4,
-        )[0],
+        lambda: _train_split(
+            gen_hypervisor(HypGenConfig(class_counts={"normal": 900, "vm_escape": 600}, seed=4)), 4
+        ),
         # 400 rows, fewer than one chunk of the sum of squares.
-        lambda: split_train_test(gen_network(NetGenConfig(count=500, seed=5)), 0.8, 5)[0],
+        lambda: _train_split(gen_network(NetGenConfig(count=500, seed=5)), 5),
         # 3200 rows: three full chunks and a short one.
-        lambda: split_train_test(
+        lambda: _train_split(
             gen_hypervisor(HypGenConfig(class_counts={"normal": 2400, "hyper_jacking": 1600}, seed=6)),
-            0.8,
             6,
-        )[0],
+        ),
     ],
     ids=["network", "host", "hypervisor", "below-chunk", "several-chunks"],
 )
 def test_train_baseline_matches_reference(train):
     # A constant column (sigma 0, standardized as 1) rides along.
-    events = [dataclasses.replace(e, features=np.append(e.features, 2.5)) for e in train()]
+    events = make_corpus([dataclasses.replace(e, features=np.append(e.features, 2.5)) for e in train()])
     cfg = TrainConfig(seed=4)
     w_raw, b_raw = _reference_train(events, cfg)
     if events[0].layer is LayerId.HOST:
@@ -351,12 +351,12 @@ def test_train_baseline_takes_the_labeled_rows_of_x():
     # all-zero column make an empty row and an empty column of the rows.
     host = _host_train(15)
     host[5] = dataclasses.replace(host[5], features=np.zeros_like(host[5].features))
-    events = [
+    events = make_corpus([
         dataclasses.replace(
             e, features=np.append(e.features, 0.0), truth=None if i % 7 == 3 else e.truth
         )
         for i, e in enumerate(host)
-    ]
+    ])
     x = _stack(events)
     raw = x.copy()
     rows = _rows_of(x)
@@ -401,14 +401,14 @@ def test_logistic_training_is_deterministic():
 
 
 def test_logistic_single_class_raises():
-    events = [make_event(event_id=f"network-{i}", truth=1) for i in range(10)]
+    events = make_corpus([make_event(event_id=f"network-{i}", truth=1) for i in range(10)])
     with pytest.raises(SingleClassData):
         train_baseline(events, _stack(events), TrainConfig())
 
 
 def test_logistic_tie_predicts_benign():
     scorer = Scorer(weights=np.zeros(4), bias=0.0)
-    events = [make_event()]
+    events = make_corpus([make_event()])
     se = score_stream(events, scorer, _stack(events))[0]
     # p is exactly 0.5: the tie stays benign at confidence 0.5.
     assert se.pred_label == 0
@@ -418,17 +418,17 @@ def test_logistic_tie_predicts_benign():
 def test_score_stream_on_tfidf_rows_scores_each_row():
     raws = ["alpha beta", "beta gamma gamma", "zeta", "alpha"]
     rows = extract_features(raws, fit_tfidf(raws[:2]))
-    events = [make_event(event_id=f"host-{i}") for i in range(len(raws))]
+    events = make_corpus([make_event(f"host-{i}", LayerId.HOST) for i in range(len(raws))])
     scorer = Scorer(weights=np.array([0.5, -2.0, 1.5]), bias=0.25)
     scored = score_stream(events, scorer, rows)
-    assert [se.event for se in scored] == events
+    assert scored.events is events
     for se, x in zip(scored, rows.dense()):
         p = 1.0 / (1.0 + np.exp(-(float(np.dot(scorer.weights, x)) + scorer.bias)))
         assert se.pred_label == (1 if p > 0.5 else 0)
         assert se.confidence == pytest.approx(max(p, 1.0 - p), rel=0, abs=1e-15)
     for x in (rows, rows.dense()):
         with pytest.raises(ValueError, match="3 events but 4 feature rows"):
-            score_stream(events[:3], scorer, x)
+            score_stream(events.take([0, 1, 2]), scorer, x)
 
 
 _THREAD_COUNT_CHILD = """
@@ -443,11 +443,14 @@ from idsgate.scoring import TrainConfig, extract_features, fit_tfidf, score_stre
 def digest(a):
     return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
 
-hyp, _ = split_train_test(gen_hypervisor(HypGenConfig(seed=2)), 0.8, 0)
-x = np.array([e.features for e in hyp], dtype=np.float64)
-host, _ = split_train_test(gen_hostlogs(HostGenConfig(count=5000, seed=1)), 0.8, 0)
-texts = [e.raw for e in host]
-rows = extract_features(texts, fit_tfidf(texts))
+def train_split(corpus):
+    rows, _ = split_train_test(range(len(corpus)), 0.8, 0)
+    return corpus.take(rows)
+
+hyp = train_split(gen_hypervisor(HypGenConfig(seed=2)))
+x = hyp.features
+host = train_split(gen_hostlogs(HostGenConfig(count=5000, seed=1)))
+rows = extract_features(host.texts, fit_tfidf(host.texts))
 out = [f"rows {digest(rows.indptr)} {digest(rows.indices)} {digest(rows.data)}"]
 for events, features in ((hyp, x), (host, rows)):
     # train_baseline standardizes a matrix in place; score the raw one.
@@ -507,7 +510,7 @@ def test_replay_scorer_returns_stored_pair(tmp_path):
     ids=["network", "hypervisor"],
 )
 def test_score_stream_matches_per_event_formula(generate):
-    train, _ = split_train_test(generate(), 0.8, seed=0)
+    train = _train_split(generate(), 0)
     scorer = train_baseline(train, _stack(train), TrainConfig())
     scored = score_stream(train, scorer, _stack(train))
     assert len(scored) == len(train)
@@ -515,13 +518,13 @@ def test_score_stream_matches_per_event_formula(generate):
     for e, se in zip(train, scored):
         z = float(np.einsum("j,j->", scorer.weights, e.features)) + scorer.bias
         p = float(1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0))))
-        assert se.event is e
+        assert se.event.id == e.id
         assert se.pred_label == (1 if p > 0.5 else 0)
         assert se.confidence == max(p, 1.0 - p)
 
 
 def test_score_stream_columns_are_the_per_row_scores_read_only():
-    train, _ = split_train_test(gen_network(NetGenConfig(count=1000, seed=0)), 0.8, seed=0)
+    train = _train_split(gen_network(NetGenConfig(count=1000, seed=0)), 0)
     scorer = train_baseline(train, _stack(train), TrainConfig(epochs=20))
     scored = score_stream(train, scorer, _stack(train))
     assert isinstance(scored, ScoredStream) and scored.events is train
@@ -539,12 +542,12 @@ def test_score_stream_columns_are_the_per_row_scores_read_only():
     for i in (0, len(train) - 1):
         row = scored[i]
         assert type(row.pred_label) is int and type(row.confidence) is float
-        assert (row.event, row.pred_label, row.confidence) == (
-            train[i], labels[i], confidences[i]
+        assert (row.event.id, row.pred_label, row.confidence) == (
+            train.ids[i], labels[i], confidences[i]
         )
     part = scored.take([5, 2])
-    assert [(r.event, r.confidence) for r in part] == [
-        (train[i], confidences[i]) for i in (5, 2)
+    assert [(r.event.id, r.confidence) for r in part] == [
+        (train.ids[i], confidences[i]) for i in (5, 2)
     ]
     # Both columns are read-only, and so are those of a part taken from them.
     for stream in (scored, part):
@@ -579,7 +582,7 @@ def test_replayed_event_of_a_printed_layer_keeps_its_empty_record(tmp_path, laye
     path = tmp_path / "replay.csv"
     path.write_text(REPLAY_HEADER + f"{layer.value}-3,{layer.value},1,0.6,1\n")
     [se] = load_replay_csv(str(path), layer)
-    assert (se.event.text, se.event.raw) == ("", "")
+    assert se.event.raw == ""
 
 
 def test_replay_csv_repeated_id_keeps_first_position_and_last_row(tmp_path):
