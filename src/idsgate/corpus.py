@@ -4,7 +4,9 @@ Every generator and loader returns one :class:`Corpus` of columns.
 Network and hypervisor events get their feature block here, from the
 same cells as their raw records; host vectors are tf-idf, fitted later.
 A generated network or hypervisor corpus keeps no text: its printer
-prints a raw record from its feature row when it is read.
+prints a raw record from its feature row when it is read.  So does one
+loaded from a file whose every record is what the printer prints from
+its row, as in every file ``gen`` writes.
 
 The hypervisor generator is count-exact: the configured per-class totals
 are produced verbatim, then shuffled.  The network and host generators
@@ -15,12 +17,15 @@ distribution the gates see.
 
 from __future__ import annotations
 
+import array
 import csv
 import itertools
 import json
 import math
+import operator
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -164,14 +169,21 @@ def binary_label(cell: str, name: str, where: str) -> int:
     return label
 
 
+def check_header(header: list[str] | None, path: str, columns: Iterable[str]) -> list[str]:
+    """A CSV file's header, the list of cells on its line 1 (None for an
+    empty file); ``MalformedCorpus`` when one of ``columns`` is missing."""
+    missing = set(columns) - set(header or [])
+    if missing:
+        raise MalformedCorpus(f"{path}:1: missing columns: {sorted(missing)}")
+    return header
+
+
 def csv_rows(fh: Iterable[str], path: str, columns: Iterable[str]) -> Iterator[tuple[int, dict]]:
     """The rows of a CSV file as (line number, dict) pairs; ``MalformedCorpus``
     ``<path>:<line>: ...`` for a header without one of ``columns``, or for
     a row with more or fewer cells than the header."""
     reader = csv.DictReader(fh)
-    missing = set(columns) - set(reader.fieldnames or [])
-    if missing:
-        raise MalformedCorpus(f"{path}:1: missing columns: {sorted(missing)}")
+    check_header(reader.fieldnames, path, columns)
     for row in reader:
         if None in row or None in row.values():
             raise MalformedCorpus(f"{path}:{reader.line_num}: row length differs from header")
@@ -206,14 +218,13 @@ def check_event_id(value: object, path: str, lineno: int, seen: dict | None = No
     comma or a double quote, so it stays whole, unquoted, in a CSV cell
     and a prompt line.  With ``seen`` (id -> line), it must also be new
     there, and joins it."""
-    where = f"{path}:{lineno}"
     if not isinstance(value, str) or not value or _ID_FORBIDDEN.search(value):
         raise MalformedCorpus(
-            f"{where}: event_id {value!r} is not a non-empty string without whitespace, "
-            "commas or quotes"
+            f"{path}:{lineno}: event_id {value!r} is not a non-empty string without "
+            "whitespace, commas or quotes"
         )
     if seen is not None and seen.setdefault(value, lineno) != lineno:
-        raise MalformedCorpus(f"{where}: event_id {value!r} repeats line {seen[value]}")
+        raise MalformedCorpus(f"{path}:{lineno}: event_id {value!r} repeats line {seen[value]}")
     return value
 
 
@@ -361,17 +372,41 @@ def _print_network(row: np.ndarray) -> str:
     return ",".join(["%.4f"] * len(row)) % tuple(row.tolist())
 
 
+# A cell that prints back as itself: at most nine integer digits, then
+# four decimals (a network cell, a Gaussian hypervisor field) or none (a
+# Poisson field).  Such a cell s lies below 1e9 < 2**30 in magnitude, so
+# the double d that ``float`` reads from it is within 2**-24 < 1e-7 of s.
+# No other number with as many decimals lies within half a unit of the
+# last decimal of d, and ``%.4f`` (``%.0f``) rounds d correctly, so it
+# prints s.  "-0.0000" reads as -0.0, which prints as "-0.0000" again.
+# Only ASCII digits: ``float`` also reads other Unicode digits, which
+# ``%.4f`` never prints.
+_FIXED4 = r"-?(?:0|[1-9][0-9]{0,8})\.[0-9]{4}"
+_FIXED0 = r"-?(?:0|[1-9][0-9]{0,8})"
+# A hypervisor row's numeric cells, joined by commas, that all reprint.
+_HYP_CELLS = ",".join(_FIXED0 if name in _HYP_POISSON else _FIXED4 for name in HYP_NUMERIC_FIELDS)
+# The one-hot of each type token; an unknown type is an all-zero block,
+# and a row that holds one cannot be printed.
+_HYP_ONE_HOT = {token: tuple(float(t == token) for t in _HYP_TOKENS) for token in _HYP_TOKENS}
+_HYP_NO_TYPE = (0.0,) * len(HYP_TYPES)
+
+
+def _block(values: array.array, width: int) -> np.ndarray:
+    """The float64 cells of ``values`` as a read-only ``(n, width)`` view."""
+    block = np.frombuffer(values).reshape(-1, width)
+    block.flags.writeable = False
+    return block
+
+
+def _reprinted(values: array.array, width: int, printer: Callable[[np.ndarray], str]) -> list[str]:
+    """The records ``printer`` prints from the rows read into ``values``:
+    the texts of a file's records before its first one that does not
+    reprint.  The view is let go on return, so ``values`` can grow again."""
+    return [printer(row) for row in _block(values, width)]
+
+
 def _hyp_truth(cls: str) -> int:
     return 0 if cls.strip().lower() == HYP_NORMAL_CLASS else 1
-
-
-def _hyp_features(row: dict[str, str]) -> np.ndarray:
-    """The feature row of a row of cells: the one-hot of the type (an
-    unknown type is an all-zero block), then each numeric cell."""
-    hv = _kv_token(row["hv"])
-    features = [1.0 if hv == _kv_token(t) else 0.0 for t in HYP_TYPES]
-    features += [_safe_float(row[name]) for name in HYP_NUMERIC_FIELDS]
-    return np.array(features)
 
 
 def _hyp_ids(n: int) -> list[str]:
@@ -436,27 +471,56 @@ def write_hypervisor_csv(corpus: Corpus, path: str) -> None:
 def load_hypervisor_csv(path: str) -> Corpus:
     """Rebuild the corpus of a 24-column dataset file; ids are positional.
 
-    Each line's feature row is made as it is read, and the rows are
-    stacked once, at the end.
+    Each row's one-hot and numeric cells go into one float64 block as
+    the row is read.  When every row reprints (a known ``hv`` and each
+    numeric cell as the printer writes it, as in every file ``gen``
+    writes), the corpus keeps no text and prints each record from its
+    row, as a generated corpus does; otherwise it keeps every record as
+    read.
 
     Raises:
         MalformedCorpus: a column is missing, a row is ragged, its
             ``event_class`` is empty, or the file holds no events.
     """
     classes: list[str] = []
-    texts: list[str] = []
-    rows: list[np.ndarray] = []
+    values = array.array("d")
+    texts: list[str] | None = None
+    width = len(HYP_TYPES) + len(HYP_NUMERIC_FIELDS)
     with open(path, newline="", encoding="utf-8") as fh:
-        for line, row in csv_rows(fh, path, HYP_COLUMNS):
-            if not row["event_class"].strip():
-                raise MalformedCorpus(f"{path}:{line}: empty event_class")
-            classes.append(row["event_class"])
-            texts.append(" ".join(f"{k}={_kv_token(row[k])}" for k in HYP_COLUMNS[1:]))
-            rows.append(_hyp_features(row))
-    if not rows:
+        reader = csv.reader(fh)
+        header = check_header(next(reader, None), path, HYP_COLUMNS)
+        # A repeated column reads its last cell, as a csv.DictReader row does.
+        column = {name: i for i, name in enumerate(header)}
+        numeric = operator.itemgetter(*(column[name] for name in HYP_NUMERIC_FIELDS))
+        reprints = re.compile(_HYP_CELLS)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedCorpus(f"{path}:{reader.line_num}: row length differs from header")
+            cls = row[column["event_class"]]
+            if not cls.strip():
+                raise MalformedCorpus(f"{path}:{reader.line_num}: empty event_class")
+            classes.append(sys.intern(cls))
+            hv = _kv_token(row[column["hv"]])
+            one_hot = _HYP_ONE_HOT.get(hv)
+            cells = numeric(row)
+            if texts is None and one_hot and reprints.fullmatch(",".join(cells)):
+                values.extend(one_hot)
+                values.extend(map(float, cells))
+                continue
+            if texts is None:
+                texts = _reprinted(values, width, _print_hypervisor)
+            fields = " ".join(f"{k}={_kv_token(c)}" for k, c in zip(HYP_NUMERIC_FIELDS, cells))
+            texts.append(f"hv={hv} {fields}")
+            values.extend(one_hot or _HYP_NO_TYPE)
+            values.extend(map(_safe_float, cells))
+    if not classes:
         raise MalformedCorpus(f"{path}: no events")
     truths = [_hyp_truth(cls) for cls in classes]
-    return Corpus(LayerId.HYPERVISOR, _hyp_ids(len(rows)), truths, classes, np.stack(rows), texts)
+    block = _block(values, width)
+    ids = _hyp_ids(len(classes))
+    return Corpus(LayerId.HYPERVISOR, ids, truths, classes, block, texts, _print_hypervisor)
 
 
 NET_ATTACK_TYPES = ("port_scan", "brute_force", "dos", "infiltration")
@@ -498,6 +562,9 @@ def gen_network(cfg: NetGenConfig) -> Corpus:
 
 NET_LEAD_COLUMNS = ["event_id", "truth", "truth_class"]
 
+# The truth of each cell that ``write_network_csv`` writes.
+_TRUTHS = {"0": 0, "1": 1, "": None}
+
 
 def write_network_csv(corpus: Corpus, path: str) -> None:
     n = corpus.features.shape[1]
@@ -513,6 +580,12 @@ def write_network_csv(corpus: Corpus, path: str) -> None:
 def load_network_csv(path: str) -> Corpus:
     """Rebuild the corpus of a network CSV written by ``write_network_csv``.
 
+    Blank lines are skipped.  Each row's feature cells go into one float64
+    block as the row is read.  When every row's cells are ``%.4f`` cells
+    that print back as themselves (as in every file ``gen`` writes), the
+    corpus keeps no text and prints each record from its row, as a
+    generated corpus does; otherwise it keeps every record as read.
+
     Raises:
         MalformedCorpus: the header does not start with
             ``event_id,truth,truth_class`` or has no feature column after
@@ -523,8 +596,8 @@ def load_network_csv(path: str) -> Corpus:
     ids: list[str] = []
     truths: list[int | None] = []
     classes: list[str | None] = []
-    texts: list[str] = []
-    rows: list[np.ndarray] = []
+    values = array.array("d")
+    texts: list[str] | None = None
     seen: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -535,25 +608,37 @@ def load_network_csv(path: str) -> Corpus:
             raise MalformedCorpus(f"{path}:1: header must start with event_id,truth,truth_class")
         if len(header) < 4:
             raise MalformedCorpus(f"{path}:1: no feature column after event_id,truth,truth_class")
+        width = len(header) - 3
+        reprints = re.compile(",".join([_FIXED4] * width))
         for row in reader:
-            where = f"{path}:{reader.line_num}"
+            if not row:
+                continue
+            line = reader.line_num
             if len(row) != len(header):
-                raise MalformedCorpus(f"{where}: {len(row)} cells, header has {len(header)}")
-            ids.append(check_event_id(row[0], path, reader.line_num, seen))
-            truths.append(truth_label(row[1], where))
+                raise MalformedCorpus(f"{path}:{line}: {len(row)} cells, header has {len(header)}")
+            ids.append(check_event_id(row[0], path, line, seen))
+            cell = row[1]
+            truths.append(_TRUTHS[cell] if cell in _TRUTHS else truth_label(cell, f"{path}:{line}"))
+            classes.append(sys.intern(row[2]) or None)
             cells = row[3:]
+            record = ",".join(cells)
+            if texts is None and reprints.fullmatch(record):
+                values.extend(map(float, cells))
+                continue
             try:
-                features = np.array([float(c) for c in cells])
+                features = [float(c) for c in cells]
             except ValueError as exc:
-                raise MalformedCorpus(f"{where}: {exc}") from None
-            if not np.isfinite(features).all():
-                raise MalformedCorpus(f"{where}: feature cells must be finite numbers")
-            classes.append(row[2] or None)
-            texts.append(",".join(cells))
-            rows.append(features)
-    if not rows:
+                raise MalformedCorpus(f"{path}:{line}: {exc}") from None
+            if not all(map(math.isfinite, features)):
+                raise MalformedCorpus(f"{path}:{line}: feature cells must be finite numbers")
+            if texts is None:
+                texts = _reprinted(values, width, _print_network)
+            texts.append(record)
+            values.extend(features)
+    if not ids:
         raise MalformedCorpus(f"{path}: no events")
-    return Corpus(LayerId.NETWORK, ids, truths, classes, np.stack(rows), texts)
+    block = _block(values, width)
+    return Corpus(LayerId.NETWORK, ids, truths, classes, block, texts, _print_network)
 
 
 _HOST_PROCS = ("apache2", "sshd", "cron", "systemd", "mysqld", "nginx")
@@ -646,6 +731,11 @@ def write_host_jsonl(corpus: Corpus, path: str) -> None:
 def load_host_jsonl(path: str) -> Corpus:
     """Rebuild the corpus of a host JSONL file written by ``write_host_jsonl``.
 
+    Blank lines are skipped.  Each line is decoded once; a JSON ``0`` or
+    ``1`` truth is taken as it is, and any other value is judged by its
+    JSON text.  Host records have no printer, so the corpus keeps each
+    ``raw`` as read.
+
     Raises:
         MalformedCorpus: a line is not a JSON object with ``event_id``,
             ``raw`` (a string) and ``truth``, has a ``truth_class`` that is
@@ -662,23 +752,26 @@ def load_host_jsonl(path: str) -> Corpus:
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedCorpus(f"{where}: {exc.msg} (column {exc.colno})") from None
+                raise MalformedCorpus(f"{path}:{lineno}: {exc.msg} (column {exc.colno})") from None
             if not (isinstance(data, dict) and {"event_id", "raw", "truth"} <= data.keys()):
-                raise MalformedCorpus(f"{where}: not an object with event_id, raw, truth")
+                raise MalformedCorpus(f"{path}:{lineno}: not an object with event_id, raw, truth")
             ids.append(check_event_id(data["event_id"], path, lineno, seen))
-            if not isinstance(data["raw"], str):
-                raise MalformedCorpus(f"{where}: raw {data['raw']!r} is not a string")
-            cell = None if data["truth"] is None else json.dumps(data["truth"])
-            truths.append(truth_label(cell, where))
-            truth_class = data.get("truth_class")
+            raw, truth, truth_class = data["raw"], data["truth"], data.get("truth_class")
+            if not isinstance(raw, str):
+                raise MalformedCorpus(f"{path}:{lineno}: raw {raw!r} is not a string")
+            if truth is not None and (type(truth) is not int or truth not in (0, 1)):
+                # Any other value is judged by its JSON text: true and 1.0 are refused.
+                truth = truth_label(json.dumps(truth), f"{path}:{lineno}")
+            truths.append(truth)
             if not isinstance(truth_class, (str, type(None))):
-                raise MalformedCorpus(f"{where}: truth_class {truth_class!r} is not a string")
+                raise MalformedCorpus(
+                    f"{path}:{lineno}: truth_class {truth_class!r} is not a string"
+                )
             classes.append(truth_class)
-            texts.append(data["raw"])
+            texts.append(raw)
     if not ids:
         raise MalformedCorpus(f"{path}: no events")
     return Corpus(LayerId.HOST, ids, truths, classes, texts=texts)

@@ -367,6 +367,33 @@ def test_generators_keep_no_text(generate):
         generated.features[0, 0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "generate, write, load",
+    [
+        (
+            lambda: gen_network(NetGenConfig(count=25000, n_features=40, seed=0)),
+            write_network_csv,
+            load_network_csv,
+        ),
+        (lambda: gen_hypervisor(HypGenConfig(seed=0)), write_hypervisor_csv, load_hypervisor_csv),
+    ],
+    ids=["network", "hypervisor"],
+)
+def test_loaded_gen_files_keep_no_text(tmp_path, generate, write, load):
+    # Every record of a file the generator's corpus was written to
+    # reprints from its row, so the loaded corpus is the generated one,
+    # printer included, and keeps no text either.
+    generated = generate()
+    path = os.path.join(tmp_path, "corpus.csv")
+    write(generated, path)
+    retained, loaded = _retained_bytes(lambda: load(path))
+    assert loaded.texts is None and loaded.printer is generated.printer
+    assert retained - loaded.features.nbytes < 150 * len(loaded)
+    with pytest.raises(ValueError):
+        loaded.features[0, 0] = 1.0
+    _assert_same_corpus(loaded, generated)
+
+
 def test_numpy_sized_draws_continue_the_scalar_stream():
     # gen_hypervisor draws each run of a row's fields with one sized call,
     # between the scalar `integers` calls of the row types: the stream must
@@ -467,6 +494,153 @@ def test_network_csv_roundtrip(tmp_path):
         assert back.truth == orig.truth
         assert back.truth_class == orig.truth_class
         assert np.array_equal(back.features, orig.features)
+
+
+_CSV_LAYERS = {
+    LayerId.NETWORK: (
+        lambda: gen_network(NetGenConfig(count=30, seed=5)),
+        write_network_csv,
+        load_network_csv,
+    ),
+    LayerId.HYPERVISOR: (
+        lambda: gen_hypervisor(HypGenConfig(class_counts={"normal": 20, "vm_escape": 10}, seed=9)),
+        write_hypervisor_csv,
+        load_hypervisor_csv,
+    ),
+}
+
+
+def _written(tmp_path, layer):
+    """A small generated corpus of ``layer``, the path of the CSV file it
+    was written to, and that layer's reader."""
+    generate, write, load = _CSV_LAYERS[layer]
+    generated = generate()
+    path = os.path.join(tmp_path, f"{layer.value}.csv")
+    write(generated, path)
+    return generated, path, load
+
+
+def _rewrite_cell(path, row, column, edit):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    at = rows[0].index(column)
+    rows[row + 1][at] = edit(rows[row + 1][at])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _records_as_read(path, layer):
+    # The reference: each record as it is written in the file, the way a
+    # reader that keeps every text reads it.
+    with open(path, newline="") as fh:
+        if layer is LayerId.NETWORK:
+            return [",".join(row[3:]) for row in list(csv.reader(fh))[1:] if row]
+        return [
+            " ".join(f"{k}={row[k].replace(' ', '_')}" for k in HYP_COLUMNS[1:])
+            for row in csv.DictReader(fh)
+        ]
+
+
+def _assert_same_corpus(got, want):
+    assert (got.ids, got.truths, got.classes) == (want.ids, want.truths, want.classes)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert [got.record(i) for i in range(len(got))] == [want.record(i) for i in range(len(want))]
+
+
+def test_reprinting_cells_print_back_as_themselves():
+    # A loader drops the text of a record whose cells all match these
+    # patterns, so each match must be what "%.4f" ("%.0f") prints from
+    # the value it reads as.  Cells of up to 17 integer digits are tried;
+    # those of up to nine must match.
+    rng = np.random.default_rng(11)
+    cells = ["0.0000", "-0.0000", "0", "-0", "999999999.9999", "-999999999.9999", "999999999"]
+    # float reads these as 1.0, 1.0 and 3.0 too, which print in ASCII digits
+    unicode_digits = ["1.\u0660\u0660\u0660\u0660", "\uff11.\uff10\uff10\uff10\uff10", "\u0663"]
+    for digits in range(1, 18):
+        whole = rng.integers(10 ** (digits - 1), 10**digits, size=100).tolist()
+        fraction = rng.integers(0, 10**4, size=100).tolist()
+        for sign, w, f in zip(["", "-"] * 50, whole, fraction):
+            cells += [f"{sign}{w}.{f:04d}", f"{sign}{w}"]
+    fixed4, fixed0 = re.compile(corpus._FIXED4), re.compile(corpus._FIXED0)
+    matched = 0
+    for cell in cells + unicode_digits:
+        if fixed4.fullmatch(cell):
+            assert "%.4f" % float(cell) == cell
+            matched += 1
+        if fixed0.fullmatch(cell):
+            assert "%.0f" % float(cell) == cell
+            matched += 1
+    assert matched == 7 + 9 * 200
+
+
+@pytest.mark.parametrize("layer", _CSV_LAYERS, ids=["network", "hypervisor"])
+def test_csv_loaders_skip_blank_lines(tmp_path, layer):
+    # Blank lines after the header, between rows and at the end are
+    # skipped, and a fault after them still names its own line.
+    generated, path, load = _written(tmp_path, layer)
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    lines[1:1] = ["\r\n"]
+    lines[5:5] = ["\r\n", "\r\n"]
+    lines += ["\r\n", "\n"]
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    loaded = load(path)
+    assert loaded.texts is None
+    _assert_same_corpus(loaded, generated)
+    with open(path, "a", newline="") as fh:
+        fh.write("x\r\n")
+    with pytest.raises(MalformedCorpus, match=f"^{re.escape(path)}:{len(lines) + 1}: "):
+        load(path)
+
+
+@pytest.mark.parametrize("row", [0, 7, 29])
+@pytest.mark.parametrize(
+    "layer, column, edit",
+    [
+        (LayerId.NETWORK, "f05", lambda cell: "0.5"),
+        (LayerId.NETWORK, "f05", lambda cell: cell + "0"),
+        (LayerId.NETWORK, "f05", lambda cell: cell[:-1] + "\u0660"),
+        (LayerId.HYPERVISOR, "cpu_util", lambda cell: "nan"),
+        (LayerId.HYPERVISOR, "hv", lambda cell: "ESX"),
+    ],
+    ids=[
+        "network-short-cell",
+        "network-fifth-decimal",
+        "network-unicode-digit",
+        "hypervisor-nan",
+        "hypervisor-type",
+    ],
+)
+def test_file_with_a_record_that_does_not_reprint_keeps_every_text(
+    tmp_path, layer, column, edit, row
+):
+    # One record that its row does not print back as makes the loader
+    # keep every record of the file as written, before and after it.
+    generated, path, load = _written(tmp_path, layer)
+    _rewrite_cell(path, row, column, edit)
+    loaded = load(path)
+    want = _records_as_read(path, layer)
+    assert want[row] != generated.record(row)
+    assert loaded.texts == want
+    assert [loaded.record(i) for i in range(len(loaded))] == want
+    others = [i for i in range(len(generated)) if i != row]
+    assert loaded.take(others).features.tobytes() == generated.take(others).features.tobytes()
+    assert (loaded.ids, loaded.truths, loaded.classes) == (
+        generated.ids, generated.truths, generated.classes
+    )
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+def test_network_loader_names_the_first_fault_in_file_order(tmp_path, cell):
+    # A non-finite feature cell on line 3 is named before a bad id on line 5.
+    _, path, load = _written(tmp_path, LayerId.NETWORK)
+    _rewrite_cell(path, 1, "f05", lambda _: cell)
+    _rewrite_cell(path, 3, "event_id", lambda _: "net 5")
+    with pytest.raises(
+        MalformedCorpus, match=f"^{re.escape(path)}:3: feature cells must be finite numbers$"
+    ):
+        load(path)
 
 
 def test_host_counts_and_attack_types():
